@@ -53,7 +53,6 @@
 #include "net/server.h"
 #include "pipeline/service.h"
 #include "pipeline/vendor.h"
-#include "quant/qconv.h"
 #include "quant/qgemm.h"
 #include "util/cli.h"
 #include "util/error.h"
@@ -315,8 +314,7 @@ int main(int argc, char** argv) {
     bench::banner("validation server load",
                   "network serving of SS V's deployment story: load/open/"
                   "submit/stream over TCP");
-    std::cout << "engine: " << quant::qgemm_config_string()
-              << " conv=" << quant::qconv_path_name() << "\n"
+    std::cout << "engine: " << quant::qgemm_config_string() << "\n"
               << "generator: " << (open_loop ? "open loop" : "closed loop");
     if (open_loop) std::cout << " @ " << rate << " req/s per client";
     std::cout << "\n";

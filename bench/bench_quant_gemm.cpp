@@ -1,13 +1,13 @@
 // Int8 conv/GEMM roofline — the quantized engine's speed claim, recorded.
 //
-// Three axes per shape: micro-kernel (scalar vs AVX-512 VNNI when compiled
-// in), scheduling (serial vs tiled-parallel over the shared pool), and conv
-// path (two-pass im2col+qgemm vs the fused panel packer with pre-packed
-// weights). Square GEMMs anchor against the float blocked kernel and the
-// frozen seed kernel; the zoo conv shapes are the layers the vendor/user
+// Two axes per shape on the micro-kernel compiled into this binary (AVX-512
+// VNNI when the build targets it, scalar otherwise): scheduling (serial vs
+// tiled-parallel over the shared pool) and, for convolutions, the fused
+// panel packer with pre-packed weights. Square GEMMs anchor against the
+// float blocked kernel; the zoo conv shapes are the layers the vendor/user
 // pipelines actually spend their cycles in. Every timed variant is verified
-// (naive probes for GEMM, exact fused == two-pass for conv) — a throughput
-// number from a wrong kernel is worthless.
+// (naive probes for GEMM, fused == direct convolution for conv) — a
+// throughput number from a wrong kernel is worthless, so any mismatch exits 1.
 //
 // With --json the run is written as BENCH_quant_gemm.json (config, hardware,
 // kernel, metric series); with --baseline it diffs against a committed
@@ -18,18 +18,18 @@
 //          [--json [path]] [--baseline BENCH_quant_gemm.json] [--max-regress 15]
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/bench_json.h"
 #include "quant/qconv.h"
 #include "quant/qgemm.h"
-#include "quant/qops.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
+#include "tests/quant_reference.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -99,15 +99,6 @@ const ConvCase kConvCases[] = {
     {"cifar_c4", {32, 16, 16, 32, 3, 1, 1}, false},
 };
 
-/// Kernel flavours compiled into this binary.
-std::vector<quant::QGemmKernel> available_kernels() {
-  std::vector<quant::QGemmKernel> kernels = {quant::QGemmKernel::kScalar};
-  if (quant::qgemm_vnni_available()) {
-    kernels.push_back(quant::QGemmKernel::kVnni);
-  }
-  return kernels;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -115,7 +106,7 @@ int main(int argc, char** argv) {
                                   "max-regress"});
   const bool quick = args.get_bool("quick", false);
   bench::banner("bench_quant_gemm",
-                "int8 conv/GEMM roofline: kernel x scheduling x conv path");
+                "int8 conv/GEMM roofline: scheduling x shape");
   std::cout << "engine: " << quant::qgemm_config_string() << "\n\n";
 
   std::vector<std::int64_t> sizes = quick
@@ -135,7 +126,9 @@ int main(int argc, char** argv) {
   std::vector<bench::BenchMetric> metrics;
   bool all_ok = true;
 
-  // ---- Square GEMM anchor: int8 vs float blocked vs frozen seed ----
+  const std::string kernel = quant::qgemm_kernel_name();
+
+  // ---- Square GEMM anchor: int8 vs float blocked ----
   for (const std::int64_t n : sizes) {
     Rng rng(1);
     const Tensor fa = Tensor::randn(Shape{n, n}, rng);
@@ -145,60 +138,39 @@ int main(int argc, char** argv) {
     const auto qb = bench::random_int8_codes(n * n, rng);
     std::vector<std::int32_t> qc(static_cast<std::size_t>(n * n));
 
-    set_gemm_kernel(GemmKernel::kReference);
     Stopwatch timer;
     for (int r = 0; r < gemm_reps; ++r) {
       gemm(false, false, n, n, n, 1.0f, fa.data(), fb.data(), 0.0f, fc.data());
     }
-    const double seed_s = timer.elapsed_seconds();
-
-    set_gemm_kernel(GemmKernel::kBlocked);
-    timer.reset();
-    for (int r = 0; r < gemm_reps; ++r) {
-      gemm(false, false, n, n, n, 1.0f, fa.data(), fb.data(), 0.0f, fc.data());
-    }
     const double float_s = timer.elapsed_seconds();
-    std::cout << "gemm n=" << n << ": seed " << gops(n, n, n, seed_s, gemm_reps)
-              << " GFLOP/s, float blocked " << gops(n, n, n, float_s, gemm_reps)
-              << " GFLOP/s\n";
+    std::cout << "gemm n=" << n << ": float blocked "
+              << gops(n, n, n, float_s, gemm_reps) << " GFLOP/s\n";
 
-    for (const auto kernel : available_kernels()) {
-      quant::set_qgemm_kernel(kernel);
-      const std::string tag =
-          "gemm" + std::to_string(n) + "_" + quant::qgemm_kernel_name();
-      quant::QGemmOptions serial;
-      serial.force_serial = true;
-      quant::qgemm(n, n, n, qa.data(), qb.data(), qc.data(), serial);  // warmup
-      const double serial_gops = best_gops(n, n, n, gemm_reps, [&] {
-        quant::qgemm(n, n, n, qa.data(), qb.data(), qc.data(), serial);
-      });
-      const bool ok = verify_qgemm(n, qa, qb, qc);
-      all_ok = all_ok && ok;
+    const std::string tag = "gemm" + std::to_string(n) + "_" + kernel;
+    quant::QGemmOptions serial;
+    serial.force_serial = true;
+    quant::qgemm(n, n, n, qa.data(), qb.data(), qc.data(), serial);  // warmup
+    const double serial_gops = best_gops(n, n, n, gemm_reps, [&] {
+      quant::qgemm(n, n, n, qa.data(), qb.data(), qc.data(), serial);
+    });
+    const bool ok = verify_qgemm(n, qa, qb, qc);
+    all_ok = all_ok && ok;
 
-      const double tiled_gops = best_gops(n, n, n, gemm_reps, [&] {
-        quant::qgemm(n, n, n, qa.data(), qb.data(), qc.data());
-      });
-      all_ok = all_ok && verify_qgemm(n, qa, qb, qc);
+    const double tiled_gops = best_gops(n, n, n, gemm_reps, [&] {
+      quant::qgemm(n, n, n, qa.data(), qb.data(), qc.data());
+    });
+    all_ok = all_ok && verify_qgemm(n, qa, qb, qc);
 
-      std::cout << "  " << tag << ": serial " << serial_gops
-                << " GOP/s, tiled " << tiled_gops << " GOP/s ("
-                << tiled_gops / serial_gops << "x)"
-                << (ok ? "" : "  [VERIFY FAILED]") << "\n";
-      metrics.push_back({tag + "_serial", serial_gops, "gops", true});
-      metrics.push_back({tag + "_tiled", tiled_gops, "gops", true});
-    }
-    quant::set_qgemm_kernel(quant::QGemmKernel::kAuto);
+    std::cout << "  " << tag << ": serial " << serial_gops << " GOP/s, tiled "
+              << tiled_gops << " GOP/s (" << tiled_gops / serial_gops << "x)"
+              << (ok ? "" : "  [VERIFY FAILED]") << "\n";
+    metrics.push_back({tag + "_serial", serial_gops, "gops", true});
+    metrics.push_back({tag + "_tiled", tiled_gops, "gops", true});
   }
 
-  // ---- Zoo conv roofline: two-pass vs fused, serial vs tiled ----
+  // ---- Zoo conv roofline: fused conv, serial vs tiled ----
   std::cout << "\nconv roofline (zoo shapes, GOP/s; fused = panel-fused "
                "im2col + pre-packed weights):\n";
-  // The acceptance headline tracks the kernel a deployment actually runs
-  // (kAuto's pick); non-default kernel rows stay in the table as
-  // informational anchors.
-  quant::set_qgemm_kernel(quant::QGemmKernel::kAuto);
-  const quant::QGemmKernel default_kernel = quant::qgemm_kernel();
-  double worst_fused_speedup = 1e9;
   for (const ConvCase& c : kConvCases) {
     if (quick && !c.quick) continue;
     const quant::QConvShape& s = c.shape;
@@ -207,78 +179,45 @@ int main(int argc, char** argv) {
     const auto image =
         bench::random_int8_codes(s.in_channels * s.height * s.width, rng);
     const auto weights = bench::random_int8_codes(m * k, rng);
-    std::vector<std::int8_t> cols(static_cast<std::size_t>(k * n));
-    std::vector<std::int32_t> acc_two(static_cast<std::size_t>(m * n));
-    std::vector<std::int32_t> acc_fused(static_cast<std::size_t>(m * n));
+    std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n));
+    const std::string tag = std::string("conv_") + c.name + "_" + kernel;
 
-    for (const auto kernel : available_kernels()) {
-      quant::set_qgemm_kernel(kernel);
-      const std::string tag =
-          std::string("conv_") + c.name + "_" + quant::qgemm_kernel_name();
+    // Pre-packed weights (once, outside the timer — that is the deployment
+    // shape) + panel-fused im2col.
+    const quant::PackedConvWeights packed =
+        quant::pack_conv_weights(m, k, weights.data());
+    const quant::QConvScratchSizes sizes = quant::qconv_scratch_sizes(s);
+    std::vector<std::int8_t> b_pack(sizes.b_pack);
+    std::vector<std::int32_t> colsum(sizes.colsum);
+    std::vector<std::int8_t> rowbuf(sizes.rowbuf);
+    const quant::QConvScratch scratch{b_pack.data(), colsum.data(),
+                                      rowbuf.data()};
+    auto fused = [&](const quant::QGemmOptions& o) {
+      quant::qconv2d_fused(s, packed, image.data(), acc.data(), scratch, o);
+    };
 
-      // Two-pass baseline: materialize the column matrix, then qgemm.
-      auto two_pass = [&](const quant::QGemmOptions& o) {
-        quant::im2col_s8(image.data(), s.in_channels, s.height, s.width,
-                         s.kernel, s.kernel, s.stride, s.pad, cols.data());
-        quant::qgemm(m, n, k, weights.data(), cols.data(), acc_two.data(), o);
-      };
-      // Fused path: pre-packed weights (once, outside the timer — that is
-      // the deployment shape) + panel-fused im2col.
-      const quant::PackedConvWeights packed =
-          quant::pack_conv_weights(m, k, weights.data());
-      const quant::QConvScratchSizes sizes = quant::qconv_scratch_sizes(s);
-      std::vector<std::int8_t> b_pack(sizes.b_pack);
-      std::vector<std::int32_t> colsum(sizes.colsum);
-      std::vector<std::int8_t> rowbuf(sizes.rowbuf);
-      const quant::QConvScratch scratch{b_pack.data(), colsum.data(),
-                                        rowbuf.data()};
-      auto fused = [&](const quant::QGemmOptions& o) {
-        quant::qconv2d_fused(s, packed, image.data(), acc_fused.data(),
-                             scratch, o);
-      };
+    std::vector<std::int32_t> expected(acc.size());
+    quant::reference::conv(s, weights.data(), image.data(), expected.data());
+    auto time_variant = [&](const quant::QGemmOptions& o) {
+      fused(o);  // warmup, and the result the check below reads
+      const double g = best_gops(m, n, k, conv_reps, [&] { fused(o); });
+      return std::pair{g, acc == expected};
+    };
+    quant::QGemmOptions serial;
+    serial.force_serial = true;
+    const auto [fused_serial, serial_exact] = time_variant(serial);
+    const auto [fused_tiled, tiled_exact] =
+        tiled_differs ? time_variant(quant::QGemmOptions{})
+                      : std::pair{fused_serial, serial_exact};
+    const bool exact = serial_exact && tiled_exact;
+    all_ok = all_ok && exact;
 
-      quant::QGemmOptions serial;
-      serial.force_serial = true;
-      two_pass(serial);
-      fused(serial);
-      const bool identical =
-          std::memcmp(acc_two.data(), acc_fused.data(),
-                      acc_two.size() * sizeof(std::int32_t)) == 0;
-      all_ok = all_ok && identical;
-
-      auto time_variant = [&](auto&& fn, const quant::QGemmOptions& o) {
-        fn(o);  // warmup
-        return best_gops(m, n, k, conv_reps, [&] { fn(o); });
-      };
-      const double twopass_serial = time_variant(two_pass, serial);
-      const double fused_serial = time_variant(fused, serial);
-      const quant::QGemmOptions tiled;
-      const double twopass_tiled =
-          tiled_differs ? time_variant(two_pass, tiled) : twopass_serial;
-      const double fused_tiled =
-          tiled_differs ? time_variant(fused, tiled) : fused_serial;
-
-      const double speedup = fused_tiled / twopass_serial;
-      if (kernel == default_kernel) {
-        worst_fused_speedup = std::min(worst_fused_speedup, speedup);
-      }
-      std::cout << "  " << tag << " (M=" << m << " N=" << n << " K=" << k
-                << "): two-pass " << twopass_serial << " | " << twopass_tiled
-                << ", fused " << fused_serial << " | " << fused_tiled
-                << "  -> fused+tiled vs two-pass serial " << speedup << "x"
-                << (identical ? "" : "  [FUSED != TWO-PASS]") << "\n";
-      metrics.push_back({tag + "_twopass_serial", twopass_serial, "gops", true});
-      metrics.push_back({tag + "_twopass_tiled", twopass_tiled, "gops", true});
-      metrics.push_back({tag + "_fused_serial", fused_serial, "gops", true});
-      metrics.push_back({tag + "_fused_tiled", fused_tiled, "gops", true});
-      metrics.push_back({tag + "_fused_speedup", speedup, "x", true});
-    }
-    quant::set_qgemm_kernel(quant::QGemmKernel::kAuto);
+    std::cout << "  " << tag << " (M=" << m << " N=" << n << " K=" << k
+              << "): fused serial " << fused_serial << ", tiled "
+              << fused_tiled << (exact ? "" : "  [FUSED != DIRECT]") << "\n";
+    metrics.push_back({tag + "_fused_serial", fused_serial, "gops", true});
+    metrics.push_back({tag + "_fused_tiled", fused_tiled, "gops", true});
   }
-  std::cout << "worst fused+tiled speedup over two-pass serial ("
-            << quant::qgemm_kernel_name()
-            << " rows): " << worst_fused_speedup
-            << "x (acceptance floor 1.5x)\n";
 
   if (!all_ok) {
     std::cerr << "kernel verification FAILED\n";

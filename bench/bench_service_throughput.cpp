@@ -37,7 +37,6 @@
 #include "pipeline/service.h"
 #include "pipeline/user.h"
 #include "pipeline/vendor.h"
-#include "quant/qconv.h"
 #include "quant/qgemm.h"
 #include "util/cli.h"
 #include "util/error.h"
@@ -141,8 +140,7 @@ int main(int argc, char** argv) {
 
     bench::banner("validation service throughput",
                   "SS V deployment at scale: concurrent user qualification");
-    std::cout << "engine: " << quant::qgemm_config_string()
-              << " conv=" << quant::qconv_path_name() << "\n";
+    std::cout << "engine: " << quant::qgemm_config_string() << "\n";
     auto zoo = bench::zoo_options(args);
     zoo.tiny = quick || args.get_bool("tiny", false);
 
@@ -210,7 +208,6 @@ int main(int argc, char** argv) {
       config["tests"] = std::to_string(num_tests);
       config["backend"] = backend;
       config["tiny"] = zoo.tiny ? "1" : "0";
-      config["conv_path"] = quant::qconv_path_name();
       bench::write_bench_json(path, "service_throughput", config, metrics);
     }
     if (args.has("baseline")) {

@@ -94,7 +94,6 @@
 #include "pipeline/service.h"
 #include "pipeline/user.h"
 #include "pipeline/vendor.h"
-#include "quant/qconv.h"
 #include "quant/qgemm.h"
 #include "util/cli.h"
 #include "util/error.h"
@@ -445,8 +444,7 @@ int run_serve(const CliArgs& args) {
             << "scheduler: " << stats.batches << " micro-batches, "
             << stats.predicted << " tests inferred, " << stats.cache_served
             << " served by cross-session reuse\n"
-            << "engine: " << quant::qgemm_config_string()
-            << " conv=" << quant::qconv_path_name() << "\n"
+            << "engine: " << quant::qgemm_config_string() << "\n"
             << "verdicts: " << (num_sessions - tampered) << " SECURE, "
             << tampered << " TAMPERED\n";
   return tampered == 0 ? 0 : 2;
@@ -478,8 +476,7 @@ int run_serve_tcp(const CliArgs& args) {
   if (config.idle_timeout_seconds > 0) {
     std::cout << ", idle timeout " << config.idle_timeout_seconds << "s";
   }
-  std::cout << ")\nengine: " << quant::qgemm_config_string()
-            << " conv=" << quant::qconv_path_name() << "\n"
+  std::cout << ")\nengine: " << quant::qgemm_config_string() << "\n"
             << "Ctrl-C to drain and stop\n";
 
   std::signal(SIGINT, handle_stop_signal);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <vector>
@@ -298,7 +297,6 @@ class AffinePass {
     return out;
   }
 
-  void debug_forms(const char* tag, std::size_t li) const;
   void do_quantize(const quant::QLayer& q, std::size_t li);
   void do_matmul(const quant::QLayer& q, std::size_t li, ModelRange& mr);
   void do_activation(const quant::QLayer& q, std::size_t li);
@@ -564,22 +562,6 @@ void AffinePass::do_matmul(const quant::QLayer& q, std::size_t li,
                : std::vector<std::int64_t>{channels};
 }
 
-void AffinePass::debug_forms(const char* tag, std::size_t li) const {
-  if (std::getenv("DNNV_AFFINE_DEBUG") == nullptr) return;
-  std::size_t constants = 0;
-  I128 coef_mass = 0, slack_mass = 0;
-  for (const Form& f : cur_) {
-    if (f.coef.empty()) ++constants;
-    for (const std::int64_t c : f.coef) coef_mass += std::abs(c);
-    slack_mass += f.slack;
-  }
-  std::fprintf(stderr,
-               "  [affine] L%zu %s: %zu/%zu constant, coef_mass=%.3g "
-               "slack_mass=%.3g\n",
-               li, tag, constants, cur_.size(),
-               static_cast<double>(coef_mass), static_cast<double>(slack_mass));
-}
-
 void AffinePass::do_activation(const quant::QLayer& q, std::size_t li) {
   const std::size_t group =
       cur_.size() / std::max<std::size_t>(cur_ch_.size(), 1);
@@ -759,19 +741,16 @@ ModelRange AffinePass::run() {
       case quant::QLayerKind::kDense:
         do_matmul(q, li, mr);
         lr.out = cur_ch_;
-        debug_forms("matmul", li);
         break;
 
       case quant::QLayerKind::kActivation:
         do_activation(q, li);
         lr.out = cur_ch_;
-        debug_forms("act", li);
         break;
 
       case quant::QLayerKind::kMaxPool:
         do_maxpool(q, li);
         lr.out = cur_ch_;
-        debug_forms("pool", li);
         break;
 
       case quant::QLayerKind::kFlatten:

@@ -73,10 +73,16 @@ FaultQualification qualify_suite(const quant::QuantModel& model,
   q.core = static_cast<std::int64_t>(mc.core.size());
 
   if (options.compact && compacted != nullptr) {
-    const CompactionResult compaction =
-        compact_tests(result.rows, mc.core, suite.size());
-    *compacted = compact_suite(suite, compaction);
-    q.kept_tests = static_cast<std::int64_t>(compaction.kept_tests.size());
+    if (mc.core.empty()) {
+      // The suite detects no scored fault, so there is nothing to compact
+      // against: keep the suite whole (kept_tests stays its size).
+      *compacted = suite;
+    } else {
+      const CompactionResult compaction =
+          compact_tests(result.rows, mc.core, suite.size());
+      *compacted = compact_suite(suite, compaction);
+      q.kept_tests = static_cast<std::int64_t>(compaction.kept_tests.size());
+    }
   }
   return q;
 }

@@ -77,7 +77,8 @@ struct QualifyOptions {
 
 /// Scores `suite` against the structural universe of `model`. When
 /// options.compact is set and `compacted` non-null, also writes the
-/// greedily compacted suite (same detected-fault coverage, fewer tests).
+/// greedily compacted suite (same detected-fault coverage, fewer tests) —
+/// or the whole suite when it detects no scored fault.
 FaultQualification qualify_suite(const quant::QuantModel& model,
                                  const validate::TestSuite& suite,
                                  const QualifyOptions& options,

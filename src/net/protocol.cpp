@@ -115,9 +115,10 @@ OpenRequest OpenRequest::decode(ByteReader& r) {
   m.config.budget = static_cast<std::size_t>(r.read_u64());
   m.config.chunk_size = static_cast<std::size_t>(r.read_u64());
   m.config.micro_batch = static_cast<std::size_t>(r.read_u64());
-  const std::uint32_t faults = r.read_u32();
+  // Each fault entry is a u64 address plus a u8 bit.
+  const std::size_t faults = r.read_count<std::uint32_t>(9);
   m.config.faults.reserve(faults);
-  for (std::uint32_t i = 0; i < faults; ++i) {
+  for (std::size_t i = 0; i < faults; ++i) {
     validate::CodeFault fault;
     fault.address = static_cast<std::size_t>(r.read_u64());
     fault.bit = static_cast<int>(r.read_u8());

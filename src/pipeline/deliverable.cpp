@@ -67,14 +67,15 @@ Manifest Manifest::load(ByteReader& reader) {
   manifest.fault_universe = reader.read_i64();
   manifest.fault_detected = reader.read_i64();
   manifest.analysis_domain = reader.read_string();
-  manifest.input_domains.resize(reader.read_u64());
+  manifest.input_domains.resize(reader.read_count(16));  // lo, hi
   for (auto& domain : manifest.input_domains) {
     domain.lo = reader.read_i64();
     domain.hi = reader.read_i64();
   }
   manifest.fault_dominated = reader.read_i64();
   manifest.fault_conditional = reader.read_i64();
-  manifest.excitations.resize(reader.read_u64());
+  // fault_id, layer, channel, acc.lo, acc.hi
+  manifest.excitations.resize(reader.read_count(8 + 1 + 3 * 8));
   for (auto& target : manifest.excitations) {
     target.fault_id = reader.read_u64();
     target.layer = reader.read_u8();

@@ -6,7 +6,6 @@
 #include "analysis/range_analysis.h"
 #include "analysis/verifier.h"
 #include "coverage/criterion.h"
-#include "quant/qconv.h"
 #include "quant/qgemm.h"
 #include "tensor/batch.h"
 #include "util/error.h"
@@ -198,8 +197,7 @@ Deliverable VendorPipeline::run(const nn::Sequential& model,
         agree += report->golden[i] == float_labels[i];
       }
       report->backend_float_agreement = agree;
-      report->kernel_config = quant::qgemm_config_string() +
-                              " conv=" + quant::qconv_path_name();
+      report->kernel_config = quant::qgemm_config_string();
     }
     report->fault_stats = fault_stats;
     report->generation = std::move(generation);

@@ -1,7 +1,6 @@
 #include "quant/qconv.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "quant/qgemm_panels.h"
 #include "quant/qops.h"
@@ -12,8 +11,6 @@ namespace dnnv::quant {
 namespace {
 
 using namespace detail;
-
-std::atomic<QConvPath> g_conv_path{QConvPath::kFused};
 
 // Same threshold as the qgemm driver: tile parallelism only past ~1M MACs.
 constexpr std::int64_t kParallelMinWork = std::int64_t{1} << 20;
@@ -41,10 +38,10 @@ void qconv_fused_impl(const QConvShape& s, const PackedConvWeights& w,
     const std::int64_t kc = std::min(kKC, k - pc);
     const std::int64_t kc4 = quads(kc);
     // B panels straight from the image: generate im2col rows (channel, ky,
-    // kx) into rowbuf and pack them into the panel layout — the column
-    // matrix of the two-pass path never exists. VNNI packs a K-quad at a
-    // time (four rows per vectorized interleave, colsum via vpdpbusd);
-    // scalar panels are plain row copies, so the per-row packer suffices.
+    // kx) into rowbuf and pack them into the panel layout — no column
+    // matrix ever exists. VNNI packs a K-quad at a time (four rows per
+    // vectorized interleave, colsum via vpdpbusd); scalar panels are plain
+    // row copies, so the per-row packer suffices.
     auto gen_row = [&](std::int64_t p, std::int8_t* out) {
       const std::int64_t r = pc + p;
       const std::int64_t c = r / kk;
@@ -97,7 +94,6 @@ PackedConvWeights pack_conv_weights(std::int64_t out_channels,
                                     std::int64_t fanin,
                                     const std::int8_t* weights) {
   PackedConvWeights p;
-  p.kernel = qgemm_kernel();
   p.out_channels = out_channels;
   p.fanin = fanin;
   p.slice_stride = packed_a_slice_bytes(out_channels, kKC);
@@ -109,15 +105,8 @@ PackedConvWeights pack_conv_weights(std::int64_t out_channels,
   std::size_t off = 0;
   for (std::int64_t pc = 0; pc < fanin; pc += kKC) {
     const std::int64_t kc = std::min(kKC, fanin - pc);
-#if DNNV_QGEMM_VNNI
-    if (p.kernel == QGemmKernel::kVnni) {
-      pack_a<true>(weights, fanin, 0, pc, out_channels, kc, p.panels.data() + off);
-    } else
-#endif
-    {
-      pack_a<false>(weights, fanin, 0, pc, out_channels, kc,
-                    p.panels.data() + off);
-    }
+    pack_a<kVnni>(weights, fanin, 0, pc, out_channels, kc,
+                  p.panels.data() + off);
     off += packed_a_slice_bytes(out_channels, kc);
   }
   return p;
@@ -137,37 +126,16 @@ void qconv2d_fused(const QConvShape& shape, const PackedConvWeights& weights,
                    const std::int8_t* image, std::int32_t* acc,
                    const QConvScratch& scratch, const QGemmOptions& options) {
   DNNV_CHECK(weights.matches(shape),
-             "packed conv weights do not match shape/kernel (packed for "
-             << (weights.kernel == QGemmKernel::kVnni ? "vnni" : "scalar")
-             << ", active " << qgemm_kernel_name() << ")");
+             "packed conv weights do not match the conv shape");
   DNNV_CHECK(shape.fanin() <= 65536,
              "qconv K " << shape.fanin() << " exceeds the int32 overflow bound");
-  DNNV_CHECK(scratch.b_pack && scratch.rowbuf &&
-                 (scratch.colsum || qgemm_kernel() != QGemmKernel::kVnni),
+  DNNV_CHECK(scratch.b_pack && scratch.rowbuf && (scratch.colsum || !kVnni),
              "qconv2d_fused called without arena scratch");
   const std::int64_t m = shape.out_channels;
   const std::int64_t n = shape.plane();
   std::fill(acc, acc + m * n, 0);
   if (m == 0 || n == 0 || shape.fanin() == 0) return;
-#if DNNV_QGEMM_VNNI
-  if (qgemm_kernel() == QGemmKernel::kVnni) {
-    qconv_fused_impl<true>(shape, weights, image, acc, scratch, options);
-    return;
-  }
-#endif
-  qconv_fused_impl<false>(shape, weights, image, acc, scratch, options);
-}
-
-void set_qconv_path(QConvPath path) {
-  g_conv_path.store(path, std::memory_order_relaxed);
-}
-
-QConvPath qconv_path() {
-  return g_conv_path.load(std::memory_order_relaxed);
-}
-
-const char* qconv_path_name() {
-  return qconv_path() == QConvPath::kFused ? "fused" : "two-pass";
+  qconv_fused_impl<kVnni>(shape, weights, image, acc, scratch, options);
 }
 
 }  // namespace dnnv::quant

@@ -1,10 +1,8 @@
 // Fused int8 convolution: im2col rows are generated on the fly and packed
-// panel-by-panel straight into the GEMM packing buffer, so the full column
-// matrix of the two-pass path (im2col_s8 -> qgemm) never materializes, and
-// the conv weights are pre-packed once into micro-kernel panels instead of
-// per call. Bit-identical to the two-pass path by construction (same exact
-// int32 arithmetic, same panel kernels); the two-pass path stays compiled-in
-// for A/B benches and identity tests, selectable via set_qconv_path().
+// panel-by-panel straight into the GEMM packing buffer, so no column matrix
+// ever materializes, and the conv weights are pre-packed once into
+// micro-kernel panels instead of per call. Exact int32 arithmetic: the
+// result equals the direct convolution sum bit for bit.
 #ifndef DNNV_QUANT_QCONV_H_
 #define DNNV_QUANT_QCONV_H_
 
@@ -36,24 +34,20 @@ struct QConvShape {
   }
 };
 
-/// Conv weights pre-packed into the A-operand panel layout of the active
-/// micro-kernel (the layout differs between scalar and VNNI, hence the tag:
-/// qconv2d_fused rejects a pack built for another kernel, and
-/// QuantModel::refresh_derived re-packs on a kernel switch).
+/// Conv weights pre-packed into the A-operand panel layout of the compiled
+/// micro-kernel.
 struct PackedConvWeights {
-  QGemmKernel kernel = QGemmKernel::kAuto;  ///< layout this pack was built for
   std::int64_t out_channels = 0;
   std::int64_t fanin = 0;
   std::size_t slice_stride = 0;  ///< bytes per full-kKC K-slice of panels
   std::vector<std::uint8_t> panels;
 
   bool matches(const QConvShape& s) const {
-    return kernel == qgemm_kernel() && out_channels == s.out_channels &&
-           fanin == s.fanin();
+    return out_channels == s.out_channels && fanin == s.fanin();
   }
 };
 
-/// Packs [out_channels, fanin] int8 conv weights for the ACTIVE kernel.
+/// Packs [out_channels, fanin] int8 conv weights.
 PackedConvWeights pack_conv_weights(std::int64_t out_channels,
                                     std::int64_t fanin,
                                     const std::int8_t* weights);
@@ -80,19 +74,11 @@ QConvScratchSizes qconv_scratch_sizes(const QConvShape& shape);
 /// im2col rows into `rowbuf` and scatters them directly into the packed-B
 /// panels, then the macro-tile grid runs (parallel over options.pool via
 /// bounded work-splitting — safe and still parallel when nested in a pool
-/// worker). Bit-identical to im2col_s8 + qgemm.
+/// worker). Bit-identical to the direct convolution sum.
 void qconv2d_fused(const QConvShape& shape, const PackedConvWeights& weights,
                    const std::int8_t* image, std::int32_t* acc,
                    const QConvScratch& scratch,
                    const QGemmOptions& options = {});
-
-/// Conv execution path selector (process-wide; default kFused). The
-/// two-pass path is kept compiled-in for A/B comparisons and identity tests.
-enum class QConvPath : std::uint8_t { kFused = 0, kTwoPass = 1 };
-
-void set_qconv_path(QConvPath path);
-QConvPath qconv_path();
-const char* qconv_path_name();  ///< "fused" or "two-pass"
 
 }  // namespace dnnv::quant
 

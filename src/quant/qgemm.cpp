@@ -1,7 +1,6 @@
 #include "quant/qgemm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <sstream>
 #include <vector>
@@ -22,13 +21,6 @@ using namespace detail;
 // Everything stays in exact int32 (see the overflow contract in the header),
 // so the scalar kernel — which skips the offset (and colsum) entirely —
 // produces bit-identical results.
-
-std::atomic<QGemmKernel> g_kernel{QGemmKernel::kAuto};
-
-QGemmKernel resolve(QGemmKernel k) {
-  if (k != QGemmKernel::kAuto) return k;
-  return qgemm_vnni_available() ? QGemmKernel::kVnni : QGemmKernel::kScalar;
-}
 
 // Per-thread packing arenas: resized in place, so a warmed-up thread packs
 // with zero allocations. Thread-local (not per-call) because concurrent
@@ -100,16 +92,6 @@ void qgemm_impl(std::int64_t m, std::int64_t n, std::int64_t k,
 
 }  // namespace
 
-void set_qgemm_kernel(QGemmKernel kernel) {
-  DNNV_CHECK(kernel != QGemmKernel::kVnni || qgemm_vnni_available(),
-             "VNNI qgemm kernel requested but not compiled in");
-  g_kernel.store(kernel, std::memory_order_relaxed);
-}
-
-QGemmKernel qgemm_kernel() {
-  return resolve(g_kernel.load(std::memory_order_relaxed));
-}
-
 bool qgemm_vnni_available() { return DNNV_QGEMM_VNNI != 0; }
 
 void qgemm(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
@@ -119,13 +101,7 @@ void qgemm(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
   DNNV_CHECK(k <= 65536, "qgemm K " << k << " exceeds the int32 overflow bound");
   std::fill(c, c + m * n, 0);
   if (m == 0 || n == 0 || k == 0) return;
-#if DNNV_QGEMM_VNNI
-  if (qgemm_kernel() == QGemmKernel::kVnni) {
-    qgemm_impl<true>(m, n, k, a, b, c, options);
-    return;
-  }
-#endif
-  qgemm_impl<false>(m, n, k, a, b, c, options);
+  qgemm_impl<kVnni>(m, n, k, a, b, c, options);
 }
 
 void qgemm(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
@@ -134,7 +110,7 @@ void qgemm(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
 }
 
 const char* qgemm_kernel_name() {
-  return qgemm_kernel() == QGemmKernel::kVnni ? "avx512-vnni" : "scalar";
+  return kVnni ? "avx512-vnni" : "scalar";
 }
 
 std::string qgemm_config_string() {

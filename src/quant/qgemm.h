@@ -11,21 +11,10 @@ class ThreadPool;
 
 namespace dnnv::quant {
 
-/// Micro-kernel flavour. kAuto resolves to kVnni when the binary was built
-/// with AVX-512 VNNI, else kScalar. Both flavours run exact int32 arithmetic
-/// and are bit-identical by construction; the choice is pure speed, so it is
-/// a process-wide runtime switch (benches A/B it, deployments pin it).
-enum class QGemmKernel : std::uint8_t { kAuto = 0, kScalar = 1, kVnni = 2 };
-
-/// Selects the micro-kernel for subsequent qgemm/qconv calls. Throws when
-/// kVnni is requested but not compiled in. Not thread-safe against in-flight
-/// GEMMs — switch between inferences, not during.
-void set_qgemm_kernel(QGemmKernel kernel);
-
-/// The resolved active kernel (never kAuto).
-QGemmKernel qgemm_kernel();
-
-/// True when the AVX-512 VNNI kernel is compiled into this binary.
+/// True when the AVX-512 VNNI micro-kernel is compiled into this binary
+/// (a build-time fact: -march flags that enable AVX-512 VNNI select it,
+/// anything else runs the scalar kernel). Both kernels run the same exact
+/// int32 arithmetic, so results never depend on which one was built.
 bool qgemm_vnni_available();
 
 /// Execution knobs for one qgemm call. Defaults reproduce the engine-wide
@@ -43,7 +32,7 @@ struct QGemmOptions {
 /// over `pool` via bounded work-splitting, which stays parallel even when
 /// the caller is itself a pool worker (validation-service lanes). K is
 /// processed in quads so the micro-kernel maps onto AVX-512 VNNI vpdpbusd
-/// when selected (int8 operands, exact int32 accumulation — no float, no
+/// when compiled in (int8 operands, exact int32 accumulation — no float, no
 /// saturating intermediates); the scalar kernel runs the identical exact
 /// integer arithmetic, so results are bit-identical across kernels, batch
 /// sizes, thread counts and tile schedules by construction.
@@ -60,8 +49,8 @@ void qgemm(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
 void qgemm(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
            const std::int8_t* b, std::int32_t* c);
 
-/// Name of the ACTIVE micro-kernel ("avx512-vnni" or "scalar") — benches and
-/// serve logs report it so throughput numbers are attributable.
+/// Name of the compiled micro-kernel ("avx512-vnni" or "scalar") — benches
+/// and serve logs report it so throughput numbers are attributable.
 const char* qgemm_kernel_name();
 
 /// One-line kernel + tiling configuration ("kernel=scalar mr=8 nr=32 ...

@@ -1,8 +1,9 @@
 // Internal panel machinery of the int8 GEMM engine: blocking constants,
-// packers and micro/macro kernels, templated on the micro-kernel flavour so
-// the VNNI and scalar layouts can coexist in one binary and be switched at
-// runtime (set_qgemm_kernel). Included by qgemm.cpp (matrix driver) and
-// qconv.cpp (fused im2col packer) — not part of the public API.
+// packers and micro/macro kernels, templated on the micro-kernel flavour.
+// The drivers instantiate only kVnni, the flavour this build compiled in
+// (VNNI when the target has AVX-512 VNNI, scalar otherwise). Included by
+// qgemm.cpp (matrix driver) and qconv.cpp (fused im2col packer) — not part
+// of the public API.
 //
 // Layout/signedness contract (see qgemm.cpp header comment for the math):
 //  - A panels: kMR rows x K-quads, bytes offset-encoded (s8 XOR 0x80) for
@@ -27,6 +28,9 @@
 #endif
 
 namespace dnnv::quant::detail {
+
+/// The micro-kernel flavour of this build.
+inline constexpr bool kVnni = DNNV_QGEMM_VNNI != 0;
 
 // Blocking mirrors the float kernel (tensor/gemm.cpp): kMC x kNC macro-tiles
 // of C over kKC-deep packed slices, kMR x kNR register tile. K is padded to
@@ -120,9 +124,9 @@ inline void scatter_b_row(const std::int8_t* row, std::int64_t nc,
 
 /// Packs kc x nc of B into kNR-column K-quad panels via a row provider:
 /// row_fn(p) returns a pointer to nc contiguous values of B-row p (valid
-/// until the next call). The two-pass path hands out matrix rows; the fused
-/// conv path generates each im2col row on the fly — same packer, no
-/// materialized column matrix. Padding bytes are zeroed up front; colsum is
+/// until the next call). qgemm hands out matrix rows; the scalar fused conv
+/// path generates each im2col row on the fly — same packer, no materialized
+/// column matrix. Padding bytes are zeroed up front; colsum is
 /// collected only for the VNNI flavour (tail lanes must be pre-zeroed by the
 /// caller once, they are never touched here).
 template <bool Vnni, class RowFn>
@@ -167,22 +171,21 @@ inline void interleave_quad_vnni(const std::int8_t* r0, const std::int8_t* r1,
   const __m256i b2 = _mm256_maskz_loadu_epi8(live, r2);
   const __m256i b3 = _mm256_maskz_loadu_epi8(live, r3);
   const __m512i ones = _mm512_set1_epi8(1);
+  // Full-mask (maskz) forms of the zero-extend and shift: the same
+  // vpmovzxbd / vpslld instructions, minus the _mm512_undefined_epi32()
+  // pass-through operand of the unmasked forms that GCC flags as
+  // uninitialized.
+  auto widen = [](__m256i row, int half) {
+    return _mm512_maskz_cvtepu8_epi32(
+        0xFFFF, half == 0 ? _mm256_castsi256_si128(row)
+                          : _mm256_extracti128_si256(row, 1));
+  };
   for (int half = 0; half < 2; ++half) {
-    const __m512i w0 = _mm512_cvtepu8_epi32(half == 0
-                                                ? _mm256_castsi256_si128(b0)
-                                                : _mm256_extracti128_si256(b0, 1));
-    const __m512i w1 = _mm512_cvtepu8_epi32(half == 0
-                                                ? _mm256_castsi256_si128(b1)
-                                                : _mm256_extracti128_si256(b1, 1));
-    const __m512i w2 = _mm512_cvtepu8_epi32(half == 0
-                                                ? _mm256_castsi256_si128(b2)
-                                                : _mm256_extracti128_si256(b2, 1));
-    const __m512i w3 = _mm512_cvtepu8_epi32(half == 0
-                                                ? _mm256_castsi256_si128(b3)
-                                                : _mm256_extracti128_si256(b3, 1));
     const __m512i words = _mm512_or_si512(
-        _mm512_or_si512(w0, _mm512_slli_epi32(w1, 8)),
-        _mm512_or_si512(_mm512_slli_epi32(w2, 16), _mm512_slli_epi32(w3, 24)));
+        _mm512_or_si512(widen(b0, half),
+                        _mm512_maskz_slli_epi32(0xFFFF, widen(b1, half), 8)),
+        _mm512_or_si512(_mm512_maskz_slli_epi32(0xFFFF, widen(b2, half), 16),
+                        _mm512_maskz_slli_epi32(0xFFFF, widen(b3, half), 24)));
     _mm512_storeu_si512(reinterpret_cast<void*>(dst + half * 64), words);
     std::int32_t* cs = colsum + half * 16;
     const __m512i sums = _mm512_dpbusd_epi32(
@@ -272,10 +275,11 @@ inline void micro_kernel_vnni(std::int64_t kc4, const std::uint8_t* a_panel,
   }
   // corr = 128 * colsum, subtracted once per C element visit (each K slice
   // packs its own colsum, so slices compose additively).
-  const __m512i corr0 = _mm512_slli_epi32(
-      _mm512_loadu_si512(reinterpret_cast<const void*>(colsum)), 7);
-  const __m512i corr1 = _mm512_slli_epi32(
-      _mm512_loadu_si512(reinterpret_cast<const void*>(colsum + 16)), 7);
+  const __m512i corr0 = _mm512_maskz_slli_epi32(
+      0xFFFF, _mm512_loadu_si512(reinterpret_cast<const void*>(colsum)), 7);
+  const __m512i corr1 = _mm512_maskz_slli_epi32(
+      0xFFFF, _mm512_loadu_si512(reinterpret_cast<const void*>(colsum + 16)),
+      7);
   const std::uint32_t lane_mask =
       cols >= kNR ? 0xFFFFFFFFu : ((1u << cols) - 1u);
   const __mmask16 m0 = static_cast<__mmask16>(lane_mask & 0xFFFFu);

@@ -10,54 +10,6 @@
 
 namespace dnnv::quant {
 
-void im2col_s8(const std::int8_t* image, std::int64_t channels,
-               std::int64_t height, std::int64_t width, std::int64_t kh,
-               std::int64_t kw, std::int64_t stride, std::int64_t pad,
-               std::int8_t* columns) {
-  const std::int64_t out_h = conv_out_dim(height, kh, stride, pad);
-  const std::int64_t out_w = conv_out_dim(width, kw, stride, pad);
-  const std::int64_t out_plane = out_h * out_w;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    const std::int8_t* plane = image + c * height * width;
-    for (std::int64_t ky = 0; ky < kh; ++ky) {
-      for (std::int64_t kx = 0; kx < kw; ++kx, ++row) {
-        std::int8_t* out_row = columns + row * out_plane;
-        if (stride == 1) {
-          const std::int64_t x0 = std::max<std::int64_t>(0, pad - kx);
-          const std::int64_t x1 =
-              std::min<std::int64_t>(out_w, width + pad - kx);
-          for (std::int64_t oy = 0; oy < out_h; ++oy) {
-            std::int8_t* dst = out_row + oy * out_w;
-            const std::int64_t iy = oy - pad + ky;
-            if (iy < 0 || iy >= height || x0 >= x1) {
-              std::memset(dst, 0, static_cast<std::size_t>(out_w));
-              continue;
-            }
-            if (x0 > 0) std::memset(dst, 0, static_cast<std::size_t>(x0));
-            std::memcpy(dst + x0, plane + iy * width + (x0 - pad + kx),
-                        static_cast<std::size_t>(x1 - x0));
-            if (x1 < out_w) {
-              std::memset(dst + x1, 0, static_cast<std::size_t>(out_w - x1));
-            }
-          }
-          continue;
-        }
-        for (std::int64_t oy = 0; oy < out_h; ++oy) {
-          const std::int64_t iy = oy * stride - pad + ky;
-          for (std::int64_t ox = 0; ox < out_w; ++ox) {
-            const std::int64_t ix = ox * stride - pad + kx;
-            const bool inside =
-                iy >= 0 && iy < height && ix >= 0 && ix < width;
-            out_row[oy * out_w + ox] =
-                inside ? plane[iy * width + ix] : std::int8_t{0};
-          }
-        }
-      }
-    }
-  }
-}
-
 void im2col_row_s8(const std::int8_t* plane, std::int64_t height,
                    std::int64_t width, std::int64_t out_w, std::int64_t stride,
                    std::int64_t pad, std::int64_t ky, std::int64_t kx,
@@ -100,7 +52,7 @@ void im2col_row_s8(const std::int8_t* plane, std::int64_t height,
   }
   // Walk output rows from (col0 / out_w) — one division for the whole call,
   // the loop advances oy/ox0 directly. This runs in the fused conv's
-  // per-row inner position, so it must match im2col_s8's streaming cost.
+  // per-row inner position, so it must stream like a plain row copy.
   std::int64_t oy = col0 / out_w;
   std::int64_t ox0 = col0 - oy * out_w;
   std::int64_t j = 0;

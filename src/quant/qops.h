@@ -1,4 +1,4 @@
-// Int8 layer kernels around the qgemm datapath: im2col lowering, max
+// Int8 layer kernels around the qgemm datapath: im2col row generation, max
 // pooling and LUT activations, all operating directly on int8 codes.
 #ifndef DNNV_QUANT_QOPS_H_
 #define DNNV_QUANT_QOPS_H_
@@ -9,15 +9,6 @@
 #include "nn/activation.h"
 
 namespace dnnv::quant {
-
-/// int8 counterpart of dnnv::im2col: unfolds one CHW int8 image into a
-/// [channels*kh*kw, out_h*out_w] column matrix. Padding taps read as code 0
-/// (exactly value 0 under symmetric quantization), with the stride-1
-/// memcpy fast path of the float engine.
-void im2col_s8(const std::int8_t* image, std::int64_t channels,
-               std::int64_t height, std::int64_t width, std::int64_t kh,
-               std::int64_t kw, std::int64_t stride, std::int64_t pad,
-               std::int8_t* columns);
 
 /// One row of the implicit im2col matrix, columns [col0, col0+count):
 /// the (ky, kx) tap of a single input plane sampled at consecutive output

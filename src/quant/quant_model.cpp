@@ -248,9 +248,8 @@ void refresh_layer_derived(QLayer& q) {
   const std::int64_t channels = weight_channels(q);
   const std::int64_t fanin = weight_fanin(q);
   if (q.kind == QLayerKind::kConv2d) {
-    // Pre-packed A panels for the fused conv path (re-built here so both
-    // fault injection on the codes and a runtime kernel switch take
-    // effect; the pack is tagged with the kernel layout it was built for).
+    // Pre-packed A panels for the fused conv (re-built here so fault
+    // injection on the codes takes effect).
     q.wpack = pack_conv_weights(channels, fanin, q.weights.data());
   }
   if (q.kind == QLayerKind::kDense) {
@@ -440,7 +439,7 @@ const Tensor& QuantModel::forward_impl(
       trace->entries[li].codes = cur;
       trace->entries[li].dims = dims;
     }
-    QLayer& q = layers_[li];  // non-const: fused conv may re-pack weights
+    const QLayer& q = layers_[li];
     switch (q.kind) {
       case QLayerKind::kQuantize: {
         const std::int64_t count = n * item_numel();
@@ -465,49 +464,24 @@ const Tensor& QuantModel::forward_impl(
         const std::int64_t out_h = conv_out_dim(h, q.kernel, q.stride, q.pad);
         const std::int64_t out_w = conv_out_dim(w, q.kernel, q.stride, q.pad);
         const std::int64_t plane = out_h * out_w;
-        const std::int64_t fanin = q.in_channels * q.kernel * q.kernel;
         const std::int64_t in_numel = item_numel();
         const QConvShape shape{q.in_channels, h,        w, q.out_channels,
                                q.kernel,      q.stride, q.pad};
-        const bool fused = qconv_path() == QConvPath::kFused;
         auto& acc = ws.i32_buffer(li, nn::kSlotScratch1,
                                   static_cast<std::size_t>(q.out_channels * plane));
         auto& out =
             ws.i8_buffer(li, nn::kSlotOutput,
                          static_cast<std::size_t>(n * q.out_channels * plane));
         // All scratch is Workspace-arena backed — resized in place, so a
-        // warmed-up forward allocates nothing on either path.
-        QConvScratch scratch;
-        std::int8_t* cols = nullptr;
-        if (fused) {
-          if (!q.wpack.matches(shape)) {
-            // Kernel switched since refresh_derived(): re-pack for the
-            // active panel layout.
-            q.wpack = pack_conv_weights(q.out_channels, fanin,
-                                        q.weights.data());
-          }
-          const QConvScratchSizes sizes = qconv_scratch_sizes(shape);
-          scratch.b_pack =
-              ws.i8_buffer(li, nn::kSlotScratch0, sizes.b_pack).data();
-          scratch.rowbuf =
-              ws.i8_buffer(li, nn::kSlotScratch2, sizes.rowbuf).data();
-          scratch.colsum =
-              ws.i32_buffer(li, nn::kSlotScratch2, sizes.colsum).data();
-        } else {
-          cols = ws.i8_buffer(li, nn::kSlotScratch0,
-                              static_cast<std::size_t>(fanin * plane))
-                     .data();
-        }
+        // warmed-up forward allocates nothing.
+        const QConvScratchSizes sizes = qconv_scratch_sizes(shape);
+        const QConvScratch scratch{
+            ws.i8_buffer(li, nn::kSlotScratch0, sizes.b_pack).data(),
+            ws.i32_buffer(li, nn::kSlotScratch2, sizes.colsum).data(),
+            ws.i8_buffer(li, nn::kSlotScratch2, sizes.rowbuf).data()};
         for (std::int64_t item = 0; item < n; ++item) {
-          if (fused) {
-            qconv2d_fused(shape, q.wpack, cur + item * in_numel, acc.data(),
-                          scratch);
-          } else {
-            im2col_s8(cur + item * in_numel, q.in_channels, h, w, q.kernel,
-                      q.kernel, q.stride, q.pad, cols);
-            qgemm(q.out_channels, plane, fanin, q.weights.data(), cols,
-                  acc.data());
-          }
+          qconv2d_fused(shape, q.wpack, cur + item * in_numel, acc.data(),
+                        scratch);
           std::int8_t* dst = out.data() + item * q.out_channels * plane;
           for (std::int64_t c = 0; c < q.out_channels; ++c) {
             const std::int32_t bias = q.bias_i32[static_cast<std::size_t>(c)];

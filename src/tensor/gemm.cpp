@@ -128,57 +128,6 @@ void macro_block(std::int64_t mc, std::int64_t nc, std::int64_t kc,
   }
 }
 
-// ---- Frozen seed kernel (GemmKernel::kReference) ----
-// Verbatim from the seed repository: i-k-j streaming with a per-element
-// zero-skip, transposes materialised up front. Kept un-optimised as the
-// baseline that bench_engine_batch measures the blocked kernel against.
-
-void reference_gemm_nn(std::int64_t m, std::int64_t n, std::int64_t k,
-                       float alpha, const float* a, const float* b, float* c) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* c_row = c + i * n;
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float a_ip = alpha * a[i * k + p];
-      if (a_ip == 0.0f) continue;
-      const float* b_row = b + p * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        c_row[j] += a_ip * b_row[j];
-      }
-    }
-  }
-}
-
-void reference_transpose(std::int64_t rows, std::int64_t cols, const float* src,
-                         float* dst) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t col = 0; col < cols; ++col) {
-      dst[col * rows + r] = src[r * cols + col];
-    }
-  }
-}
-
-void reference_gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-                    std::int64_t k, float alpha, const float* a, const float* b,
-                    float* c) {
-  std::vector<float> a_buf;
-  const float* a_nn = a;
-  if (trans_a) {
-    a_buf.resize(static_cast<std::size_t>(m * k));
-    reference_transpose(k, m, a, a_buf.data());
-    a_nn = a_buf.data();
-  }
-  std::vector<float> b_buf;
-  const float* b_nn = b;
-  if (trans_b) {
-    b_buf.resize(static_cast<std::size_t>(k * n));
-    reference_transpose(n, k, b, b_buf.data());
-    b_nn = b_buf.data();
-  }
-  reference_gemm_nn(m, n, k, alpha, a_nn, b_nn, c);
-}
-
-GemmKernel g_gemm_kernel = GemmKernel::kBlocked;
-
 /// Per-thread packing buffers, reused across gemm calls (workspace pattern —
 /// a coverage sweep issues millions of small GEMMs and must not allocate in
 /// each one).
@@ -211,27 +160,6 @@ void gemm_abs(bool trans_a, bool trans_b, bool abs_a, bool abs_b,
     for (std::int64_t i = 0; i < m * n; ++i) c[i] *= beta;
   }
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
-
-  if (g_gemm_kernel == GemmKernel::kReference) {
-    // The seed pipeline materialised absolute-value copies before its GEMM;
-    // reproduce that cost profile here.
-    std::vector<float> abs_a_buf;
-    const float* a_in = a;
-    if (abs_a) {
-      abs_a_buf.resize(static_cast<std::size_t>(m * k));
-      for (std::int64_t i = 0; i < m * k; ++i) abs_a_buf[static_cast<std::size_t>(i)] = std::fabs(a[i]);
-      a_in = abs_a_buf.data();
-    }
-    std::vector<float> abs_b_buf;
-    const float* b_in = b;
-    if (abs_b) {
-      abs_b_buf.resize(static_cast<std::size_t>(k * n));
-      for (std::int64_t i = 0; i < k * n; ++i) abs_b_buf[static_cast<std::size_t>(i)] = std::fabs(b[i]);
-      b_in = abs_b_buf.data();
-    }
-    reference_gemm(trans_a, trans_b, m, n, k, alpha, a_in, b_in, c);
-    return;
-  }
 
   const std::int64_t lda = trans_a ? m : k;
   const std::int64_t ldb = trans_b ? k : n;
@@ -273,9 +201,5 @@ void gemm_abs(bool trans_a, bool trans_b, bool abs_a, bool abs_b,
     }
   }
 }
-
-void set_gemm_kernel(GemmKernel kernel) { g_gemm_kernel = kernel; }
-
-GemmKernel gemm_kernel() { return g_gemm_kernel; }
 
 }  // namespace dnnv

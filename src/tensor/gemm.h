@@ -28,19 +28,6 @@ void gemm_abs(bool trans_a, bool trans_b, bool abs_a, bool abs_b,
               std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const float* a, const float* b, float beta, float* c);
 
-/// Kernel selection for gemm(). kReference is a frozen copy of the seed
-/// repository's streaming kernel (transposes materialised, per-element
-/// zero-skip, no blocking) kept as the A/B baseline for benchmarks and
-/// ablations; it is never optimised, and it also disables the im2col/col2im
-/// stride-1 fast paths so the whole seed execution path is reproduced.
-/// kBlocked is the production kernel.
-enum class GemmKernel { kBlocked, kReference };
-
-/// Process-wide kernel switch (benchmark/ablation use only; not synchronised
-/// with concurrently running GEMMs — flip it between passes, not during).
-void set_gemm_kernel(GemmKernel kernel);
-GemmKernel gemm_kernel();
-
 }  // namespace dnnv
 
 #endif  // DNNV_TENSOR_GEMM_H_

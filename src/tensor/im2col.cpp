@@ -3,17 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
-#include "tensor/gemm.h"
 #include "util/error.h"
 
 namespace dnnv {
-namespace {
-
-/// The stride-1 memcpy/vector-add fast paths are part of the blocked engine;
-/// the reference engine (benchmark baseline) keeps the seed's branchy loops.
-bool use_fast_paths() { return gemm_kernel() == GemmKernel::kBlocked; }
-
-}  // namespace
 
 std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
                           std::int64_t stride, std::int64_t pad) {
@@ -40,7 +32,7 @@ void im2col(const float* image, std::int64_t channels, std::int64_t height,
         // image row framed by zero padding — one memcpy instead of a branch
         // per element (im2col is bandwidth-bound and sits next to the GEMM
         // on the conv hot path).
-        if (stride == 1 && use_fast_paths()) {
+        if (stride == 1) {
           const std::int64_t x0 = std::max<std::int64_t>(0, pad - kx);
           const std::int64_t x1 =
               std::min<std::int64_t>(out_w, width + pad - kx);
@@ -92,7 +84,7 @@ void col2im(const float* columns, std::int64_t channels, std::int64_t height,
         const float* in_row = columns + row * out_plane;
         // Stride-1 fast path: the valid span is contiguous, so the scatter
         // becomes a branch-free vector add (mirrors the im2col fast path).
-        if (stride == 1 && use_fast_paths()) {
+        if (stride == 1) {
           const std::int64_t x0 = std::max<std::int64_t>(0, pad - kx);
           const std::int64_t x1 =
               std::min<std::int64_t>(out_w, width + pad - kx);

@@ -40,10 +40,20 @@ void ByteWriter::write_u64_array(const std::uint64_t* data, std::size_t n) {
 ByteReader::ByteReader(std::vector<std::uint8_t> bytes)
     : bytes_(std::move(bytes)) {}
 
+// pos_ never passes the end, so remaining() cannot wrap — unlike pos_ + n,
+// which does for n near 2^64.
 void ByteReader::require(std::size_t n) const {
-  DNNV_CHECK(pos_ + n <= bytes_.size(),
+  DNNV_CHECK(n <= remaining(),
              "byte stream underrun: need " << n << " at offset " << pos_
                                            << ", have " << bytes_.size());
+}
+
+void ByteReader::require_entries(std::uint64_t n,
+                                 std::size_t entry_bytes) const {
+  DNNV_CHECK(entry_bytes > 0 && n <= remaining() / entry_bytes,
+             "byte stream underrun: " << n << " entries of " << entry_bytes
+                                      << " bytes at offset " << pos_
+                                      << ", have " << bytes_.size());
 }
 
 std::uint8_t ByteReader::read_u8() {
@@ -100,7 +110,7 @@ std::string ByteReader::read_string() {
 }
 
 std::vector<float> ByteReader::read_f32_array(std::size_t n) {
-  require(n * sizeof(float));
+  require_entries(n, sizeof(float));
   std::vector<float> v(n);
   if (n != 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(float));
   pos_ += n * sizeof(float);
@@ -116,7 +126,7 @@ std::vector<std::uint8_t> ByteReader::read_bytes(std::size_t n) {
 }
 
 std::vector<std::uint64_t> ByteReader::read_u64_array(std::size_t n) {
-  require(n * sizeof(std::uint64_t));
+  require_entries(n, sizeof(std::uint64_t));
   std::vector<std::uint64_t> v(n);
   if (n != 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(std::uint64_t));
   pos_ += n * sizeof(std::uint64_t);

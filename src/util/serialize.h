@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace dnnv {
@@ -46,11 +47,27 @@ class ByteReader {
   /// Raw byte run (inverse of write_bytes with a known length).
   std::vector<std::uint8_t> read_bytes(std::size_t n);
 
+  /// Reads an element count stored as a `Count` (u64, or u32 where a format
+  /// says so) and throws unless the remaining bytes can hold that many
+  /// entries of at least `min_entry_bytes` each — a forged count can then
+  /// never size a reserve() or resize() beyond the input itself.
+  template <class Count = std::uint64_t>
+  std::size_t read_count(std::size_t min_entry_bytes) {
+    static_assert(std::is_same_v<Count, std::uint32_t> ||
+                  std::is_same_v<Count, std::uint64_t>);
+    const std::uint64_t n =
+        std::is_same_v<Count, std::uint32_t> ? read_u32() : read_u64();
+    require_entries(n, min_entry_bytes);
+    return static_cast<std::size_t>(n);
+  }
+
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool exhausted() const { return remaining() == 0; }
 
  private:
   void require(std::size_t n) const;
+  /// require(n * entry_bytes) without forming the (possibly wrapping) product.
+  void require_entries(std::uint64_t n, std::size_t entry_bytes) const;
 
   std::vector<std::uint8_t> bytes_;
   std::size_t pos_ = 0;

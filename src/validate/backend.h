@@ -1,12 +1,10 @@
 // Execution backends: the deployment targets a test suite can be replayed
 // on, behind one interface.
 //
-// The detection harness used to exist twice — run_detection (float
-// reference) and run_detection_quantized (int8 engine) carried a duplicated
-// trial loop each. ExecutionBackend factors out the two backend-specific
-// ingredients: which labels the user qualifies against (the clean artifact's
-// own outputs) and how a worker replays the suite once the attacker has
-// perturbed the float master. The detection loop, golden-label
+// ExecutionBackend factors out the two backend-specific ingredients of the
+// detection harness: which labels the user qualifies against (the clean
+// artifact's own outputs) and how a worker replays the suite once the
+// attacker has perturbed the float master. The detection loop, golden-label
 // qualification (VendorPipeline) and suite replay are written once against
 // this interface; new targets (systolic-timed, bit-flipped memory, ...)
 // plug in without touching the loop.

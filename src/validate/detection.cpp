@@ -138,23 +138,4 @@ DetectionOutcome run_detection(const nn::Sequential& model,
                    config, attack);
 }
 
-DetectionOutcome run_detection(const nn::Sequential& model,
-                               const TestSuite& suite,
-                               const attack::Attack& attack,
-                               const std::vector<Tensor>& victims,
-                               const DetectionConfig& config) {
-  FloatReferenceBackend backend(model);
-  return run_detection(model, suite, backend, attack, victims, config);
-}
-
-DetectionOutcome run_detection_quantized(const nn::Sequential& model,
-                                         const quant::QuantModel& shipped,
-                                         const TestSuite& suite,
-                                         const attack::Attack& attack,
-                                         const std::vector<Tensor>& victims,
-                                         const DetectionConfig& config) {
-  Int8Backend backend(shipped);
-  return run_detection(model, suite, backend, attack, victims, config);
-}
-
 }  // namespace dnnv::validate

@@ -12,7 +12,6 @@
 
 #include "attack/attack.h"
 #include "nn/sequential.h"
-#include "quant/quant_model.h"
 #include "validate/backend.h"
 #include "validate/test_suite.h"
 
@@ -49,27 +48,6 @@ DetectionOutcome run_detection(const nn::Sequential& model,
                                const attack::Attack& attack,
                                const std::vector<Tensor>& victims,
                                const DetectionConfig& config);
-
-/// Float-reference wrapper: run_detection over FloatReferenceBackend
-/// (golden labels = the suite's shipped labels).
-DetectionOutcome run_detection(const nn::Sequential& model,
-                               const TestSuite& suite,
-                               const attack::Attack& attack,
-                               const std::vector<Tensor>& victims,
-                               const DetectionConfig& config);
-
-/// Int8 wrapper: run_detection over Int8Backend — the perturbed float
-/// master re-quantizes onto `shipped`'s FIXED calibration each trial
-/// (activation scales and LUTs are an offline vendor step; only weight/bias
-/// codes refresh) and the suite replays on the integer engine. Golden
-/// labels are the clean quantized model's own outputs on the suite inputs —
-/// the user validates the shipped artifact, not the float master.
-DetectionOutcome run_detection_quantized(const nn::Sequential& model,
-                                         const quant::QuantModel& shipped,
-                                         const TestSuite& suite,
-                                         const attack::Attack& attack,
-                                         const std::vector<Tensor>& victims,
-                                         const DetectionConfig& config);
 
 }  // namespace dnnv::validate
 

@@ -3,7 +3,8 @@
 // O(layer) point-fault surface vs a full derived-state rebuild, and the
 // core contract of the batched simulator — bit-identity with the sequential
 // inject→predict→revert loop on both zoo models, float and int8 backends,
-// across thread counts, on universes that include no-op stuck-at faults.
+// across thread counts, on universes that include no-op stuck-at faults —
+// and forward_resume / run_batched against the reference oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,10 +21,12 @@
 #include "fault/qualify.h"
 #include "fault/simulator.h"
 #include "nn/builder.h"
+#include "nn/workspace.h"
 #include "pipeline/user.h"
 #include "pipeline/vendor.h"
 #include "quant/quant_model.h"
 #include "tensor/batch.h"
+#include "tests/quant_reference.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 #include "validate/test_suite.h"
@@ -512,7 +515,121 @@ TEST(SimulatorTest, BatchedMatchesSequentialOnZooModels) {
   }
 }
 
+// ---------- Reference oracle (tests/quant_reference.h) ----------
+
+TEST(FaultOracleTest, ForwardResumeMatchesOracleOnFaultedZooModels) {
+  for (const bool use_cifar : {false, true}) {
+    const auto trained = use_cifar ? exp::cifar_relu(tiny_options())
+                                   : exp::mnist_tanh(tiny_options());
+    const auto pool = use_cifar ? exp::shapes_train(20) : exp::digits_train(20);
+    quant::QuantModel clean =
+        quant::QuantModel::quantize(trained.model, pool.images);
+    const Tensor batch = stack_batch(std::vector<Tensor>(
+        pool.images.begin(), pool.images.begin() + 5));
+    nn::Workspace trace_ws;
+    quant::QuantModel::ForwardTrace trace;
+    const Tensor clean_logits = clean.forward_traced(batch, trace_ws, trace);
+
+    // One fault of each kind at every conv/dense layer, resumed from that
+    // layer on a faulted copy: the resumed logits must equal the oracle's
+    // full forward of the faulted model.
+    std::size_t changed = 0, checked = 0;
+    for (std::size_t li = 1; li < clean.layers().size(); ++li) {
+      const quant::QLayer& q = clean.layers()[li];
+      if (q.kind != quant::QLayerKind::kConv2d &&
+          q.kind != quant::QLayerKind::kDense) {
+        continue;
+      }
+      const auto layer = static_cast<std::uint8_t>(li);
+      const std::int64_t channel = quant::weight_channels(q) / 2;
+      std::vector<fault::Fault> faults = {
+          make_fault(fault::FaultKind::kBitFlip, layer, false, 6,
+                     channel * quant::weight_fanin(q)),
+          make_fault(fault::FaultKind::kBitFlip, layer, true, 6, channel),
+          make_fault(fault::FaultKind::kAccStuckAt1, layer, false, 23,
+                     channel)};
+      if (!q.dequant_output) {
+        faults.push_back(
+            make_fault(fault::FaultKind::kRequantMult, layer, false, 29,
+                       channel));
+      }
+      for (const fault::Fault& f : faults) {
+        quant::QuantModel faulted = clean;
+        fault::apply_fault(faulted, f);
+        nn::Workspace ws;
+        const Tensor resumed = faulted.forward_resume(trace, li, ws);
+        expect_bitwise_equal(quant::reference::forward(faulted, batch),
+                             resumed, trained.name + " " + f.describe());
+        for (std::int64_t i = 0; i < resumed.numel(); ++i) {
+          if (resumed[i] != clean_logits[i]) {
+            ++changed;
+            break;
+          }
+        }
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 8u) << trained.name;
+    EXPECT_GT(changed, checked / 2) << trained.name << ": faults too benign";
+  }
+}
+
+TEST(FaultOracleTest, BatchedRowsMatchOracleLabelsOnZooModels) {
+  for (const bool use_cifar : {false, true}) {
+    const auto trained = use_cifar ? exp::cifar_relu(tiny_options())
+                                   : exp::mnist_tanh(tiny_options());
+    const auto pool = use_cifar ? exp::shapes_train(40) : exp::digits_train(40);
+    auto qmodel = quant::QuantModel::quantize(trained.model, pool.images);
+    const std::vector<Tensor> inputs(pool.images.begin(),
+                                     pool.images.begin() + 12);
+    const Tensor batch = stack_batch(inputs);
+    // Thinned "full" universe: every 1024th weight unit keeps the mix of
+    // code and per-channel (bias, requant, accumulator) faults balanced, so
+    // the matrix holds both detected and undetected rows.
+    auto config = fault::universe_config("full");
+    config.stride = 1024;
+    config.max_faults = 48;
+    const auto universe = fault::FaultUniverse::enumerate(qmodel, config);
+
+    fault::FaultSimulator sim(qmodel, suite_from(qmodel, inputs));
+    const fault::SimResult result = sim.run_batched(universe);
+    EXPECT_GT(result.detected, 0u) << trained.name;
+    EXPECT_LT(result.detected, universe.size()) << trained.name;
+    const std::vector<int> clean = quant::reference::labels(qmodel, batch);
+    EXPECT_EQ(result.clean_labels, clean) << trained.name;
+    ASSERT_EQ(result.rows.size(), universe.size());
+    for (std::size_t f = 0; f < universe.size(); ++f) {
+      const fault::AppliedFault applied = fault::apply_fault(qmodel, universe[f]);
+      const std::vector<int> labels = quant::reference::labels(qmodel, batch);
+      fault::revert_fault(qmodel, applied);
+      for (std::size_t t = 0; t < labels.size(); ++t) {
+        EXPECT_EQ(result.rows[f].test(t), labels[t] != clean[t])
+            << trained.name << " " << universe[f].describe() << " test " << t;
+      }
+    }
+  }
+}
+
 // ---------- Product flow ----------
+
+TEST(QualifyTest, EmptyCoreKeepsTheWholeSuite) {
+  // Every fault kind off: nothing is scored, nothing detected, so the
+  // dominance core is empty and compaction has nothing to cover.
+  auto qmodel = small_qmodel();
+  const auto suite = suite_from(qmodel, random_pool(6, 77));
+  fault::QualifyOptions options;
+  options.universe.weight_stuck_at = false;
+  options.universe.bias_stuck_at = false;
+  options.compact = true;
+  validate::TestSuite compacted;
+  const fault::FaultQualification q =
+      fault::qualify_suite(qmodel, suite, options, &compacted);
+  EXPECT_EQ(q.scored, 0);
+  EXPECT_EQ(q.core, 0);
+  EXPECT_EQ(q.kept_tests, static_cast<std::int64_t>(suite.size()));
+  EXPECT_EQ(compacted.size(), suite.size());
+  EXPECT_EQ(compacted.golden_labels(), suite.golden_labels());
+}
 
 TEST(QualifyTest, VendorShipsFaultQualifiedBundleAndUserReproduces) {
   const auto trained = exp::mnist_tanh(tiny_options());

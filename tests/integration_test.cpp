@@ -177,10 +177,11 @@ TEST(EndToEnd, DetectionHarnessComparesCoverageCriteria) {
   config.trials = 60;
   config.test_counts = {10};
   config.seed = 3;
-  const auto with_coverage =
-      run_detection(model, coverage_suite, attack, pool.images, config);
-  const auto with_neuron =
-      run_detection(model, neuron_suite, attack, pool.images, config);
+  validate::FloatReferenceBackend backend(model);
+  const auto with_coverage = run_detection(model, coverage_suite, backend,
+                                           attack, pool.images, config);
+  const auto with_neuron = run_detection(model, neuron_suite, backend, attack,
+                                         pool.images, config);
 
   // Both suites detect a meaningful share of attacks; parameter coverage
   // must not be badly worse than the baseline even at this scale.

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <string>
@@ -293,6 +294,30 @@ TEST(NetIdleTest, IdleConnectionIsEvictedAfterVerdictsDrain) {
   EXPECT_FALSE(client.next_event(event));
   EXPECT_EQ(server.stats().evicted_idle, 1u);
   std::filesystem::remove(path);
+}
+
+// ---------- Bounded decoding ----------
+
+TEST(ProtocolDecodeTest, OpenRequestRejectsAFaultCountTheFrameCannotHold) {
+  net::OpenRequest request;
+  request.config.faults = {{12, 3}, {40, 7}};
+  ByteWriter writer;
+  request.encode(writer);
+  std::vector<std::uint8_t> bytes = writer.take();
+  {
+    ByteReader reader(bytes);
+    const net::OpenRequest decoded = net::OpenRequest::decode(reader);
+    ASSERT_EQ(decoded.config.faults.size(), 2u);
+    EXPECT_EQ(decoded.config.faults[1].address, 40u);
+    EXPECT_EQ(decoded.config.faults[1].bit, 7);
+  }
+  // The 34-byte header of a fault-free request with its u32 fault count
+  // forged to 2^32 - 1: a typed error, never a ~64 GiB reserve().
+  bytes.resize(34);
+  const std::uint32_t forged = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + 30, &forged, sizeof forged);
+  ByteReader reader(bytes);
+  EXPECT_THROW(net::OpenRequest::decode(reader), Error);
 }
 
 // ---------- Typed corruption diagnostics over the wire ----------

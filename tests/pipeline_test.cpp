@@ -1,17 +1,17 @@
 // Pipeline/API-redesign tests: the generator registry must be bit-identical
-// to the pre-redesign entry points, the ExecutionBackend detection loop must
-// reproduce the historical harnesses, the Deliverable must round-trip (and
-// reject corruption), and the parallel BlackBoxIp::predict_all default must
+// to the pre-redesign entry points, every ExecutionBackend must run the one
+// detection loop, the Deliverable must round-trip (and reject corruption,
+// including forged element counts), and the parallel BlackBoxIp::predict_all default must
 // match the serial loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <utility>
 
 #include "attack/random_perturbation.h"
-#include "attack/sba.h"
 #include "exp/model_zoo.h"
 #include "ip/quantized_ip.h"
 #include "ip/reference_ip.h"
@@ -270,29 +270,6 @@ TEST(GeneratorRegistryTest, RandomMatchesDirectEntryPoint) {
 
 // ---------- ExecutionBackend ----------
 
-TEST(ExecutionBackendTest, FloatBackendReproducesLegacyDetection) {
-  Sequential model = small_relu_net(81);
-  const auto inputs = random_pool(10, 82);
-  const validate::TestSuite suite = validate::TestSuite::create(model, inputs);
-  const auto victims = random_pool(5, 83);
-
-  attack::SingleBiasAttack attack;
-  validate::DetectionConfig config;
-  config.trials = 40;
-  config.test_counts = {5, 10};
-  config.seed = 99;
-
-  const auto legacy =
-      validate::run_detection(model, suite, attack, victims, config);
-  validate::FloatReferenceBackend backend(model);
-  const auto via_backend =
-      validate::run_detection(model, suite, backend, attack, victims, config);
-  EXPECT_EQ(legacy.rate_per_count, via_backend.rate_per_count);
-  EXPECT_EQ(legacy.successful_trials, via_backend.successful_trials);
-  EXPECT_EQ(legacy.dropped_trials, via_backend.dropped_trials);
-  EXPECT_EQ(legacy.mean_first_detection, via_backend.mean_first_detection);
-}
-
 TEST(ExecutionBackendTest, FloatGoldenLabelsAreTheSuiteLabels) {
   Sequential model = small_relu_net(85);
   const auto inputs = random_pool(6, 86);
@@ -371,31 +348,6 @@ TEST(ExecutionBackendTest, FaultInjectedBackendRunsTheSharedLoop) {
 }
 
 // ---------- Backend parity on a zoo model ----------
-
-TEST(BackendParityTest, Int8MatchesLegacyQuantizedDetectionOnZooModel) {
-  auto trained = exp::cifar_relu(tiny_options());
-  const auto pool = exp::shapes_train(60);
-  auto qmodel = quant::QuantModel::quantize(trained.model, pool.images);
-
-  std::vector<Tensor> inputs(pool.images.begin(), pool.images.begin() + 12);
-  const Tensor batch = stack_batch(inputs);
-  const validate::TestSuite suite =
-      validate::TestSuite::from_labels(inputs, qmodel.predict_labels(batch));
-
-  attack::SingleBiasAttack attack;
-  validate::DetectionConfig config;
-  config.trials = 24;
-  config.test_counts = {6, 12};
-  config.seed = 7;
-  const auto legacy = validate::run_detection_quantized(
-      trained.model, qmodel, suite, attack, pool.images, config);
-  validate::Int8Backend backend(qmodel);
-  const auto via_backend = validate::run_detection(
-      trained.model, suite, backend, attack, pool.images, config);
-  EXPECT_EQ(legacy.rate_per_count, via_backend.rate_per_count);
-  EXPECT_EQ(legacy.successful_trials, via_backend.successful_trials);
-  EXPECT_EQ(legacy.mean_first_detection, via_backend.mean_first_detection);
-}
 
 TEST(BackendParityTest, FloatAndInt8QualificationAgreeOnZooModel) {
   auto trained = exp::cifar_relu(tiny_options());
@@ -488,6 +440,33 @@ TEST(PipelineTest, SaveLoadValidateAndCorruptionRejection) {
   write_file(path, bytes);
   EXPECT_THROW(pipeline::Deliverable::load_file(path, kKey), Error);
   std::filesystem::remove(path);
+}
+
+TEST(PipelineTest, ManifestRejectsCountsTheStreamCannotHold) {
+  pipeline::Manifest manifest;
+  manifest.analysis_domain = "forged-count-marker";
+  ByteWriter writer;
+  manifest.save(writer);
+  const std::vector<std::uint8_t> clean = writer.take();
+  {
+    ByteReader reader(clean);
+    EXPECT_NO_THROW(pipeline::Manifest::load(reader));
+  }
+  // The input_domains count follows the analysis_domain string; the
+  // excitations count follows it after two i64 fields.
+  const std::string& marker = manifest.analysis_domain;
+  const auto at = std::search(clean.begin(), clean.end(), marker.begin(),
+                              marker.end());
+  ASSERT_NE(at, clean.end());
+  const auto domains_count =
+      static_cast<std::size_t>(at - clean.begin()) + marker.size();
+  for (const std::size_t offset : {domains_count, domains_count + 24}) {
+    std::vector<std::uint8_t> forged = clean;
+    const std::uint64_t count = std::uint64_t{1} << 40;
+    std::memcpy(forged.data() + offset, &count, sizeof count);
+    ByteReader reader(forged);
+    EXPECT_THROW(pipeline::Manifest::load(reader), Error) << "offset " << offset;
+  }
 }
 
 TEST(PipelineTest, ManifestV4StaticAnalysisRoundTrip) {

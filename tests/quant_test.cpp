@@ -1,7 +1,8 @@
 // Quantized engine tests: fixed-point requantization edge cases, the int8
-// GEMM against a naive reference, calibration observers, batch invariance,
-// serialization round trips, analytic error bounds on the zoo models and
-// the quantized detection harness end to end.
+// GEMM and fused conv against direct loops, QuantModel::forward against the
+// reference oracle (tests/quant_reference.h), calibration observers, batch
+// invariance, serialization round trips, analytic error bounds on the zoo
+// models and the quantized detection harness end to end.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,15 +13,21 @@
 #include "coverage/parameter_coverage.h"
 #include "exp/model_zoo.h"
 #include "ip/quantized_ip.h"
+#include "nn/activation_layer.h"
 #include "nn/builder.h"
+#include "nn/conv2d.h"
+#include "nn/dense.h"
+#include "nn/flatten.h"
+#include "nn/maxpool2d.h"
+#include "nn/normalize.h"
 #include "nn/trainer.h"
 #include "quant/observer.h"
 #include "quant/qconv.h"
 #include "quant/qgemm.h"
-#include "quant/qops.h"
 #include "quant/quant_model.h"
 #include "quant/quantize.h"
 #include "tensor/batch.h"
+#include "tests/quant_reference.h"
 #include "util/error.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
@@ -106,39 +113,42 @@ TEST(QuantizeValueTest, TiesAndClamping) {
 
 // ---------- int8 GEMM ----------
 
-void naive_qgemm(std::int64_t m, std::int64_t n, std::int64_t k,
-                 const std::int8_t* a, const std::int8_t* b, std::int32_t* c) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int32_t acc = 0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        acc += static_cast<std::int32_t>(a[i * k + p]) *
-               static_cast<std::int32_t>(b[p * n + j]);
-      }
-      c[i * n + j] = acc;
-    }
-  }
-}
-
 std::vector<std::int8_t> random_codes(std::int64_t count, Rng& rng) {
   std::vector<std::int8_t> v(static_cast<std::size_t>(count));
   for (auto& x : v) x = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
   return v;
 }
 
-TEST(QgemmTest, MatchesNaiveReference) {
+TEST(QgemmTest, TiledAndSerialMatchDirectLoops) {
   Rng rng(3);
-  const std::int64_t shapes[][3] = {{1, 1, 1},   {3, 5, 7},    {8, 32, 64},
-                                    {33, 17, 70}, {64, 72, 300}, {130, 48, 9}};
+  // The last shape clears the ~1M-MAC parallel gate with several macro
+  // tiles, so the pools really split it.
+  const std::int64_t shapes[][3] = {{1, 1, 1},     {3, 5, 7},
+                                    {8, 32, 64},   {33, 17, 70},
+                                    {64, 72, 300}, {130, 48, 9},
+                                    {130, 600, 80}};
   for (const auto& s : shapes) {
     const auto m = s[0], n = s[1], k = s[2];
     const auto a = random_codes(m * k, rng);
     const auto b = random_codes(k * n, rng);
     std::vector<std::int32_t> expected(static_cast<std::size_t>(m * n));
+    reference::gemm(m, n, k, a.data(), b.data(), expected.data());
     std::vector<std::int32_t> actual(static_cast<std::size_t>(m * n), -1);
-    naive_qgemm(m, n, k, a.data(), b.data(), expected.data());
-    qgemm(m, n, k, a.data(), b.data(), actual.data());
-    EXPECT_EQ(expected, actual) << "m=" << m << " n=" << n << " k=" << k;
+    QGemmOptions serial;
+    serial.force_serial = true;
+    qgemm(m, n, k, a.data(), b.data(), actual.data(), serial);
+    EXPECT_EQ(expected, actual) << "serial m=" << m << " n=" << n << " k=" << k;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
+                                      std::size_t{16}}) {
+      ThreadPool pool(threads);
+      QGemmOptions tiled;
+      tiled.pool = &pool;
+      std::fill(actual.begin(), actual.end(), -1);
+      qgemm(m, n, k, a.data(), b.data(), actual.data(), tiled);
+      EXPECT_EQ(expected, actual) << qgemm_kernel_name() << " threads="
+                                  << threads << " m=" << m << " n=" << n
+                                  << " k=" << k;
+    }
   }
 }
 
@@ -159,62 +169,17 @@ TEST(QgemmTest, RejectsOversizedK) {
   EXPECT_THROW(qgemm(1, 1, 70000, a.data(), b.data(), c.data()), Error);
 }
 
-std::vector<QGemmKernel> compiled_kernels() {
-  std::vector<QGemmKernel> kernels = {QGemmKernel::kScalar};
-  if (qgemm_vnni_available()) kernels.push_back(QGemmKernel::kVnni);
-  return kernels;
-}
-
-/// Restores the process-wide kernel/path selectors on scope exit so a
-/// failing EXPECT cannot leak a forced kernel into later tests.
-struct EngineStateGuard {
-  ~EngineStateGuard() {
-    set_qgemm_kernel(QGemmKernel::kAuto);
-    set_qconv_path(QConvPath::kFused);
-  }
-};
-
-TEST(QgemmTest, TiledParallelMatchesSerialAcrossPoolWidths) {
-  EngineStateGuard guard;
-  Rng rng(17);
-  // Big enough to clear the ~1M-MAC parallel gate with several macro tiles.
-  const std::int64_t m = 130, n = 600, k = 80;
-  const auto a = random_codes(m * k, rng);
-  const auto b = random_codes(k * n, rng);
-  std::vector<std::int32_t> serial(static_cast<std::size_t>(m * n));
-  std::vector<std::int32_t> tiled(static_cast<std::size_t>(m * n));
-  for (const QGemmKernel kernel : compiled_kernels()) {
-    set_qgemm_kernel(kernel);
-    QGemmOptions serial_opts;
-    serial_opts.force_serial = true;
-    qgemm(m, n, k, a.data(), b.data(), serial.data(), serial_opts);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
-                                      std::size_t{16}}) {
-      ThreadPool pool(threads);
-      QGemmOptions opts;
-      opts.pool = &pool;
-      std::fill(tiled.begin(), tiled.end(), -1);
-      qgemm(m, n, k, a.data(), b.data(), tiled.data(), opts);
-      EXPECT_EQ(serial, tiled)
-          << qgemm_kernel_name() << " threads=" << threads;
-    }
-  }
-}
-
 TEST(QgemmTest, TiledParallelNestedInsideParallelForStaysExact) {
-  EngineStateGuard guard;
   Rng rng(23);
   const std::int64_t m = 96, n = 512, k = 64;
   const auto a = random_codes(m * k, rng);
   const auto b = random_codes(k * n, rng);
-  std::vector<std::int32_t> serial(static_cast<std::size_t>(m * n));
-  QGemmOptions serial_opts;
-  serial_opts.force_serial = true;
-  qgemm(m, n, k, a.data(), b.data(), serial.data(), serial_opts);
+  std::vector<std::int32_t> expected(static_cast<std::size_t>(m * n));
+  reference::gemm(m, n, k, a.data(), b.data(), expected.data());
 
   // The ValidationService shape: lanes run inside pool workers, and each
   // lane's GEMM tiles split across the same pool. Every lane must still
-  // produce the bit-exact serial result.
+  // produce the exact result.
   ThreadPool pool(4);
   constexpr std::size_t kLanes = 8;
   std::vector<std::vector<std::int32_t>> lane_out(
@@ -225,43 +190,13 @@ TEST(QgemmTest, TiledParallelNestedInsideParallelForStaysExact) {
     qgemm(m, n, k, a.data(), b.data(), lane_out[lane].data(), opts);
   });
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    EXPECT_EQ(serial, lane_out[lane]) << "lane " << lane;
+    EXPECT_EQ(expected, lane_out[lane]) << "lane " << lane;
   }
 }
 
 // ---------- Fused int8 convolution ----------
 
-/// Direct-convolution ground truth: exact int32 accumulation straight from
-/// the definition, no im2col, no GEMM.
-void naive_qconv(const QConvShape& s, const std::int8_t* weights,
-                 const std::int8_t* image, std::int32_t* acc) {
-  const std::int64_t out_h = s.out_h(), out_w = s.out_w();
-  for (std::int64_t oc = 0; oc < s.out_channels; ++oc) {
-    for (std::int64_t oy = 0; oy < out_h; ++oy) {
-      for (std::int64_t ox = 0; ox < out_w; ++ox) {
-        std::int32_t sum = 0;
-        for (std::int64_t c = 0; c < s.in_channels; ++c) {
-          for (std::int64_t ky = 0; ky < s.kernel; ++ky) {
-            for (std::int64_t kx = 0; kx < s.kernel; ++kx) {
-              const std::int64_t iy = oy * s.stride - s.pad + ky;
-              const std::int64_t ix = ox * s.stride - s.pad + kx;
-              if (iy < 0 || iy >= s.height || ix < 0 || ix >= s.width) continue;
-              const std::int64_t wi =
-                  oc * s.fanin() + (c * s.kernel + ky) * s.kernel + kx;
-              sum += static_cast<std::int32_t>(weights[wi]) *
-                     static_cast<std::int32_t>(
-                         image[(c * s.height + iy) * s.width + ix]);
-            }
-          }
-        }
-        acc[(oc * out_h + oy) * out_w + ox] = sum;
-      }
-    }
-  }
-}
-
-TEST(QConvFusedTest, BitIdenticalToTwoPassAndNaiveAcrossShapesAndKernels) {
-  EngineStateGuard guard;
+TEST(QConvFusedTest, MatchesDirectConvolutionAcrossShapes) {
   // Odd planes, stride > 1, asymmetric H/W, padless and padded, 1x1 — the
   // fused packer's fast and general row paths all get hit.
   const QConvShape shapes[] = {
@@ -279,81 +214,17 @@ TEST(QConvFusedTest, BitIdenticalToTwoPassAndNaiveAcrossShapesAndKernels) {
     const auto weights = random_codes(m * k, rng);
     const auto image = random_codes(s.in_channels * s.height * s.width, rng);
     std::vector<std::int32_t> expected(static_cast<std::size_t>(m * n));
-    naive_qconv(s, weights.data(), image.data(), expected.data());
+    reference::conv(s, weights.data(), image.data(), expected.data());
 
-    std::vector<std::int8_t> cols(static_cast<std::size_t>(k * n));
-    std::vector<std::int32_t> two_pass(static_cast<std::size_t>(m * n));
+    const PackedConvWeights packed = pack_conv_weights(m, k, weights.data());
+    const QConvScratchSizes sizes = qconv_scratch_sizes(s);
+    std::vector<std::int8_t> b_pack(sizes.b_pack);
+    std::vector<std::int32_t> colsum(sizes.colsum);
+    std::vector<std::int8_t> rowbuf(sizes.rowbuf);
     std::vector<std::int32_t> fused(static_cast<std::size_t>(m * n), -1);
-    for (const QGemmKernel kernel : compiled_kernels()) {
-      set_qgemm_kernel(kernel);
-      im2col_s8(image.data(), s.in_channels, s.height, s.width, s.kernel,
-                s.kernel, s.stride, s.pad, cols.data());
-      qgemm(m, n, k, weights.data(), cols.data(), two_pass.data());
-
-      const PackedConvWeights packed =
-          pack_conv_weights(m, k, weights.data());
-      const QConvScratchSizes sizes = qconv_scratch_sizes(s);
-      std::vector<std::int8_t> b_pack(sizes.b_pack);
-      std::vector<std::int32_t> colsum(sizes.colsum);
-      std::vector<std::int8_t> rowbuf(sizes.rowbuf);
-      qconv2d_fused(s, packed, image.data(), fused.data(),
-                    {b_pack.data(), colsum.data(), rowbuf.data()});
-
-      EXPECT_EQ(expected, two_pass)
-          << qgemm_kernel_name() << " two-pass vs naive";
-      EXPECT_EQ(expected, fused) << qgemm_kernel_name() << " fused vs naive";
-    }
-  }
-}
-
-TEST(QConvFusedTest, RejectsMismatchedWeightPack) {
-  EngineStateGuard guard;
-  if (!qgemm_vnni_available()) GTEST_SKIP() << "single compiled kernel";
-  const QConvShape s{1, 4, 4, 2, 3, 1, 1};
-  Rng rng(31);
-  const auto weights = random_codes(s.out_channels * s.fanin(), rng);
-  set_qgemm_kernel(QGemmKernel::kScalar);
-  const PackedConvWeights packed =
-      pack_conv_weights(s.out_channels, s.fanin(), weights.data());
-  set_qgemm_kernel(QGemmKernel::kVnni);  // pack is now stale
-  const auto image = random_codes(s.in_channels * s.height * s.width, rng);
-  std::vector<std::int32_t> acc(
-      static_cast<std::size_t>(s.out_channels * s.plane()));
-  const QConvScratchSizes sizes = qconv_scratch_sizes(s);
-  std::vector<std::int8_t> b_pack(sizes.b_pack);
-  std::vector<std::int32_t> colsum(sizes.colsum);
-  std::vector<std::int8_t> rowbuf(sizes.rowbuf);
-  EXPECT_THROW(qconv2d_fused(s, packed, image.data(), acc.data(),
-                             {b_pack.data(), colsum.data(), rowbuf.data()}),
-               Error);
-}
-
-TEST(QConvFusedTest, QuantModelForwardIdenticalAcrossPathsOnZooModels) {
-  EngineStateGuard guard;
-  // End-to-end: the deployed QuantModel must produce bit-identical logits on
-  // both zoo convnets whichever conv path executes, for batch 1 and > 1.
-  exp::ZooOptions options;
-  options.tiny = true;
-  exp::TrainedModel cases[] = {exp::mnist_tanh(options),
-                               exp::cifar_relu(options)};
-  std::vector<Tensor> pools[] = {exp::digits_train(12).images,
-                                 exp::shapes_train(12).images};
-  for (std::size_t ci = 0; ci < 2; ++ci) {
-    QuantModel qm = QuantModel::quantize(cases[ci].model, pools[ci]);
-    for (const std::int64_t batch_size : {std::int64_t{1}, std::int64_t{7}}) {
-      std::vector<Tensor> items(pools[ci].begin(),
-                                pools[ci].begin() + batch_size);
-      const Tensor batch = stack_batch(items);
-      set_qconv_path(QConvPath::kFused);
-      const Tensor fused = qm.forward(batch);
-      set_qconv_path(QConvPath::kTwoPass);
-      const Tensor two_pass = qm.forward(batch);
-      ASSERT_EQ(fused.numel(), two_pass.numel());
-      for (std::int64_t i = 0; i < fused.numel(); ++i) {
-        EXPECT_EQ(fused[i], two_pass[i])
-            << cases[ci].name << " batch " << batch_size << " logit " << i;
-      }
-    }
+    qconv2d_fused(s, packed, image.data(), fused.data(),
+                  {b_pack.data(), colsum.data(), rowbuf.data()});
+    EXPECT_EQ(expected, fused) << qgemm_kernel_name() << " fused vs direct";
   }
 }
 
@@ -661,6 +532,112 @@ TEST(QuantModelTest, RequantizeWeightsFromTracksPerturbedModel) {
   (void)fresh;
 }
 
+// ---------- Reference oracle (tests/quant_reference.h) ----------
+
+void expect_matches_oracle(QuantModel& qm, const Tensor& batch,
+                           const std::string& what) {
+  const Tensor expected = reference::forward(qm, batch);
+  const Tensor actual = qm.forward(batch);
+  ASSERT_EQ(expected.shape(), actual.shape()) << what;
+  for (std::int64_t i = 0; i < expected.numel(); ++i) {
+    ASSERT_EQ(expected[i], actual[i]) << what << " logit " << i;
+  }
+}
+
+TEST(QuantOracleTest, ForwardMatchesOracleOnZooModels) {
+  exp::ZooOptions options;
+  options.tiny = true;
+  exp::TrainedModel cases[] = {exp::mnist_tanh(options),
+                               exp::cifar_relu(options)};
+  std::vector<Tensor> pools[] = {exp::digits_train(12).images,
+                                 exp::shapes_train(12).images};
+  for (std::size_t ci = 0; ci < 2; ++ci) {
+    QuantModel qm = QuantModel::quantize(cases[ci].model, pools[ci]);
+    for (const std::int64_t batch_size : {std::int64_t{1}, std::int64_t{7}}) {
+      const std::vector<Tensor> items(pools[ci].begin(),
+                                      pools[ci].begin() + batch_size);
+      expect_matches_oracle(qm, stack_batch(items),
+                            cases[ci].name + " batch " +
+                                std::to_string(batch_size));
+    }
+  }
+}
+
+/// A small random conv net over [channels, height, width] inputs: one
+/// conv block per entry of `convs` (conv, activation, optional maxpool),
+/// then flatten, a hidden dense layer and the logit layer. Biases are
+/// randomized too, so the bias path carries non-zero codes.
+Sequential random_conv_net(std::int64_t channels, std::int64_t height,
+                           std::int64_t width,
+                           const std::vector<nn::Conv2d::Config>& convs,
+                           std::int64_t pool_after, bool normalize,
+                           ActivationKind activation, std::uint64_t seed) {
+  Rng rng(seed);
+  Sequential model;
+  if (normalize) model.add(std::make_unique<nn::Normalize>(0.25f, 0.5f));
+  for (std::size_t i = 0; i < convs.size(); ++i) {
+    model.add(std::make_unique<nn::Conv2d>(convs[i], rng));
+    model.add(std::make_unique<nn::ActivationLayer>(activation));
+    if (static_cast<std::int64_t>(i) == pool_after) {
+      model.add(std::make_unique<nn::MaxPool2d>(2, 2));
+    }
+  }
+  model.add(std::make_unique<nn::Flatten>());
+  const Shape flat = model.output_shape(Shape{1, channels, height, width});
+  model.add(std::make_unique<nn::Dense>(flat[1], 6, rng));
+  model.add(std::make_unique<nn::ActivationLayer>(activation));
+  model.add(std::make_unique<nn::Dense>(6, 4, rng));
+  for (nn::ParamView& view : model.param_views()) {
+    if (!view.is_bias) continue;
+    for (std::int64_t i = 0; i < view.size; ++i) {
+      view.data[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+    }
+  }
+  return model;
+}
+
+TEST(QuantOracleTest, ForwardMatchesOracleOnRandomConvNets) {
+  using Conv = nn::Conv2d::Config;
+  struct Case {
+    const char* name;
+    std::int64_t c, h, w;
+    std::vector<Conv> convs;
+    std::int64_t pool_after;  ///< conv index followed by a 2x2 maxpool
+    bool normalize;
+    ActivationKind activation;
+  };
+  const Case cases[] = {
+      // stride 2 on an odd plane, then a 1x1 conv
+      {"stride2+1x1", 2, 9, 7, {{2, 4, 3, 2, 1}, {4, 5, 1, 1, 0}}, 1, true,
+       ActivationKind::kReLU},
+      // no padding (out_w != width), odd plane, pooled in between
+      {"nopad", 3, 11, 9, {{3, 4, 3, 1, 0}, {4, 3, 3, 1, 0}}, 0, false,
+       ActivationKind::kTanh},
+      // 5x5 "same" conv into a strided even kernel
+      {"5x5+2x2s2", 1, 10, 10, {{1, 3, 5, 1, 2}, {3, 4, 2, 2, 0}}, -1, true,
+       ActivationKind::kReLU},
+  };
+  std::uint64_t seed = 40;
+  for (const Case& c : cases) {
+    const Sequential model = random_conv_net(c.c, c.h, c.w, c.convs,
+                                             c.pool_after, c.normalize,
+                                             c.activation, ++seed);
+    const auto pool = probe_pool(9, Shape{c.c, c.h, c.w}, seed);
+    for (const Granularity granularity :
+         {Granularity::kPerTensor, Granularity::kPerChannel}) {
+      QuantConfig config;
+      config.weight_granularity = granularity;
+      QuantModel qm = QuantModel::quantize(model, pool, config);
+      const std::string what =
+          std::string(c.name) +
+          (granularity == Granularity::kPerTensor ? " per-tensor"
+                                                  : " per-channel");
+      expect_matches_oracle(qm, stack_batch({pool[0]}), what + " batch 1");
+      expect_matches_oracle(qm, stack_batch(pool), what + " batch 9");
+    }
+  }
+}
+
 // ---------- Quantized detection (end-to-end smoke) ----------
 
 TEST(QuantDetectionTest, RunsEndToEndOnInt8Backend) {
@@ -688,8 +665,9 @@ TEST(QuantDetectionTest, RunsEndToEndOnInt8Backend) {
   validate::DetectionConfig config;
   config.trials = 12;
   config.test_counts = {5, 10};
-  const auto outcome = validate::run_detection_quantized(
-      model, shipped, suite, attack::SingleBiasAttack(), pool, config);
+  validate::Int8Backend backend(shipped);
+  const auto outcome = validate::run_detection(
+      model, suite, backend, attack::SingleBiasAttack(), pool, config);
   EXPECT_GT(outcome.successful_trials, 0);
   ASSERT_EQ(outcome.rate_per_count.size(), 2u);
   for (const double rate : outcome.rate_per_count) {
@@ -699,8 +677,8 @@ TEST(QuantDetectionTest, RunsEndToEndOnInt8Backend) {
   EXPECT_GE(outcome.rate_per_count[1], outcome.rate_per_count[0]);
 
   // Determinism: the integer engine makes reruns bit-identical.
-  const auto rerun = validate::run_detection_quantized(
-      model, shipped, suite, attack::SingleBiasAttack(), pool, config);
+  const auto rerun = validate::run_detection(
+      model, suite, backend, attack::SingleBiasAttack(), pool, config);
   EXPECT_EQ(rerun.rate_per_count, outcome.rate_per_count);
   EXPECT_EQ(rerun.successful_trials, outcome.successful_trials);
 }

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -309,6 +310,36 @@ TEST(SerializeTest, UnderrunThrows) {
   ByteReader reader(writer.take());
   reader.read_u32();
   EXPECT_THROW(reader.read_u32(), Error);
+}
+
+TEST(SerializeTest, LengthsAndCountsBeyondTheStreamThrowTypedErrors) {
+  ByteWriter writer;
+  for (const std::uint64_t v : {3, 10, 20, 30}) writer.write_u64(v);
+  const std::vector<std::uint8_t> bytes = writer.take();
+  {
+    // Sizes whose pos + n or n * sizeof wrap around 2^64 must not slip past
+    // the bounds check into an allocation.
+    ByteReader reader(bytes);
+    reader.read_u64();
+    EXPECT_THROW(reader.read_bytes(std::numeric_limits<std::size_t>::max() - 3),
+                 Error);
+    EXPECT_THROW(reader.read_f32_array(std::size_t{1} << 62), Error);
+    EXPECT_THROW(reader.read_u64_array(std::size_t{1} << 61), Error);
+    EXPECT_EQ(reader.remaining(), bytes.size() - 8);
+  }
+  {
+    ByteReader reader(bytes);
+    EXPECT_EQ(reader.read_count(8), 3u);  // exactly three u64 entries follow
+    EXPECT_EQ(reader.read_u64_array(3), (std::vector<std::uint64_t>{10, 20, 30}));
+  }
+  {
+    ByteReader reader(bytes);
+    EXPECT_THROW(reader.read_count(16), Error);  // 3 x 16 B > 24 B left
+  }
+  ByteWriter wide;
+  wide.write_u32(0xFFFFFFFFu);
+  ByteReader reader(wide.take());
+  EXPECT_THROW(reader.read_count<std::uint32_t>(1), Error);
 }
 
 TEST(SerializeTest, FileRoundTrip) {

@@ -185,8 +185,9 @@ TEST(DetectionTest, RandomPerturbationRatesAreMonotoneInN) {
   DetectionConfig config;
   config.trials = 120;
   config.test_counts = {5, 10, 20};
+  FloatReferenceBackend backend(model);
   const DetectionOutcome outcome =
-      run_detection(model, suite, attack, victims, config);
+      run_detection(model, suite, backend, attack, victims, config);
   ASSERT_EQ(outcome.rate_per_count.size(), 3u);
   EXPECT_EQ(outcome.successful_trials, 120);
   // More tests can only detect more (prefix property).
@@ -207,8 +208,9 @@ TEST(DetectionTest, DeterministicAcrossRuns) {
   config.trials = 40;
   config.test_counts = {5, 10};
   config.seed = 99;
-  const auto a = run_detection(model, suite, attack, victims, config);
-  const auto b = run_detection(model, suite, attack, victims, config);
+  FloatReferenceBackend backend(model);
+  const auto a = run_detection(model, suite, backend, attack, victims, config);
+  const auto b = run_detection(model, suite, backend, attack, victims, config);
   EXPECT_EQ(a.rate_per_count, b.rate_per_count);
   EXPECT_EQ(a.successful_trials, b.successful_trials);
 }
@@ -222,7 +224,8 @@ TEST(DetectionTest, LeavesModelUnperturbed) {
   DetectionConfig config;
   config.trials = 30;
   config.test_counts = {10};
-  run_detection(model, suite, attack, victims, config);
+  FloatReferenceBackend backend(model);
+  run_detection(model, suite, backend, attack, victims, config);
   EXPECT_EQ(model.snapshot_params(), snapshot);
 }
 
@@ -233,7 +236,9 @@ TEST(DetectionTest, ValidatesConfig) {
   attack::SingleBiasAttack attack;
   DetectionConfig config;
   config.test_counts = {6};  // exceeds suite size
-  EXPECT_THROW(run_detection(model, suite, attack, victims, config), Error);
+  FloatReferenceBackend backend(model);
+  EXPECT_THROW(run_detection(model, suite, backend, attack, victims, config),
+               Error);
 }
 
 }  // namespace
