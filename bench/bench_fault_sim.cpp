@@ -11,7 +11,8 @@
 //      test detecting a representative is REQUIRED to detect its dominated
 //      fault (the implication contract).
 // static_prune_pct = (untestable + dominated) / raw is the headline static
-// metric. The surviving set is structurally collapsed and evenly thinned to
+// metric; affine_ranges_ms is the affine range pass alone, best of --reps.
+// The surviving set is structurally collapsed and evenly thinned to
 // --fault-budget, then scored twice — run_sequential (one QuantizedIp,
 // ip::FaultInjector byte faults, full derived-state rebuild per fault) and
 // run_batched (one clean traced forward, O(layer) point faults, resume from
@@ -62,7 +63,7 @@ struct ModelRun {
   std::size_t untestable = 0;
   std::size_t dominated = 0;
   double static_prune_pct = 0.0;
-  double prune_ms = 0.0;
+  double affine_ranges_ms = 0.0;
   std::size_t scored = 0;
   std::size_t tests = 0;
   double seq_ms = 0.0;
@@ -179,15 +180,19 @@ int main(int argc, char** argv) {
       const auto raw =
           fault::FaultUniverse::enumerate(qmodel, fault::universe_config("full"));
       run.enumerated = raw.size();
-      auto t_prune = Clock::now();
       analysis::RangeOptions range_options;
       range_options.item_dims = trained.item_shape.dims();
-      const auto range = analysis::analyze_ranges_affine(qmodel, range_options);
+      analysis::ModelRange range;
+      run.affine_ranges_ms = 1e300;
+      for (int r = 0; r < reps; ++r) {
+        const auto t0 = Clock::now();
+        range = analysis::analyze_ranges_affine(qmodel, range_options);
+        run.affine_ranges_ms = std::min(run.affine_ranges_ms, ms_since(t0));
+      }
       const auto report = analysis::classify_universe(qmodel, range, raw);
       const auto possibly = analysis::prune_untestable(raw, report);
       const auto dom = analysis::analyze_dominance(qmodel, range, possibly);
       const auto kept = analysis::prune_dominated(possibly, dom);
-      run.prune_ms = ms_since(t_prune);
       run.untestable = report.untestable;
       run.dominated = dom.count;
       run.static_prune_pct =
@@ -305,13 +310,15 @@ int main(int argc, char** argv) {
                          "%", true});
       metrics.push_back({run.name + "_static_prune_pct", run.static_prune_pct,
                          "%", true});
+      metrics.push_back({run.name + "_affine_ranges_ms", run.affine_ranges_ms,
+                         "ms", false});
       metrics.push_back(
           {run.name + "_pruned_sim_ms", run.batched_ms, "ms", false});
     }
 
-    TablePrinter table({"model", "faults (raw)", "static prune", "tests",
-                        "seq ms", "batched ms", "speedup", "detected", "core",
-                        "kept tests", "compact drop"});
+    TablePrinter table({"model", "faults (raw)", "static prune", "affine ms",
+                        "tests", "seq ms", "batched ms", "speedup", "detected",
+                        "core", "kept tests", "compact drop"});
     for (const ModelRun& run : runs) {
       table.add_row({run.name,
                      std::to_string(run.scored) + " (" +
@@ -319,6 +326,7 @@ int main(int argc, char** argv) {
                      std::to_string(run.untestable) + "+" +
                          std::to_string(run.dominated) + " (" +
                          format_double(run.static_prune_pct, 1) + "%)",
+                     format_double(run.affine_ranges_ms, 1),
                      std::to_string(run.tests), format_double(run.seq_ms, 1),
                      format_double(run.batched_ms, 1),
                      format_double(run.speedup, 2) + "x",

@@ -23,11 +23,13 @@ constexpr std::int64_t kUnit = std::int64_t{1} << kF;
 /// instead of risking overflow further downstream.
 constexpr std::int64_t kCoefLimit = std::int64_t{1} << 55;
 constexpr std::int64_t kScalarLimit = std::int64_t{1} << 61;
-/// Per-layer form-storage ceiling; above it the whole pass degrades to the
-/// interval result (paper-scale conv stacks — the tiny/default zoo runs
-/// fully relational).
+/// Work ceiling: the pass degrades to the interval result when the densest
+/// layer's neuron count times the symbol count, at 8 bytes per pair,
+/// exceeds it (paper-scale conv stacks; the tiny and default zoo run fully
+/// relational). Forms are sparse, so this bounds the per-layer scatter and
+/// sort work rather than storage.
 constexpr std::int64_t kMemoryCeiling = std::int64_t{768} << 20;
-/// Segment budget of the requant linearization walk (an int8 image has at
+/// Segment budget of the per-channel requant walk (an int8 image has at
 /// most 255 jumps; fails closed into an interval collapse).
 constexpr int kSegmentBudget = 300;
 
@@ -57,35 +59,21 @@ std::int64_t shr_floor(I128 x, int sh) {
   return static_cast<std::int64_t>(x >> sh);
 }
 
+/// One nonzero coefficient of a form: coef * x_sym.
+struct Term {
+  std::int64_t sym = 0;
+  std::int64_t coef = 0;
+};
+
 /// Uncentered affine form over the input-neuron symbols:
-///   value = (bias + sum coef[k] * x_k + e) / 2^kF, |e| <= slack / 2^kF,
-/// coefficients stored densely over the span [lo, hi) of touched symbols.
-/// An empty span is a constant form (hull [bias-slack, bias+slack] / 2^kF).
+///   value = (bias + sum coef * x_sym + e) / 2^kF, |e| <= slack / 2^kF,
+/// stored as its nonzero terms in ascending symbol order. No terms is a
+/// constant form (hull [bias-slack, bias+slack] / 2^kF).
 struct Form {
-  std::int64_t lo = 0, hi = 0;
-  std::vector<std::int64_t> coef;
+  std::vector<Term> terms;
   std::int64_t bias = 0;
   std::int64_t slack = 0;
 };
-
-/// Drops zero coefficients at the span edges (keeps downstream loops tight).
-void trim(Form& f) {
-  std::size_t first = 0;
-  std::size_t last = f.coef.size();
-  while (first < last && f.coef[first] == 0) ++first;
-  while (last > first && f.coef[last - 1] == 0) --last;
-  if (first == 0 && last == f.coef.size()) {
-    if (f.coef.empty()) f.lo = f.hi = 0;
-    return;
-  }
-  f.coef.erase(f.coef.begin() + static_cast<std::ptrdiff_t>(last),
-               f.coef.end());
-  f.coef.erase(f.coef.begin(),
-               f.coef.begin() + static_cast<std::ptrdiff_t>(first));
-  f.lo += static_cast<std::int64_t>(first);
-  f.hi = f.lo + static_cast<std::int64_t>(f.coef.size());
-  if (f.coef.empty()) f.lo = f.hi = 0;
-}
 
 /// Constant form covering the integer interval [iv.lo, iv.hi] exactly.
 Form constant_form(const Interval& iv) {
@@ -112,22 +100,71 @@ struct Linearization {
   std::int64_t emax40 = 0;
 };
 
-/// Exact error band of the secant line against a monotone nondecreasing
-/// int8-code step function on [dlo, dhi], via the <=255-constant-segment
-/// walk (segment ends found by bisection; within a segment the line is
-/// nondecreasing, so the band extremes sit at segment endpoints).
-template <typename F>
-Linearization linearize_monotone(F&& f, std::int64_t dlo, std::int64_t dhi) {
+/// Segment ends of one channel's requant step function (monotone
+/// nondecreasing in the accumulator) over the channel's accumulator hull:
+/// last[v - kQmin] is the greatest hull point whose output code is v, for
+/// every code v the hull reaches. Found by one bisection walk per channel;
+/// `ok` is false when the walk needs more than kSegmentBudget segments or
+/// the function decreases across the hull (fail closed).
+struct SegmentTable {
+  bool ok = false;
+  std::array<std::int64_t, 256> last{};
+};
+
+std::size_t code_slot(int v) {
+  return static_cast<std::size_t>(v - quant::kQmin);
+}
+
+SegmentTable requant_segments(const quant::Requant& rq, const Interval& hull) {
+  SegmentTable table;
+  if (hull.lo > hull.hi) return table;
+  const int qhi = rq_of(hull.hi, rq);
+  if (rq_of(hull.lo, rq) > qhi) return table;
+  std::int64_t a = hull.lo;
+  for (int guard = 0; guard < kSegmentBudget; ++guard) {
+    const int v = rq_of(a, rq);
+    std::int64_t b = hull.hi;
+    if (qhi != v) {
+      std::int64_t x_lo = a;
+      std::int64_t x_hi = hull.hi;  // rq_of(x_lo) == v < rq_of(x_hi)
+      while (x_lo + 1 < x_hi) {
+        const std::int64_t mid = x_lo + (x_hi - x_lo) / 2;
+        if (rq_of(mid, rq) == v) {
+          x_lo = mid;
+        } else {
+          x_hi = mid;
+        }
+      }
+      b = x_lo;
+    }
+    table.last[code_slot(v)] = b;
+    if (b == hull.hi) {
+      table.ok = true;
+      return table;
+    }
+    a = b + 1;
+  }
+  return table;  // budget exceeded: the channel collapses to interval hulls
+}
+
+/// Exact error band of the secant line against the requant step function
+/// on [dlo, dhi], a sub-domain of `table`'s hull. Within a constant segment
+/// the line is nondecreasing, so the band extremes sit at segment
+/// endpoints; the table supplies each segment's end.
+Linearization linearize_requant(const quant::Requant& rq,
+                                const SegmentTable& table, std::int64_t dlo,
+                                std::int64_t dhi) {
   Linearization lin;
   lin.dlo = dlo;
-  const int qlo = f(dlo);
-  const int qhi = f(dhi);
+  const int qlo = rq_of(dlo, rq);
+  const int qhi = rq_of(dhi, rq);
   lin.qbase = qlo;
   if (qlo > qhi || dlo > dhi) return lin;  // fail closed on misbehavior
   if (qlo == qhi) {
     lin.ok = true;  // constant segment: lam40 = 0, zero band
     return lin;
   }
+  if (!table.ok) return lin;
   const I128 num = I128{qhi - qlo} << 40;
   const I128 den = dhi - dlo;
   lin.lam40 = static_cast<std::int64_t>((num + den / 2) / den);
@@ -140,33 +177,22 @@ Linearization linearize_monotone(F&& f, std::int64_t dlo, std::int64_t dhi) {
     emax = std::max(emax, d);
   };
   std::int64_t a = dlo;
-  for (int guard = 0; guard < kSegmentBudget; ++guard) {
-    const int v = f(a);
+  int v = qlo;
+  while (v < qhi) {
+    const std::int64_t b = table.last[code_slot(v)];
     fold(v, a);
-    std::int64_t b = dhi;
-    if (f(dhi) != v) {
-      std::int64_t x_lo = a;
-      std::int64_t x_hi = dhi;  // f(x_lo) == v, f(x_hi) > v
-      while (x_lo + 1 < x_hi) {
-        const std::int64_t mid = x_lo + (x_hi - x_lo) / 2;
-        if (f(mid) == v) {
-          x_lo = mid;
-        } else {
-          x_hi = mid;
-        }
-      }
-      b = x_lo;
-    }
     fold(v, b);
-    if (b == dhi) {
-      lin.emin40 = static_cast<std::int64_t>(emin);
-      lin.emax40 = static_cast<std::int64_t>(emax);
-      lin.ok = true;
-      return lin;
-    }
     a = b + 1;
+    const int next = rq_of(a, rq);
+    if (next <= v || next > qhi) return lin;  // table/domain mismatch
+    v = next;
   }
-  return lin;  // budget exceeded: caller collapses to the interval hull
+  fold(qhi, a);
+  fold(qhi, dhi);
+  lin.emin40 = static_cast<std::int64_t>(emin);
+  lin.emax40 = static_cast<std::int64_t>(emax);
+  lin.ok = true;
+  return lin;
 }
 
 /// Least-squares / secant linearization of an arbitrary (possibly
@@ -245,16 +271,35 @@ class AffinePass {
   Interval concretize(const Form& f) const {
     I128 lo = static_cast<I128>(f.bias) - f.slack;
     I128 hi = static_cast<I128>(f.bias) + f.slack;
-    for (std::size_t i = 0; i < f.coef.size(); ++i) {
-      const std::int64_t c = f.coef[i];
-      if (c == 0) continue;
-      const std::size_t k = static_cast<std::size_t>(f.lo) + i;
-      const I128 a = static_cast<I128>(c) * sym_lo_[k];
-      const I128 b = static_cast<I128>(c) * sym_hi_[k];
+    for (const Term& t : f.terms) {
+      const std::size_t k = static_cast<std::size_t>(t.sym);
+      const I128 a = static_cast<I128>(t.coef) * sym_lo_[k];
+      const I128 b = static_cast<I128>(t.coef) * sym_hi_[k];
       lo += std::min(a, b);
       hi += std::max(a, b);
     }
     return Interval{shr_floor(lo, kF), shr_ceil(hi, kF)};
+  }
+
+  /// Exact sup of (fi - fj) over the joint symbol box, on the 2^kF grid: a
+  /// merge of the two symbol-sorted term lists.
+  I128 sup_difference(const Form& fi, const Form& fj) const {
+    I128 sup = static_cast<I128>(fi.bias) - fj.bias +
+               static_cast<I128>(fi.slack) + fj.slack;
+    constexpr std::int64_t kEnd = std::numeric_limits<std::int64_t>::max();
+    std::size_t i = 0, j = 0;
+    while (i < fi.terms.size() || j < fj.terms.size()) {
+      const std::int64_t si = i < fi.terms.size() ? fi.terms[i].sym : kEnd;
+      const std::int64_t sj = j < fj.terms.size() ? fj.terms[j].sym : kEnd;
+      const std::int64_t k = std::min(si, sj);
+      std::int64_t d = 0;
+      if (si == k) d += fi.terms[i++].coef;
+      if (sj == k) d -= fj.terms[j++].coef;
+      if (d == 0) continue;
+      const std::size_t sk = static_cast<std::size_t>(k);
+      sup += static_cast<I128>(d) * (d > 0 ? sym_hi_[sk] : sym_lo_[sk]);
+    }
+    return sup;
   }
 
   /// Composes `lin` onto `in`: out = lin(in) with every fixed-point
@@ -266,20 +311,16 @@ class AffinePass {
     // image hull is exact and tighter than any slack reconstruction.
     if (lin.lam40 == 0) return constant_form(image);
     Form out;
-    out.lo = in.lo;
-    out.hi = in.hi;
-    out.coef.resize(in.coef.size());
+    out.terms.reserve(in.terms.size());
     const std::int64_t alam = std::abs(lin.lam40);
     std::int64_t round_slack = 0;
-    for (std::size_t i = 0; i < in.coef.size(); ++i) {
-      const std::int64_t c = in.coef[i];
-      if (c == 0) continue;
-      const std::int64_t oc = rs128(static_cast<I128>(lin.lam40) * c, 40);
+    for (const Term& t : in.terms) {
+      const std::int64_t oc = rs128(static_cast<I128>(lin.lam40) * t.coef, 40);
       if (std::abs(oc) > kCoefLimit) return constant_form(image);
-      out.coef[i] = oc;
-      // |oc - lam40*c/2^40| <= 1/2 -> value error <= |x_k|/2 (2^kF units).
-      const std::size_t k = static_cast<std::size_t>(in.lo) + i;
-      round_slack += (sym_abs_[k] + 1) / 2;
+      // |oc - lam40*c/2^40| <= 1/2 -> value error <= |x_k|/2 (2^kF units),
+      // charged even when oc rounds to 0 and the term is dropped.
+      round_slack += (sym_abs_[static_cast<std::size_t>(t.sym)] + 1) / 2;
+      if (oc != 0) out.terms.push_back(Term{t.sym, oc});
     }
     const std::int64_t c40 = (lin.emin40 + lin.emax40) / 2;
     const std::int64_t h40 = std::max(lin.emax40 - c40, c40 - lin.emin40);
@@ -293,7 +334,6 @@ class AffinePass {
     if (std::abs(out.bias) > kScalarLimit || out.slack > kScalarLimit) {
       return constant_form(image);
     }
-    trim(out);
     return out;
   }
 
@@ -347,12 +387,8 @@ void AffinePass::do_quantize(const quant::QLayer& q, std::size_t li) {
     sym_lo_[k] = d.lo;
     sym_hi_[k] = d.hi;
     sym_abs_[k] = std::max(std::abs(d.lo), std::abs(d.hi));
-    Form& f = cur_[k];
-    f.lo = static_cast<std::int64_t>(k);
-    f.hi = f.lo + 1;
-    f.coef.assign(1, kUnit);  // exact: the symbol IS this neuron's code
-    f.bias = 0;
-    f.slack = 0;
+    // Exact: the symbol IS this neuron's code.
+    cur_[k] = Form{{Term{static_cast<std::int64_t>(k), kUnit}}, 0, 0};
   }
   cur_ch_ = out;
 }
@@ -379,8 +415,14 @@ void AffinePass::do_matmul(const quant::QLayer& q, std::size_t li,
   lr.overflow.assign(static_cast<std::size_t>(channels), 0);
   lr.out.resize(static_cast<std::size_t>(channels));
 
+  // Per-neuron scatter target: each tap's terms accumulate into `scratch`,
+  // and `touched` lists the symbols written once each. `seen` marks them
+  // rather than a zero test, because a sum that cancels back to zero may be
+  // written again by a later tap.
   const std::size_t nsym = sym_lo_.size();
   std::vector<I128> scratch(nsym, 0);
+  std::vector<std::uint8_t> seen(nsym, 0);
+  std::vector<std::int64_t> touched;
   std::vector<Form> next(static_cast<std::size_t>(out_numel));
   std::vector<Interval> acc_hull(static_cast<std::size_t>(out_numel));
   std::vector<std::uint8_t> aff_overflow(static_cast<std::size_t>(channels),
@@ -395,8 +437,6 @@ void AffinePass::do_matmul(const quant::QLayer& q, std::size_t li,
     for (std::int64_t p = 0; p < plane; ++p) {
       const std::int64_t oy = p / ow;
       const std::int64_t ox = p % ow;
-      std::int64_t span_lo = std::numeric_limits<std::int64_t>::max();
-      std::int64_t span_hi = std::numeric_limits<std::int64_t>::min();
       I128 bias128 = 0, slack128 = 0;
       for (std::int64_t tap = 0; tap < fanin; ++tap) {
         const std::int64_t w = wrow[tap];
@@ -414,29 +454,28 @@ void AffinePass::do_matmul(const quant::QLayer& q, std::size_t li,
         const Form& in = cur_[static_cast<std::size_t>(in_index)];
         bias128 += static_cast<I128>(w) * in.bias;
         slack128 += static_cast<I128>(std::abs(w)) * in.slack;
-        for (std::size_t i = 0; i < in.coef.size(); ++i) {
-          if (in.coef[i] == 0) continue;
-          scratch[static_cast<std::size_t>(in.lo) + i] +=
-              static_cast<I128>(w) * in.coef[i];
-        }
-        if (!in.coef.empty()) {
-          span_lo = std::min(span_lo, in.lo);
-          span_hi = std::max(span_hi, in.hi);
+        for (const Term& t : in.terms) {
+          const std::size_t k = static_cast<std::size_t>(t.sym);
+          scratch[k] += static_cast<I128>(w) * t.coef;
+          if (seen[k] == 0) {
+            seen[k] = 1;
+            touched.push_back(t.sym);
+          }
         }
       }
+      std::sort(touched.begin(), touched.end());
       // Raw gemm-sum hull on the exact grid (the taps' biases are part of
       // the raw sum; the layer bias is not).
       I128 rlo = bias128 - slack128;
       I128 rhi = bias128 + slack128;
-      if (span_lo <= span_hi) {
-        for (std::int64_t k = span_lo; k < span_hi; ++k) {
-          const I128 cc = scratch[static_cast<std::size_t>(k)];
-          if (cc == 0) continue;
-          const I128 a = cc * sym_lo_[static_cast<std::size_t>(k)];
-          const I128 b = cc * sym_hi_[static_cast<std::size_t>(k)];
-          rlo += std::min(a, b);
-          rhi += std::max(a, b);
-        }
+      for (const std::int64_t k : touched) {
+        const std::size_t sk = static_cast<std::size_t>(k);
+        const I128 cc = scratch[sk];
+        if (cc == 0) continue;
+        const I128 a = cc * sym_lo_[sk];
+        const I128 b = cc * sym_hi_[sk];
+        rlo += std::min(a, b);
+        rhi += std::max(a, b);
       }
       const std::int64_t raw_lo = shr_floor(rlo, kF);
       const std::int64_t raw_hi = shr_ceil(rhi, kF);
@@ -463,19 +502,14 @@ void AffinePass::do_matmul(const quant::QLayer& q, std::size_t li,
       }
 
       if (!collapse) {
-        f.lo = std::min(span_lo, span_hi);
-        f.hi = std::max(span_lo, span_hi);
-        if (f.lo > f.hi) f.lo = f.hi = 0;
-        f.coef.assign(static_cast<std::size_t>(f.hi - f.lo), 0);
-        for (std::int64_t k = f.lo; k < f.hi; ++k) {
+        for (const std::int64_t k : touched) {
           const I128 cc = scratch[static_cast<std::size_t>(k)];
           if (cc == 0) continue;
           if (cc > kCoefLimit || cc < -static_cast<I128>(kCoefLimit)) {
             collapse = true;
             break;
           }
-          f.coef[static_cast<std::size_t>(k - f.lo)] =
-              static_cast<std::int64_t>(cc);
+          f.terms.push_back(Term{k, static_cast<std::int64_t>(cc)});
         }
         const I128 b128 = bias128 + static_cast<I128>(bias) * kUnit;
         if (!collapse &&
@@ -486,14 +520,14 @@ void AffinePass::do_matmul(const quant::QLayer& q, std::size_t li,
         if (!collapse) {
           f.bias = static_cast<std::int64_t>(b128);
           f.slack = static_cast<std::int64_t>(slack128);
-          trim(f);
         }
       }
       if (collapse) f = constant_form(hull);
-      if (span_lo <= span_hi) {
-        std::fill(scratch.begin() + span_lo, scratch.begin() + span_hi,
-                  I128{0});
+      for (const std::int64_t k : touched) {
+        scratch[static_cast<std::size_t>(k)] = 0;
+        seen[static_cast<std::size_t>(k)] = 0;
       }
+      touched.clear();
     }
   }
 
@@ -523,32 +557,38 @@ void AffinePass::do_matmul(const quant::QLayer& q, std::size_t li,
     }
   }
 
-  // Through the non-linearity: requant (monotone walk) or the logit
-  // dequant (sat32 is the identity on the in-range hull).
+  // Through the non-linearity: requant (linearized per neuron against the
+  // channel's segment table) or the logit dequant (sat32 is the identity on
+  // the in-range hull).
   for (std::int64_t c = 0; c < channels; ++c) {
     const std::size_t sc = static_cast<std::size_t>(c);
     Interval out{std::numeric_limits<std::int64_t>::max(),
                  std::numeric_limits<std::int64_t>::min()};
-    for (std::int64_t p = 0; p < plane; ++p) {
-      Form& f = next[static_cast<std::size_t>(c * plane + p)];
-      const Interval domain =
-          intersect_or(acc_hull[static_cast<std::size_t>(c * plane + p)],
-                       lr.acc[sc]);
-      if (q.dequant_output) {
-        const Interval img{sat32(domain.lo), sat32(domain.hi)};
-        out.lo = std::min(out.lo, img.lo);
-        out.hi = std::max(out.hi, img.hi);
-        continue;  // the form (= saturated acc) is final; logits end the IR
+    const auto domain_of = [&](std::int64_t p) {
+      return intersect_or(acc_hull[static_cast<std::size_t>(c * plane + p)],
+                          lr.acc[sc]);
+    };
+    if (q.dequant_output) {
+      // The form (= saturated acc) is final; logits end the IR.
+      for (std::int64_t p = 0; p < plane; ++p) {
+        const Interval domain = domain_of(p);
+        out.lo = std::min(out.lo, sat32(domain.lo));
+        out.hi = std::max(out.hi, sat32(domain.hi));
       }
+    } else {
       const quant::Requant rq = q.requant[sc];
-      const auto step = [&](std::int64_t t) -> int { return rq_of(t, rq); };
-      const Interval img{step(domain.lo), step(domain.hi)};
-      const Linearization lin =
-          linearize_monotone(step, domain.lo, domain.hi);
-      f = lin.ok ? compose(f, lin, img) : constant_form(img);
-      const Interval h = concretize(f);
-      out.lo = std::min(out.lo, h.lo);
-      out.hi = std::max(out.hi, h.hi);
+      const SegmentTable table = requant_segments(rq, lr.acc[sc]);
+      for (std::int64_t p = 0; p < plane; ++p) {
+        Form& f = next[static_cast<std::size_t>(c * plane + p)];
+        const Interval domain = domain_of(p);
+        const Interval img{rq_of(domain.lo, rq), rq_of(domain.hi, rq)};
+        const Linearization lin =
+            linearize_requant(rq, table, domain.lo, domain.hi);
+        f = lin.ok ? compose(f, lin, img) : constant_form(img);
+        const Interval h = concretize(f);
+        out.lo = std::min(out.lo, h.lo);
+        out.hi = std::max(out.hi, h.hi);
+      }
     }
     lr.out[sc] = intersect_or(out, ref_lr.out[sc]);
     if (!q.dequant_output && lr.out[sc] == Interval{0, 0}) {
@@ -616,30 +656,7 @@ void AffinePass::do_maxpool(const quant::QLayer& q, std::size_t li) {
             if (hulls[sn].hi <= hulls[static_cast<std::size_t>(lead)].lo) {
               continue;  // can never exceed the leader
             }
-            const Form& fi = cur_[sn];
-            // Exact sup of (f_i - f_j) over the joint symbol box.
-            I128 hi128 = static_cast<I128>(fi.bias) - fj.bias +
-                         static_cast<I128>(fi.slack) + fj.slack;
-            const std::int64_t lo =
-                std::min(fi.coef.empty() ? fj.lo : fi.lo,
-                         fj.coef.empty() ? fi.lo : fj.lo);
-            const std::int64_t hi =
-                std::max(fi.coef.empty() ? fj.hi : fi.hi,
-                         fj.coef.empty() ? fi.hi : fj.hi);
-            for (std::int64_t k = lo; k < hi; ++k) {
-              std::int64_t d = 0;
-              if (k >= fi.lo && k < fi.hi) {
-                d += fi.coef[static_cast<std::size_t>(k - fi.lo)];
-              }
-              if (k >= fj.lo && k < fj.hi) {
-                d -= fj.coef[static_cast<std::size_t>(k - fj.lo)];
-              }
-              if (d == 0) continue;
-              const std::size_t sk = static_cast<std::size_t>(k);
-              hi128 += static_cast<I128>(d) *
-                       (d > 0 ? sym_hi_[sk] : sym_lo_[sk]);
-            }
-            gap = std::max(gap, shr_ceil(hi128, kF));
+            gap = std::max(gap, shr_ceil(sup_difference(cur_[sn], fj), kF));
           }
         }
         Form out = fj;
@@ -661,8 +678,8 @@ ModelRange AffinePass::run() {
 
   // Geometry pre-pass: recover the item dims (the IR carries no spatial
   // extents), validate them against every layer, and bound the densest
-  // layer's form storage. Any mismatch — or a storage blow-up at paper
-  // scale — degrades to the (sound, merely not tighter) interval result.
+  // layer's work. Any mismatch — or a work blow-up at paper scale —
+  // degrades to the (sound, merely not tighter) interval result.
   std::vector<std::int64_t> dims = options_.item_dims;
   if (dims.empty()) {
     for (const quant::QLayer& q : layers) {

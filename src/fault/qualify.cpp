@@ -48,8 +48,15 @@ FaultQualification qualify_suite(const quant::QuantModel& model,
     copts.input_domains = options.input_domains;
     const analysis::ModelRange cal_range =
         analysis::analyze_ranges_with(options.domain, model, copts);
-    const analysis::TestabilityReport uncond =
-        analysis::classify_universe(model, range, universe);
+    // Classification is per fault, so once the prune ran every fault left
+    // is unconditionally testable; only an unpruned universe needs it.
+    analysis::TestabilityReport uncond;
+    if (options.static_prune) {
+      uncond.reasons.assign(universe.size(),
+                            analysis::UntestableReason::kTestable);
+    } else {
+      uncond = analysis::classify_universe(model, range, universe);
+    }
     const analysis::ConditionalReport cond = analysis::classify_conditional(
         model, range, uncond, cal_range, universe);
     q.conditional = static_cast<std::int64_t>(cond.count);

@@ -26,11 +26,16 @@
 #include "fault/simulator.h"
 #include "ip/systolic.h"
 #include "nn/builder.h"
+#include "nn/conv2d.h"
+#include "nn/dense.h"
+#include "nn/flatten.h"
+#include "nn/maxpool2d.h"
 #include "nn/workspace.h"
 #include "quant/observer.h"
 #include "quant/quant_model.h"
 #include "quant/quantize.h"
 #include "tensor/batch.h"
+#include "tests/test_nets.h"
 #include "util/error.h"
 #include "validate/test_suite.h"
 
@@ -568,10 +573,70 @@ TEST(AffineDomainTest, TightensAndStaysSoundOnZooModels) {
   }
 }
 
-TEST(AffineDomainTest, ConditionalFaultsAreMaskedInDistribution) {
-  // Quantize on a wide pool, calibrate the input domains on a much narrower
-  // one: faults excitable only by out-of-distribution codes become
-  // conditionally masked. tanh's saturating LUT is what plateaus.
+TEST(AffineDomainTest, EnclosesExecutionOnRandomConvNets) {
+  // Conv geometry the zoo lacks (strided, unpadded, 1x1, 5x5, even kernels),
+  // under both weight granularities.
+  for (const test_nets::RandomConvCase& c : test_nets::random_conv_cases()) {
+    const nn::Sequential model = c.model();
+    const auto pool = c.probes();
+    for (const quant::Granularity granularity :
+         {quant::Granularity::kPerTensor, quant::Granularity::kPerChannel}) {
+      quant::QuantConfig config;
+      config.weight_granularity = granularity;
+      auto qmodel = quant::QuantModel::quantize(model, pool, config);
+      const std::string tag =
+          std::string(c.name) +
+          (granularity == quant::Granularity::kPerTensor ? " per-tensor"
+                                                         : " per-channel");
+      analysis::RangeOptions options;
+      options.item_dims = {c.c, c.h, c.w};
+      const auto interval = analysis::analyze_ranges(qmodel, options);
+      const auto affine = analysis::analyze_ranges_affine(qmodel, options);
+      expect_hulls_enclosed(affine, interval, tag);
+      expect_trace_enclosed(qmodel, stack_batch(pool), tag, &affine);
+    }
+  }
+}
+
+TEST(AffineDomainTest, ConstantFormsIntoALayerDoNotAbort) {
+  // The strided conv's two output channels are identical and the 1x1 conv
+  // takes half their difference, so its coefficients cancel exactly: every
+  // form the dense layer reads is a constant with no symbol terms.
+  Rng rng(5);
+  nn::Sequential net;
+  net.add(std::make_unique<nn::Conv2d>(nn::Conv2d::Config{1, 2, 3, 2, 1}, rng));
+  net.add(std::make_unique<nn::MaxPool2d>(2, 2));
+  net.add(std::make_unique<nn::Conv2d>(nn::Conv2d::Config{2, 1, 1, 1, 0}, rng));
+  net.add(std::make_unique<nn::Flatten>());
+  net.add(std::make_unique<nn::Dense>(4, 3, rng));
+  std::vector<nn::ParamView> views = net.param_views();
+  ASSERT_EQ(views.size(), 6u);
+  std::copy(views[0].data, views[0].data + 9, views[0].data + 9);
+  views[1].data[1] = views[1].data[0];
+  views[2].data[0] = 0.5f;
+  views[2].data[1] = -0.5f;
+
+  const auto pool = test_nets::probe_pool(16, Shape{1, 9, 9});
+  auto qmodel = quant::QuantModel::quantize(net, pool);
+  analysis::RangeOptions options;
+  options.item_dims = {1, 9, 9};
+  const auto interval = analysis::analyze_ranges(qmodel, options);
+  analysis::ModelRange affine;
+  ASSERT_NO_THROW(affine = analysis::analyze_ranges_affine(qmodel, options));
+  expect_hulls_enclosed(affine, interval, "cancelling-1x1");
+  expect_trace_enclosed(qmodel, stack_batch(pool), "cancelling-1x1", &affine);
+}
+
+/// A tanh MLP quantized on a wide pool, plus a pool 20x narrower: faults
+/// excitable only by out-of-distribution codes become conditionally masked
+/// on input domains calibrated over the narrow one (tanh's saturating LUT
+/// is what plateaus).
+struct NarrowPoolCase {
+  quant::QuantModel qmodel;
+  std::vector<Tensor> narrow;
+};
+
+NarrowPoolCase narrow_pool_mlp() {
   Rng rng(21);
   auto net = nn::build_mlp(6, {10}, 4, nn::ActivationKind::kTanh, rng);
   Rng pool_rng(22);
@@ -586,7 +651,11 @@ TEST(AffineDomainTest, ConditionalFaultsAreMaskedInDistribution) {
     pool.push_back(std::move(t));
     narrow.push_back(std::move(s));
   }
-  auto qmodel = quant::QuantModel::quantize(net, pool);
+  return {quant::QuantModel::quantize(net, pool), std::move(narrow)};
+}
+
+TEST(AffineDomainTest, ConditionalFaultsAreMaskedInDistribution) {
+  auto [qmodel, narrow] = narrow_pool_mlp();
   analysis::RangeOptions options;
   options.item_dims = {6};
   const auto range = analysis::analyze_ranges_affine(qmodel, options);
@@ -629,6 +698,36 @@ TEST(AffineDomainTest, ConditionalFaultsAreMaskedInDistribution) {
     EXPECT_TRUE(result.rows[i].none())
         << "conditionally masked fault " << masked[i].describe()
         << " detected by an in-distribution input";
+  }
+}
+
+TEST(TestabilityTest, QualifyConditionalUnchangedByStaticPrune) {
+  // After the static prune every remaining fault is unconditionally
+  // testable, so qualify_suite skips re-classifying it; the conditional
+  // report must equal the one classified over the unpruned universe.
+  auto [qmodel, narrow] = narrow_pool_mlp();
+  const auto suite = validate::TestSuite::from_labels(
+      narrow, qmodel.predict_labels(stack_batch(narrow)));
+  fault::QualifyOptions options;
+  options.universe = fault::universe_config("full");
+  options.dominance = false;
+  options.item_dims = {6};
+  options.input_domains = analysis::calibrated_input_domains(qmodel, narrow);
+  options.static_prune = false;
+  const auto baseline = fault::qualify_suite(qmodel, suite, options);
+  options.static_prune = true;
+  const auto pruned = fault::qualify_suite(qmodel, suite, options);
+
+  ASSERT_GT(baseline.conditional, 0);
+  EXPECT_EQ(pruned.conditional, baseline.conditional);
+  ASSERT_EQ(pruned.excitations.size(), baseline.excitations.size());
+  for (std::size_t i = 0; i < pruned.excitations.size(); ++i) {
+    const auto& a = pruned.excitations[i];
+    const auto& b = baseline.excitations[i];
+    EXPECT_EQ(a.fault_id, b.fault_id) << i;
+    EXPECT_EQ(a.layer, b.layer) << i;
+    EXPECT_EQ(a.channel, b.channel) << i;
+    EXPECT_EQ(a.acc, b.acc) << i;
   }
 }
 

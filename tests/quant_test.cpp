@@ -13,13 +13,7 @@
 #include "coverage/parameter_coverage.h"
 #include "exp/model_zoo.h"
 #include "ip/quantized_ip.h"
-#include "nn/activation_layer.h"
 #include "nn/builder.h"
-#include "nn/conv2d.h"
-#include "nn/dense.h"
-#include "nn/flatten.h"
-#include "nn/maxpool2d.h"
-#include "nn/normalize.h"
 #include "nn/trainer.h"
 #include "quant/observer.h"
 #include "quant/qconv.h"
@@ -28,6 +22,7 @@
 #include "quant/quantize.h"
 #include "tensor/batch.h"
 #include "tests/quant_reference.h"
+#include "tests/test_nets.h"
 #include "util/error.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
@@ -38,6 +33,7 @@ namespace {
 
 using nn::ActivationKind;
 using nn::Sequential;
+using test_nets::probe_pool;
 
 // ---------- Fixed-point requantization ----------
 
@@ -282,16 +278,6 @@ Sequential trained_mlp(std::uint64_t seed = 5) {
   config.batch_size = 16;
   nn::fit(model, inputs, labels, config);
   return model;
-}
-
-std::vector<Tensor> probe_pool(int count, const Shape& shape,
-                               std::uint64_t seed = 3) {
-  Rng rng(seed);
-  std::vector<Tensor> pool;
-  for (int i = 0; i < count; ++i) {
-    pool.push_back(Tensor::rand_uniform(shape, rng, -1.0f, 1.0f));
-  }
-  return pool;
 }
 
 TEST(QuantModelTest, BatchSizeInvarianceDense) {
@@ -563,66 +549,10 @@ TEST(QuantOracleTest, ForwardMatchesOracleOnZooModels) {
   }
 }
 
-/// A small random conv net over [channels, height, width] inputs: one
-/// conv block per entry of `convs` (conv, activation, optional maxpool),
-/// then flatten, a hidden dense layer and the logit layer. Biases are
-/// randomized too, so the bias path carries non-zero codes.
-Sequential random_conv_net(std::int64_t channels, std::int64_t height,
-                           std::int64_t width,
-                           const std::vector<nn::Conv2d::Config>& convs,
-                           std::int64_t pool_after, bool normalize,
-                           ActivationKind activation, std::uint64_t seed) {
-  Rng rng(seed);
-  Sequential model;
-  if (normalize) model.add(std::make_unique<nn::Normalize>(0.25f, 0.5f));
-  for (std::size_t i = 0; i < convs.size(); ++i) {
-    model.add(std::make_unique<nn::Conv2d>(convs[i], rng));
-    model.add(std::make_unique<nn::ActivationLayer>(activation));
-    if (static_cast<std::int64_t>(i) == pool_after) {
-      model.add(std::make_unique<nn::MaxPool2d>(2, 2));
-    }
-  }
-  model.add(std::make_unique<nn::Flatten>());
-  const Shape flat = model.output_shape(Shape{1, channels, height, width});
-  model.add(std::make_unique<nn::Dense>(flat[1], 6, rng));
-  model.add(std::make_unique<nn::ActivationLayer>(activation));
-  model.add(std::make_unique<nn::Dense>(6, 4, rng));
-  for (nn::ParamView& view : model.param_views()) {
-    if (!view.is_bias) continue;
-    for (std::int64_t i = 0; i < view.size; ++i) {
-      view.data[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
-    }
-  }
-  return model;
-}
-
 TEST(QuantOracleTest, ForwardMatchesOracleOnRandomConvNets) {
-  using Conv = nn::Conv2d::Config;
-  struct Case {
-    const char* name;
-    std::int64_t c, h, w;
-    std::vector<Conv> convs;
-    std::int64_t pool_after;  ///< conv index followed by a 2x2 maxpool
-    bool normalize;
-    ActivationKind activation;
-  };
-  const Case cases[] = {
-      // stride 2 on an odd plane, then a 1x1 conv
-      {"stride2+1x1", 2, 9, 7, {{2, 4, 3, 2, 1}, {4, 5, 1, 1, 0}}, 1, true,
-       ActivationKind::kReLU},
-      // no padding (out_w != width), odd plane, pooled in between
-      {"nopad", 3, 11, 9, {{3, 4, 3, 1, 0}, {4, 3, 3, 1, 0}}, 0, false,
-       ActivationKind::kTanh},
-      // 5x5 "same" conv into a strided even kernel
-      {"5x5+2x2s2", 1, 10, 10, {{1, 3, 5, 1, 2}, {3, 4, 2, 2, 0}}, -1, true,
-       ActivationKind::kReLU},
-  };
-  std::uint64_t seed = 40;
-  for (const Case& c : cases) {
-    const Sequential model = random_conv_net(c.c, c.h, c.w, c.convs,
-                                             c.pool_after, c.normalize,
-                                             c.activation, ++seed);
-    const auto pool = probe_pool(9, Shape{c.c, c.h, c.w}, seed);
+  for (const test_nets::RandomConvCase& c : test_nets::random_conv_cases()) {
+    const Sequential model = c.model();
+    const auto pool = c.probes();
     for (const Granularity granularity :
          {Granularity::kPerTensor, Granularity::kPerChannel}) {
       QuantConfig config;
