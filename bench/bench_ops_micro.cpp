@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: GEMM, conv
-// forward/backward, the two coverage passes, and bitset set algebra.
+// forward/backward, one Algorithm 2 synthesis step, the two coverage passes,
+// and bitset set algebra.
 //
 // On top of google-benchmark's own flags (--benchmark_filter,
 // --benchmark_min_time, ...) this main speaks the repo's BENCH_*.json
@@ -17,6 +18,7 @@
 
 #include "bench/bench_json.h"
 #include "coverage/parameter_coverage.h"
+#include "nn/activation_layer.h"
 #include "nn/builder.h"
 #include "nn/loss.h"
 #include "tensor/batch.h"
@@ -85,6 +87,34 @@ void BM_ConvNetBackward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_ConvNetBackward);
+
+// One descent step of Algorithm 2 as GradientGenerator::generate_batch_tensor
+// runs it: a workspace forward of a k = 10 batch (one input per class), the
+// cross-entropy toward each class, and the input-only reverse pass, with the
+// generator's default backward leak on the activations.
+void BM_SynthesisStep(benchmark::State& state) {
+  Rng rng(9);
+  auto model = bench_convnet(rng);
+  for (std::size_t l = 0; l < model.num_layers(); ++l) {
+    if (auto* act = dynamic_cast<nn::ActivationLayer*>(&model.layer(l))) {
+      act->set_backward_leak(0.05f);
+    }
+  }
+  Rng data_rng(10);
+  const Tensor batch =
+      Tensor::rand_uniform(Shape{10, 3, 32, 32}, data_rng, -1.0f, 1.0f);
+  const std::vector<int> labels{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  nn::Workspace ws;
+  for (auto _ : state) {
+    const Tensor& logits = model.forward(batch, ws);
+    const auto loss = nn::softmax_cross_entropy(logits, labels);
+    const Tensor& grad = model.input_gradient(loss.grad_logits, ws);
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 10);
+}
+BENCHMARK(BM_SynthesisStep);
 
 void BM_CoverageMask(benchmark::State& state) {
   const bool exact = state.range(0) != 0;

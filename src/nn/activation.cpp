@@ -1,63 +1,8 @@
 #include "nn/activation.h"
 
-#include <cmath>
-
 #include "util/error.h"
 
 namespace dnnv::nn {
-
-namespace {
-constexpr float kLeakySlope = 0.01f;
-}
-
-float activate(ActivationKind kind, float x) {
-  switch (kind) {
-    case ActivationKind::kReLU:
-      return x > 0.0f ? x : 0.0f;
-    case ActivationKind::kTanh:
-      return std::tanh(x);
-    case ActivationKind::kSigmoid:
-      return 1.0f / (1.0f + std::exp(-x));
-    case ActivationKind::kLeakyReLU:
-      return x > 0.0f ? x : kLeakySlope * x;
-  }
-  DNNV_THROW("unknown activation kind");
-}
-
-float activate_grad(ActivationKind kind, float x) {
-  switch (kind) {
-    case ActivationKind::kReLU:
-      return x > 0.0f ? 1.0f : 0.0f;
-    case ActivationKind::kTanh: {
-      const float t = std::tanh(x);
-      return 1.0f - t * t;
-    }
-    case ActivationKind::kSigmoid: {
-      const float s = 1.0f / (1.0f + std::exp(-x));
-      return s * (1.0f - s);
-    }
-    case ActivationKind::kLeakyReLU:
-      return x > 0.0f ? 1.0f : kLeakySlope;
-  }
-  DNNV_THROW("unknown activation kind");
-}
-
-float activate_grad_from_output(ActivationKind kind, float y) {
-  switch (kind) {
-    case ActivationKind::kReLU:
-      // y = max(x, 0): y > 0 iff x > 0.
-      return y > 0.0f ? 1.0f : 0.0f;
-    case ActivationKind::kTanh:
-      // Same expression as activate_grad with t == y bit-for-bit.
-      return 1.0f - y * y;
-    case ActivationKind::kSigmoid:
-      return y * (1.0f - y);
-    case ActivationKind::kLeakyReLU:
-      // x > 0 iff y > 0 (the negative branch scales by a positive slope).
-      return y > 0.0f ? 1.0f : kLeakySlope;
-  }
-  DNNV_THROW("unknown activation kind");
-}
 
 std::string to_string(ActivationKind kind) {
   switch (kind) {

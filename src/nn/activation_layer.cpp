@@ -1,11 +1,70 @@
 #include "nn/activation_layer.h"
 
 #include <cmath>
+#include <type_traits>
 
 #include "nn/workspace.h"
 #include "util/error.h"
 
 namespace dnnv::nn {
+
+namespace {
+
+template <ActivationKind K>
+using KindTag = std::integral_constant<ActivationKind, K>;
+
+// Calls `body` with the kind as a compile-time constant (a KindTag), so each
+// kind runs its own loop in which the inline scalar function's switch folds
+// away: one switch per call instead of one per element.
+template <typename Body>
+void dispatch_kind(ActivationKind kind, Body&& body) {
+  switch (kind) {
+    case ActivationKind::kReLU:
+      return body(KindTag<ActivationKind::kReLU>{});
+    case ActivationKind::kTanh:
+      return body(KindTag<ActivationKind::kTanh>{});
+    case ActivationKind::kSigmoid:
+      return body(KindTag<ActivationKind::kSigmoid>{});
+    case ActivationKind::kLeakyReLU:
+      return body(KindTag<ActivationKind::kLeakyReLU>{});
+  }
+  DNNV_THROW("unknown activation kind");
+}
+
+void activate_all(ActivationKind kind, const float* x, float* y,
+                  std::int64_t count) {
+  dispatch_kind(kind, [&](auto k) {
+    for (std::int64_t i = 0; i < count; ++i) y[i] = activate(k, x[i]);
+  });
+}
+
+// Calls `apply(i, gate)` for i in [0, count) with gate = f'(x_i): read from
+// the forward output `y` when the layer holds it (activate_grad_from_output,
+// bitwise equal to activate_grad), else recomputed from the input `x`.
+template <typename Apply>
+void for_each_gate(ActivationKind kind, const float* y, const float* x,
+                   std::int64_t count, Apply&& apply) {
+  dispatch_kind(kind, [&](auto k) {
+    if (y != nullptr) {
+      for (std::int64_t i = 0; i < count; ++i) {
+        apply(i, activate_grad_from_output(k, y[i]));
+      }
+    } else {
+      for (std::int64_t i = 0; i < count; ++i) apply(i, activate_grad(k, x[i]));
+    }
+  });
+}
+
+// s_in = s_out * |f'(x)|: the sensitivity gate of every absolute-sensitivity
+// pass.
+void gate_sensitivity(ActivationKind kind, const float* y, const float* x,
+                      const float* s_out, float* s_in, std::int64_t count) {
+  for_each_gate(kind, y, x, count, [&](std::int64_t i, float gate) {
+    s_in[i] = s_out[i] * std::fabs(gate);
+  });
+}
+
+}  // namespace
 
 ActivationLayer::ActivationLayer(ActivationKind activation)
     : activation_(activation) {}
@@ -18,18 +77,14 @@ Tensor ActivationLayer::forward(const Tensor& input) {
   cached_input_ = input;
   cached_output_view_ = nullptr;
   Tensor output(input.shape());
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    output[i] = activate(activation_, input[i]);
-  }
+  activate_all(activation_, input.data(), output.data(), input.numel());
   return output;
 }
 
 void ActivationLayer::forward_into(std::size_t, const Tensor& input,
                                    Tensor& output, Workspace&) {
   cached_input_ = input;
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    output[i] = activate(activation_, input[i]);
-  }
+  activate_all(activation_, input.data(), output.data(), input.numel());
   cached_output_view_ = &output;
 }
 
@@ -43,13 +98,15 @@ void ActivationLayer::backward_into(std::size_t, const Tensor& grad_output,
   }
   DNNV_CHECK(grad_output.same_shape(cached_input_),
              "activation backward shape mismatch");
-  const float* y = cached_output_view_ ? cached_output_view_->data() : nullptr;
-  for (std::int64_t i = 0; i < grad_input.numel(); ++i) {
-    float gate = y ? activate_grad_from_output(activation_, y[i])
-                   : activate_grad(activation_, cached_input_[i]);
-    if (backward_leak_ != 0.0f && gate < backward_leak_) gate = backward_leak_;
-    grad_input[i] = grad_output[i] * gate;
-  }
+  const float leak = backward_leak_;
+  const float* dy = grad_output.data();
+  float* dx = grad_input.data();
+  // Every gate is >= 0, so `gate < leak` never fires at leak 0.
+  for_each_gate(activation_, output_data(), cached_input_.data(),
+                grad_input.numel(), [&](std::int64_t i, float gate) {
+                  if (gate < leak) gate = leak;
+                  dx[i] = dy[i] * gate;
+                });
 }
 
 void ActivationLayer::sensitivity_backward_into(std::size_t,
@@ -58,12 +115,8 @@ void ActivationLayer::sensitivity_backward_into(std::size_t,
                                                 Workspace&) {
   DNNV_CHECK(sens_output.same_shape(cached_input_),
              "activation sensitivity shape mismatch");
-  const float* y = cached_output_view_ ? cached_output_view_->data() : nullptr;
-  for (std::int64_t i = 0; i < sens_input.numel(); ++i) {
-    const float gate = y ? activate_grad_from_output(activation_, y[i])
-                         : activate_grad(activation_, cached_input_[i]);
-    sens_input[i] = sens_output[i] * std::fabs(gate);
-  }
+  gate_sensitivity(activation_, output_data(), cached_input_.data(),
+                   sens_output.data(), sens_input.data(), sens_input.numel());
 }
 
 void ActivationLayer::sensitivity_backward_item(std::size_t, std::int64_t item,
@@ -75,15 +128,11 @@ void ActivationLayer::sensitivity_backward_item(std::size_t, std::int64_t item,
   const std::int64_t item_numel = cached_input_.numel() / n;
   DNNV_CHECK(sens_output.numel() == item_numel,
              "per-item activation sensitivity size mismatch");
-  const float* x = cached_input_.data() + item * item_numel;
-  const float* y = cached_output_view_
-                       ? cached_output_view_->data() + item * item_numel
-                       : nullptr;
-  for (std::int64_t i = 0; i < item_numel; ++i) {
-    const float gate = y ? activate_grad_from_output(activation_, y[i])
-                         : activate_grad(activation_, x[i]);
-    sens_input[i] = sens_output[i] * std::fabs(gate);
-  }
+  const std::int64_t offset = item * item_numel;
+  const float* y = output_data();
+  gate_sensitivity(activation_, y != nullptr ? y + offset : nullptr,
+                   cached_input_.data() + offset, sens_output.data(),
+                   sens_input.data(), item_numel);
 }
 
 Tensor ActivationLayer::backward(const Tensor& grad_output) {
@@ -156,10 +205,8 @@ Tensor ActivationLayer::sensitivity_backward(const Tensor& sens_output) {
   // mask; for saturating activations it attenuates sensitivity so saturated
   // units fall below the coverage epsilon (paper §IV-A).
   Tensor sens_input(cached_input_.shape());
-  for (std::int64_t i = 0; i < sens_input.numel(); ++i) {
-    sens_input[i] =
-        sens_output[i] * std::fabs(activate_grad(activation_, cached_input_[i]));
-  }
+  gate_sensitivity(activation_, nullptr, cached_input_.data(),
+                   sens_output.data(), sens_input.data(), sens_input.numel());
   return sens_input;
 }
 

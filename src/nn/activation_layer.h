@@ -73,6 +73,11 @@ class ActivationLayer : public Layer {
   /// run activate_grad_from_output and skip the transcendental recompute.
   /// Null after a value-path forward().
   const Tensor* cached_output_view_ = nullptr;
+
+  /// The cached forward output's data, or null after a value-path forward().
+  const float* output_data() const {
+    return cached_output_view_ ? cached_output_view_->data() : nullptr;
+  }
 };
 
 }  // namespace dnnv::nn

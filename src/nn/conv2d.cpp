@@ -57,7 +57,7 @@ void Conv2d::forward_into(std::size_t, const Tensor& input, Tensor& output,
   cached_out_w_ = out_shape[3];
   const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
 
-  cached_input_ = input;
+  cached_input_shape_ = input.shape();
   // resize() (not reconstruction) so the im2col cache storage is reused
   // across calls of the same batch shape.
   cached_cols_.resize(Shape{n, col_rows(), out_plane});
@@ -82,28 +82,13 @@ void Conv2d::forward_into(std::size_t, const Tensor& input, Tensor& output,
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
-  Tensor grad_input(cached_input_.shape());
-  backward_into(0, grad_output, grad_input, scratch_ws_);
-  return grad_input;
-}
-
-void Conv2d::backward_into(std::size_t index, const Tensor& grad_output,
-                           Tensor& grad_input, Workspace& ws) {
-  const std::int64_t n = cached_input_.shape()[0];
-  const std::int64_t h = cached_input_.shape()[2];
-  const std::int64_t w = cached_input_.shape()[3];
+  const std::int64_t n = cached_input_shape_[0];
   const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
   DNNV_CHECK(grad_output.shape() ==
                  Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
              "grad_output shape " << grad_output.shape() << " unexpected");
-
-  grad_input.fill(0.0f);  // col2im accumulates
-  Tensor& col_grad =
-      ws.buffer(index, kSlotScratch0, Shape{col_rows(), out_plane});
-  const std::int64_t in_stride = config_.in_channels * h * w;
   const std::int64_t col_stride = col_rows() * out_plane;
   const std::int64_t out_stride = config_.out_channels * out_plane;
-
   for (std::int64_t i = 0; i < n; ++i) {
     const float* dy = grad_output.data() + i * out_stride;
     const float* cols = cached_cols_.data() + i * col_stride;
@@ -116,6 +101,30 @@ void Conv2d::backward_into(std::size_t index, const Tensor& grad_output,
       for (std::int64_t p = 0; p < out_plane; ++p) acc += plane[p];
       bias_grad_[oc] += acc;
     }
+  }
+  Tensor grad_input(cached_input_shape_);
+  backward_into(0, grad_output, grad_input, scratch_ws_);
+  return grad_input;
+}
+
+void Conv2d::backward_into(std::size_t index, const Tensor& grad_output,
+                           Tensor& grad_input, Workspace& ws) {
+  const std::int64_t n = cached_input_shape_[0];
+  const std::int64_t h = cached_input_shape_[2];
+  const std::int64_t w = cached_input_shape_[3];
+  const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
+  DNNV_CHECK(grad_output.shape() ==
+                 Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
+             "grad_output shape " << grad_output.shape() << " unexpected");
+
+  grad_input.fill(0.0f);  // col2im accumulates
+  Tensor& col_grad =
+      ws.buffer(index, kSlotScratch0, Shape{col_rows(), out_plane});
+  const std::int64_t in_stride = config_.in_channels * h * w;
+  const std::int64_t out_stride = config_.out_channels * out_plane;
+
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* dy = grad_output.data() + i * out_stride;
     // dcol[ick, P] = W^T[ick, out_c] * dy[out_c, P]
     gemm(true, false, col_rows(), out_plane, config_.out_channels, 1.0f,
          weights_.data(), dy, 0.0f, col_grad.data());
@@ -126,7 +135,7 @@ void Conv2d::backward_into(std::size_t index, const Tensor& grad_output,
 }
 
 Tensor Conv2d::sensitivity_backward(const Tensor& sens_output) {
-  Tensor sens_input(cached_input_.shape());
+  Tensor sens_input(cached_input_shape_);
   sensitivity_backward_into(0, sens_output, sens_input, scratch_ws_);
   return sens_input;
 }
@@ -134,15 +143,14 @@ Tensor Conv2d::sensitivity_backward(const Tensor& sens_output) {
 void Conv2d::sensitivity_backward_into(std::size_t index,
                                        const Tensor& sens_output,
                                        Tensor& sens_input, Workspace& ws) {
-  const std::int64_t n = cached_input_.shape()[0];
+  const std::int64_t n = cached_input_shape_[0];
   DNNV_CHECK(sens_output.shape() ==
                  Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
              "sens_output shape " << sens_output.shape() << " unexpected");
   sens_input.fill(0.0f);  // col2im accumulates
   const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
-  const std::int64_t in_stride = config_.in_channels *
-                                 cached_input_.shape()[2] *
-                                 cached_input_.shape()[3];
+  const std::int64_t in_stride =
+      config_.in_channels * cached_input_shape_[2] * cached_input_shape_[3];
   const std::int64_t out_stride = config_.out_channels * out_plane;
   for (std::int64_t i = 0; i < n; ++i) {
     sensitivity_item(index, i, sens_output.data() + i * out_stride,
@@ -153,7 +161,7 @@ void Conv2d::sensitivity_backward_into(std::size_t index,
 void Conv2d::sensitivity_backward_item(std::size_t index, std::int64_t item,
                                        const Tensor& sens_output,
                                        Tensor& sens_input, Workspace& ws) {
-  DNNV_CHECK(item >= 0 && item < cached_input_.shape()[0],
+  DNNV_CHECK(item >= 0 && item < cached_input_shape_[0],
              "item " << item << " outside cached batch");
   DNNV_CHECK(sens_output.shape() ==
                  Shape({1, config_.out_channels, cached_out_h_, cached_out_w_}),
@@ -174,8 +182,8 @@ void Conv2d::sensitivity_backward_item(std::size_t index, std::int64_t item,
 void Conv2d::sensitivity_item(std::size_t index, std::int64_t item,
                               const float* s_out, float* sens_image,
                               Workspace& ws) {
-  const std::int64_t h = cached_input_.shape()[2];
-  const std::int64_t w = cached_input_.shape()[3];
+  const std::int64_t h = cached_input_shape_[2];
+  const std::int64_t w = cached_input_shape_[3];
   const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
   const std::int64_t col_stride = col_rows() * out_plane;
 

@@ -64,9 +64,10 @@ class Conv2d : public Layer {
   Tensor weight_grad_;  // [out_c, in_c*k*k]
   Tensor bias_grad_;    // [out_c]
 
-  // Caches from the last forward (per batch item im2col buffers).
-  Tensor cached_input_;   // [N, C, H, W]
-  Tensor cached_cols_;    // [N, col_rows, out_h*out_w]
+  // Caches from the last forward: the input's shape and its per-item im2col
+  // buffers, which are all the reverse and sensitivity passes read.
+  Shape cached_input_shape_;  // [N, C, H, W]
+  Tensor cached_cols_;        // [N, col_rows, out_h*out_w]
   std::int64_t cached_out_h_ = 0;
   std::int64_t cached_out_w_ = 0;
 

@@ -51,6 +51,16 @@ void Dense::forward_into(std::size_t, const Tensor& input, Tensor& output,
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
+  const std::int64_t n = cached_input_.shape()[0];
+  DNNV_CHECK(grad_output.shape() == Shape({n, out_features_}),
+             "grad_output shape " << grad_output.shape() << " unexpected");
+  // dW[out,in] += dy^T[out,N] * x[N,in]
+  gemm(true, false, out_features_, in_features_, n, 1.0f, grad_output.data(),
+       cached_input_.data(), 1.0f, weight_grad_.data());
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* row = grad_output.data() + i * out_features_;
+    for (std::int64_t j = 0; j < out_features_; ++j) bias_grad_[j] += row[j];
+  }
   Tensor grad_input(cached_input_.shape());
   Workspace scratch;
   backward_into(0, grad_output, grad_input, scratch);
@@ -62,13 +72,6 @@ void Dense::backward_into(std::size_t, const Tensor& grad_output,
   const std::int64_t n = cached_input_.shape()[0];
   DNNV_CHECK(grad_output.shape() == Shape({n, out_features_}),
              "grad_output shape " << grad_output.shape() << " unexpected");
-  // dW[out,in] += dy^T[out,N] * x[N,in]
-  gemm(true, false, out_features_, in_features_, n, 1.0f, grad_output.data(),
-       cached_input_.data(), 1.0f, weight_grad_.data());
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* row = grad_output.data() + i * out_features_;
-    for (std::int64_t j = 0; j < out_features_; ++j) bias_grad_[j] += row[j];
-  }
   // dx[N,in] = dy[N,out] * W[out,in]
   gemm(false, false, n, in_features_, out_features_, 1.0f, grad_output.data(),
        weights_.data(), 0.0f, grad_input.data());

@@ -27,11 +27,18 @@ struct ParamView {
 /// Base class for all layers.
 ///
 /// Protocol (single-threaded per instance; clone() for parallel use):
-///   1. forward(x) caches whatever the backward passes need.
-///   2. backward(grad_out) consumes the cache of the most recent forward and
-///      ACCUMULATES parameter gradients into the grad buffers; returns the
-///      gradient w.r.t. the layer input.
-///   3. sensitivity_backward(sens_out) is the absolute-value analogue used by
+///   1. forward(x) / forward_into caches whatever the reverse passes need.
+///   2. backward(grad_out) is the value path (training, gradcheck, the
+///      attacks, the per-class exact coverage engine): it ACCUMULATES
+///      parameter gradients into the grad buffers and returns the gradient
+///      w.r.t. the layer input.
+///   3. backward_into(grad_out) is the workspace path behind
+///      Sequential::input_gradient: it writes the same input gradient and
+///      nothing else — the grad buffers are left untouched. A layer with
+///      parameters therefore overrides both, its backward() accumulating
+///      dW/db and then calling backward_into() for the input gradient; for
+///      a layer without parameters the two compute the same thing.
+///   4. sensitivity_backward(sens_out) is the absolute-value analogue used by
 ///      the parameter-coverage engine: sens_out is elementwise nonnegative,
 ///      propagation uses |W| and |activation'|, and the resulting parameter
 ///      sensitivities are ACCUMULATED INTO THE SAME grad buffers (gradients
@@ -54,19 +61,22 @@ class Layer {
 
   // ---- Batched engine entry points (see nn/workspace.h) ----
   //
-  // The *_into variants compute the same function as forward/backward/
-  // sensitivity_backward but write into a caller-provided buffer (already
-  // shaped via output_shape) and take scratch from the workspace, so a
-  // warmed-up pass performs no allocations. `index` is the layer's position
-  // in its Sequential and namespaces its workspace slots. Defaults fall back
-  // to the allocating methods — layers override them on the hot paths.
+  // The *_into variants write into a caller-provided buffer (already shaped
+  // via output_shape) and take scratch from the workspace, so a warmed-up
+  // pass performs no allocations. `index` is the layer's position in its
+  // Sequential and namespaces its workspace slots. forward_into and
+  // sensitivity_backward_into compute the same function as forward and
+  // sensitivity_backward; backward_into computes only the input gradient
+  // (protocol step 3). Defaults fall back to the allocating methods —
+  // layers override them on the hot paths.
 
-  /// Batched forward into `output`; must also populate the layer's backward
+  /// Batched forward into `output`; must also populate the layer's reverse
   /// caches exactly like forward().
   virtual void forward_into(std::size_t index, const Tensor& input,
                             Tensor& output, Workspace& ws);
 
-  /// Reverse-mode pass into `grad_input` (shaped like the cached input).
+  /// Input gradient into `grad_input` (shaped like the cached input); never
+  /// touches the parameter-gradient buffers.
   virtual void backward_into(std::size_t index, const Tensor& grad_output,
                              Tensor& grad_input, Workspace& ws);
 

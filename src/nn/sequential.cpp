@@ -111,10 +111,11 @@ const Tensor& Sequential::forward_with_activations(
   return *value;
 }
 
-const Tensor& Sequential::backward(const Tensor& grad_logits, Workspace& ws) {
+const Tensor& Sequential::input_gradient(const Tensor& grad_logits,
+                                        Workspace& ws) {
   const auto& shapes = ws.shapes();
   DNNV_CHECK(shapes.size() == layers_.size(),
-             "workspace backward without a prior workspace forward");
+             "input gradient without a prior workspace forward");
   const Tensor* grad = &grad_logits;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     Tensor& grad_in = ws.buffer(i, kSlotGrad, shapes[i]);

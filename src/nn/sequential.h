@@ -47,7 +47,8 @@ class Sequential {
                                   std::vector<Tensor>& activations);
 
   /// Reverse-mode pass; call after forward. Accumulates parameter gradients
-  /// and returns the gradient w.r.t. the model input.
+  /// and returns the gradient w.r.t. the model input (training, gradcheck,
+  /// the attacks and the per-class exact coverage engine run on it).
   Tensor backward(const Tensor& grad_logits);
 
   /// Absolute-sensitivity pass; call after forward. Accumulates parameter
@@ -56,10 +57,12 @@ class Sequential {
 
   // ---- Batched engine (see nn/workspace.h) ----
   //
-  // Same math as the value-returning methods above, but every intermediate
-  // activation lives in `ws`, so a warmed-up pass performs no allocations.
-  // The returned references point into `ws` and stay valid until its next
-  // use. One Workspace serves one model instance on one thread.
+  // Every intermediate activation lives in `ws`, so a warmed-up pass
+  // performs no allocations. The returned references point into `ws` and
+  // stay valid until its next use. One Workspace serves one model instance
+  // on one thread. The forward and sensitivity passes compute the same
+  // floats as the value-returning methods above. The only reverse pass is
+  // input_gradient: parameter gradients come from the value path alone.
 
   /// Batched forward; returns the logits buffer.
   const Tensor& forward(const Tensor& input, Workspace& ws);
@@ -69,8 +72,11 @@ class Sequential {
   const Tensor& forward_with_activations(const Tensor& input, Workspace& ws,
                                          std::vector<const Tensor*>& activations);
 
-  /// Reverse-mode pass over the most recent workspace forward.
-  const Tensor& backward(const Tensor& grad_logits, Workspace& ws);
+  /// Gradient w.r.t. the model input of the most recent workspace forward:
+  /// bit for bit the value backward()'s result, but no parameter gradient
+  /// is computed and every grad buffer is left as it was. This is all that
+  /// input synthesis (Algorithm 2: x <- x - eta * dL/dx) needs.
+  const Tensor& input_gradient(const Tensor& grad_logits, Workspace& ws);
 
   /// Absolute-sensitivity pass over the most recent workspace forward.
   const Tensor& sensitivity_backward(const Tensor& sens_logits, Workspace& ws);

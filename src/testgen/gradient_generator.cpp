@@ -65,20 +65,19 @@ Tensor GradientGenerator::generate_batch_tensor(nn::Sequential& loss_model,
   // Mean-reduced CE divides gradients by k; scale the step so learning_rate
   // acts on per-sample gradients (Algorithm 2 line 7 is per-sample).
   // The descent runs on the workspace engine: activations and gradient
-  // buffers are allocated once and reused for all T steps.
+  // buffers are allocated once and reused for all T steps, and each step
+  // computes only dL/dx (line 7 updates the input, never a parameter).
   nn::Workspace ws;
   const float step = options_.learning_rate * static_cast<float>(num_classes);
   for (int t = 0; t < options_.steps; ++t) {
     const Tensor& logits = loss_model.forward(batch, ws);
     const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
-    loss_model.zero_grads();
-    const Tensor& grad_input = loss_model.backward(loss.grad_logits, ws);
+    const Tensor& grad_input = loss_model.input_gradient(loss.grad_logits, ws);
     for (std::int64_t i = 0; i < batch.numel(); ++i) {
       batch[i] -= step * grad_input[i];
     }
     clamp_(batch, options_.clamp_lo, options_.clamp_hi);
   }
-  loss_model.zero_grads();
   return batch;
 }
 
@@ -99,8 +98,7 @@ GenerationResult GradientGenerator::generate(
 
   std::vector<DynamicBitset> masks;  ///< storage reused across batches
   int batch_index = 0;
-  while (static_cast<int>(result.tests.size()) + num_classes <=
-         options_.max_tests) {
+  while (static_cast<int>(result.tests.size()) < options_.max_tests) {
     nn::Sequential loss_model =
         mask_activated
             ? masked_model(model, accumulator.covered())
@@ -111,7 +109,10 @@ GenerationResult GradientGenerator::generate(
     // against the IP that ships, not the masked scratch copy) — one batched
     // forward for the whole synthetic batch.
     criterion->measure(batch, masks);
-    for (int i = 0; i < num_classes; ++i) {
+    // The last batch ships only the items the budget has room for.
+    for (int i = 0; i < num_classes &&
+                    static_cast<int>(result.tests.size()) < options_.max_tests;
+         ++i) {
       accumulator.add(masks[static_cast<std::size_t>(i)]);
       FunctionalTest test;
       test.input = slice_batch(batch, i);

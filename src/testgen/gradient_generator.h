@@ -23,7 +23,7 @@ namespace dnnv::testgen {
 class GradientGenerator {
  public:
   struct Options {
-    int max_tests = 50;           ///< Nt (rounded down to whole k-batches)
+    int max_tests = 50;           ///< Nt; the last k-batch is cut to fit
     int steps = 80;               ///< T — gradient-descent updates per batch
     float learning_rate = 0.5f;   ///< η (applied to the per-sample gradient)
     /// Zero already-activated parameters in the loss model (paper §IV-C's
@@ -53,8 +53,10 @@ class GradientGenerator {
 
   explicit GradientGenerator(Options options) : options_(options) {}
 
-  /// Generates batches of k tests until the budget is reached, measuring
-  /// coverage against `model` and updating `accumulator` after each test.
+  /// Generates batches of k tests until exactly max_tests are emitted (a
+  /// last batch that does not fit contributes only its first items),
+  /// measuring coverage against `model` and updating `accumulator` after
+  /// each test.
   /// `criterion` (borrowed, optional) replaces the default parameter-
   /// activation metric built from Options::coverage: synthesised batches
   /// are measured by it, and the masked-model steering applies only when
@@ -74,7 +76,8 @@ class GradientGenerator {
   /// Batch-tensor variant of generate_batch: returns the synthesised
   /// [k, item...] tensor un-sliced, ready for the batched coverage engine.
   /// The descent loop itself runs on the workspace engine (no per-step
-  /// allocations).
+  /// allocations) and its reverse pass is Sequential::input_gradient, so
+  /// `loss_model`'s parameter-gradient buffers are left untouched.
   Tensor generate_batch_tensor(nn::Sequential& loss_model,
                                const Shape& item_shape, int num_classes,
                                int batch_index, Rng& rng) const;

@@ -1,8 +1,11 @@
-// Layer-level tests: shapes, semantics, and finite-difference gradient
-// verification across every layer type and activation kind.
+// Layer-level tests: shapes, semantics, finite-difference gradient
+// verification across every layer type and activation kind, and the
+// reverse-pass contract (input_gradient vs the value-path backward).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "nn/activation_layer.h"
 #include "nn/builder.h"
@@ -14,7 +17,9 @@
 #include "nn/maxpool2d.h"
 #include "nn/normalize.h"
 #include "nn/sequential.h"
+#include "nn/workspace.h"
 #include "tensor/batch.h"
+#include "tests/test_nets.h"
 #include "util/error.h"
 
 namespace dnnv::nn {
@@ -320,6 +325,145 @@ TEST(BatchConsistencyTest, BatchedForwardEqualsPerItem) {
     const Tensor single = model.forward(stack_batch({items[static_cast<std::size_t>(i)]}));
     for (std::int64_t j = 0; j < 5; ++j) {
       EXPECT_NEAR(batched[i * 5 + j], single[j], 1e-4f);
+    }
+  }
+}
+
+// ---------- Reverse-pass contract ----------
+
+constexpr ActivationKind kAllKinds[] = {
+    ActivationKind::kReLU, ActivationKind::kTanh, ActivationKind::kSigmoid,
+    ActivationKind::kLeakyReLU};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
+}
+
+void set_backward_leak(Sequential& model, float leak) {
+  for (std::size_t l = 0; l < model.num_layers(); ++l) {
+    if (auto* act = dynamic_cast<ActivationLayer*>(&model.layer(l))) {
+      act->set_backward_leak(leak);
+    }
+  }
+}
+
+TEST(ReversePassTest, InputGradientMatchesValueBackwardAndLeavesGradsZero) {
+  struct Net {
+    std::string name;
+    Sequential model;
+    Tensor batch;
+  };
+  std::vector<Net> nets;
+  for (const auto& c : test_nets::random_conv_cases()) {
+    nets.push_back({c.name, c.model(), stack_batch(c.probes())});
+  }
+  for (const ActivationKind kind : kAllKinds) {
+    Rng rng(60);
+    Net net{"mlp-" + to_string(kind), build_mlp(7, {9, 6}, 4, kind, rng), {}};
+    // Non-zero biases, so no unit sits exactly at its kink for every input.
+    for (const ParamView& view : net.model.param_views()) {
+      if (!view.is_bias) continue;
+      for (std::int64_t i = 0; i < view.size; ++i) {
+        view.data[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+      }
+    }
+    net.batch = stack_batch(test_nets::probe_pool(5, Shape{7}, 61));
+    nets.push_back(std::move(net));
+  }
+
+  for (Net& net : nets) {
+    for (const float leak : {0.0f, 0.05f}) {
+      SCOPED_TRACE(net.name + " leak " + std::to_string(leak));
+      set_backward_leak(net.model, leak);
+      const Shape logits_shape = net.model.output_shape(net.batch.shape());
+      Rng grad_rng(62);
+      const Tensor grad_logits = Tensor::randn(logits_shape, grad_rng);
+
+      net.model.zero_grads();
+      Workspace ws;
+      net.model.forward(net.batch, ws);
+      const Tensor input_grad = net.model.input_gradient(grad_logits, ws);
+      for (const ParamView& view : net.model.param_views()) {
+        for (std::int64_t i = 0; i < view.size; ++i) {
+          ASSERT_EQ(view.grad[i], 0.0f) << view.name << "[" << i << "]";
+        }
+      }
+
+      net.model.forward(net.batch);
+      const Tensor value_grad = net.model.backward(grad_logits);
+      EXPECT_TRUE(same_bits(input_grad, value_grad));
+      EXPECT_GT(max_abs(input_grad), 0.0f);
+      // The value path did accumulate parameter gradients.
+      float grad_norm = 0.0f;
+      for (const ParamView& view : net.model.param_views()) {
+        for (std::int64_t i = 0; i < view.size; ++i) {
+          grad_norm += std::fabs(view.grad[i]);
+        }
+      }
+      EXPECT_GT(grad_norm, 0.0f);
+      net.model.zero_grads();
+    }
+  }
+}
+
+TEST(ReversePassTest, PerKindActivationLoopsMatchScalarFunctions) {
+  const float denormal = std::numeric_limits<float>::denorm_min() * 3.0f;
+  const std::vector<float> row{0.0f,  -0.0f, denormal, -denormal, 1e-3f,
+                               -1e-3f, 1.0f, -1.0f,    30.0f,     -30.0f};
+  const auto width = static_cast<std::int64_t>(row.size());
+  // Item 1 holds the same values in reverse order, so the per-item pass
+  // must pick the right slice of the cached forward output.
+  std::vector<float> x_data(row);
+  x_data.insert(x_data.end(), row.rbegin(), row.rend());
+  const Tensor x(Shape{2, width}, x_data);
+  // Alternating signs: a zero gate under a negative upstream value must give
+  // -0.0f, as the scalar product does.
+  std::vector<float> g_data;
+  for (std::int64_t i = 0; i < 2 * width; ++i) {
+    g_data.push_back((i % 2 == 0 ? -1.0f : 1.0f) *
+                     (0.75f + 0.25f * static_cast<float>(i)));
+  }
+  const Tensor upstream(Shape{2, width}, g_data);
+
+  for (const ActivationKind kind : kAllKinds) {
+    SCOPED_TRACE(to_string(kind));
+    ActivationLayer layer(kind);
+    Workspace ws;
+    Tensor y(x.shape());
+    layer.forward_into(0, x, y, ws);
+    Tensor expected_y(x.shape());
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      expected_y[i] = activate(kind, x[i]);
+    }
+    EXPECT_TRUE(same_bits(y, expected_y));
+
+    for (const float leak : {0.0f, 0.05f}) {
+      layer.set_backward_leak(leak);
+      Tensor dx(x.shape());
+      layer.backward_into(0, upstream, dx, ws);
+      Tensor expected_dx(x.shape());
+      for (std::int64_t i = 0; i < x.numel(); ++i) {
+        float gate = activate_grad(kind, x[i]);
+        if (leak != 0.0f && gate < leak) gate = leak;
+        expected_dx[i] = upstream[i] * gate;
+      }
+      EXPECT_TRUE(same_bits(dx, expected_dx)) << "leak " << leak;
+    }
+
+    for (std::int64_t item = 0; item < 2; ++item) {
+      const Tensor s_out(Shape{1, width},
+                         std::vector<float>(g_data.begin() + item * width,
+                                            g_data.begin() + (item + 1) * width));
+      Tensor s_in(Shape{1, width});
+      layer.sensitivity_backward_item(0, item, s_out, s_in, ws);
+      Tensor expected_s(Shape{1, width});
+      for (std::int64_t i = 0; i < width; ++i) {
+        expected_s[i] =
+            s_out[i] * std::fabs(activate_grad(kind, x[item * width + i]));
+      }
+      EXPECT_TRUE(same_bits(s_in, expected_s)) << "item " << item;
     }
   }
 }

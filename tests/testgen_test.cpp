@@ -2,7 +2,10 @@
 // synthesis, the combined switch rule, and the baselines.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "coverage/parameter_coverage.h"
+#include "nn/activation_layer.h"
 #include "nn/builder.h"
 #include "nn/loss.h"
 #include "tensor/batch.h"
@@ -10,6 +13,7 @@
 #include "testgen/gradient_generator.h"
 #include "testgen/greedy_selector.h"
 #include "testgen/neuron_selector.h"
+#include "tests/test_nets.h"
 #include "util/error.h"
 
 namespace dnnv::testgen {
@@ -216,19 +220,127 @@ TEST(GradientGeneratorTest, MaskedModelZeroesCoveredParams) {
 
 TEST(GradientGeneratorTest, GenerateFillsBudgetInClassBatches) {
   Sequential model = small_relu_net(74);
-  cov::CoverageAccumulator acc(static_cast<std::size_t>(model.param_count()));
   GradientGenerator::Options options;
-  options.max_tests = 10;  // 2 full batches of k=4 fit
   options.steps = 20;
-  const auto result =
-      GradientGenerator(options).generate(model, Shape{6}, 4, acc);
-  EXPECT_EQ(result.tests.size(), 8u);
+  auto run = [&](int budget) {
+    cov::CoverageAccumulator acc(
+        static_cast<std::size_t>(model.param_count()));
+    options.max_tests = budget;
+    return GradientGenerator(options).generate(model, Shape{6}, 4, acc);
+  };
+  // Budget 10 with k = 4: two whole batches, then the first 2 items of a
+  // third.
+  const auto result = run(10);
+  ASSERT_EQ(result.tests.size(), 10u);
+  ASSERT_EQ(result.coverage_after.size(), 10u);
   for (const auto& test : result.tests) {
     EXPECT_EQ(test.source, TestSource::kSynthetic);
     EXPECT_EQ(test.pool_index, -1);
   }
   for (std::size_t i = 1; i < result.coverage_after.size(); ++i) {
     EXPECT_GE(result.coverage_after[i], result.coverage_after[i - 1]);
+  }
+  // A budget that is a multiple of k is a prefix of the longer run.
+  const auto whole = run(8);
+  ASSERT_EQ(whole.tests.size(), 8u);
+  for (std::size_t i = 0; i < whole.tests.size(); ++i) {
+    EXPECT_TRUE(whole.tests[i].input.same_shape(result.tests[i].input));
+    EXPECT_EQ(std::memcmp(whole.tests[i].input.data(),
+                          result.tests[i].input.data(),
+                          sizeof(float) * static_cast<std::size_t>(
+                                              whole.tests[i].input.numel())),
+              0)
+        << "test " << i;
+    EXPECT_EQ(whole.coverage_after[i], result.coverage_after[i]);
+  }
+  // A budget below k ships part of the first batch instead of nothing.
+  EXPECT_EQ(run(3).tests.size(), 3u);
+}
+
+// Algorithm 2 written on the value path: Sequential::forward(x) and
+// backward(g) with the generator's init, step, leak and clamp. The
+// workspace descent of generate_batch_tensor must reproduce it bit for bit.
+Tensor reference_descent(Sequential& loss_model,
+                         const GradientGenerator::Options& options,
+                         const Shape& item_shape, int num_classes,
+                         int batch_index, Rng& rng) {
+  for (std::size_t l = 0; l < loss_model.num_layers(); ++l) {
+    if (auto* act = dynamic_cast<nn::ActivationLayer*>(&loss_model.layer(l))) {
+      act->set_backward_leak(options.backward_leak);
+    }
+  }
+  std::vector<std::int64_t> dims{num_classes};
+  dims.insert(dims.end(), item_shape.dims().begin(), item_shape.dims().end());
+  Tensor batch{Shape(dims)};
+  if (batch_index > 0 && options.init_stddev > 0.0f) {
+    for (std::int64_t i = 0; i < batch.numel(); ++i) {
+      batch[i] = static_cast<float>(
+          rng.normal(0.0, static_cast<double>(options.init_stddev)));
+    }
+    clamp_(batch, options.clamp_lo, options.clamp_hi);
+  }
+  std::vector<int> labels;
+  for (int i = 0; i < num_classes; ++i) labels.push_back(i);
+  const float step = options.learning_rate * static_cast<float>(num_classes);
+  for (int t = 0; t < options.steps; ++t) {
+    const Tensor logits = loss_model.forward(batch);
+    const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
+    loss_model.zero_grads();
+    const Tensor grad = loss_model.backward(loss.grad_logits);
+    for (std::int64_t i = 0; i < batch.numel(); ++i) {
+      batch[i] -= step * grad[i];
+    }
+    clamp_(batch, options.clamp_lo, options.clamp_hi);
+  }
+  return batch;
+}
+
+TEST(GradientGeneratorTest, WorkspaceDescentMatchesValuePathReference) {
+  struct Case {
+    const char* name;
+    Sequential model;
+    Shape item_shape;
+  };
+  std::vector<Case> cases;
+  const auto conv = test_nets::random_conv_cases().front();
+  ASSERT_EQ(conv.activation, ActivationKind::kReLU);
+  cases.push_back({"relu-conv", conv.model(), Shape{conv.c, conv.h, conv.w}});
+  Rng mlp_rng(75);
+  Sequential mlp = nn::build_mlp(6, {10, 8}, 4, ActivationKind::kTanh, mlp_rng);
+  for (const auto& view : mlp.param_views()) {
+    if (!view.is_bias) continue;
+    for (std::int64_t i = 0; i < view.size; ++i) {
+      view.data[i] = static_cast<float>(mlp_rng.uniform(-0.5, 0.5));
+    }
+  }
+  cases.push_back({"tanh-mlp", std::move(mlp), Shape{6}});
+
+  GradientGenerator::Options options;
+  options.steps = 25;
+  const GradientGenerator generator(options);
+  for (Case& c : cases) {
+    std::vector<std::int64_t> one_item{1};
+    one_item.insert(one_item.end(), c.item_shape.dims().begin(),
+                    c.item_shape.dims().end());
+    const int k = static_cast<int>(c.model.output_shape(Shape(one_item))[1]);
+    for (int batch_index : {0, 1}) {
+      SCOPED_TRACE(std::string(c.name) + " batch " +
+                   std::to_string(batch_index));
+      Rng rng(76);
+      Sequential loss_model = c.model.clone();
+      const Tensor got = generator.generate_batch_tensor(
+          loss_model, c.item_shape, k, batch_index, rng);
+      Rng ref_rng(76);
+      Sequential ref_model = c.model.clone();
+      const Tensor want = reference_descent(ref_model, options, c.item_shape,
+                                            k, batch_index, ref_rng);
+      ASSERT_TRUE(got.same_shape(want));
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            sizeof(float) * static_cast<std::size_t>(
+                                                got.numel())),
+                0);
+      EXPECT_GT(max_abs(got), 0.0f);
+    }
   }
 }
 
