@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: GEMM, conv
-// forward/backward, one Algorithm 2 synthesis step, the two coverage passes,
-// and bitset set algebra.
+// forward/backward, the direct conv passes, one Algorithm 2 synthesis step,
+// the two coverage passes, and bitset set algebra.
 //
 // On top of google-benchmark's own flags (--benchmark_filter,
 // --benchmark_min_time, ...) this main speaks the repo's BENCH_*.json
@@ -20,6 +20,7 @@
 #include "coverage/parameter_coverage.h"
 #include "nn/activation_layer.h"
 #include "nn/builder.h"
+#include "nn/conv2d.h"
 #include "nn/loss.h"
 #include "tensor/batch.h"
 #include "tensor/gemm.h"
@@ -115,6 +116,57 @@ void BM_SynthesisStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10);
 }
 BENCHMARK(BM_SynthesisStep);
+
+// The two passes of Algorithm 2's descent step that Conv2d runs as direct
+// convolutions, on a k = 10 batch: shape 0 is cifar_relu_tiny's second conv
+// ([10, 8, 32, 32] -> 8), shape 1 bench_convnet's third ([10, 16, 16, 16] ->
+// 32, 144 taps); both 3x3, pad 1. Items are multiply-accumulates, so
+// items/s reads as MAC/s.
+struct ConvShape {
+  std::int64_t channels, size, out_channels;
+};
+constexpr ConvShape kConvShapes[] = {{8, 32, 8}, {16, 16, 32}};
+
+struct ConvBench {
+  explicit ConvBench(const ConvShape& s, Rng& rng)
+      : conv({s.channels, s.out_channels, 3, 1, 1}, rng),
+        input(Tensor::rand_uniform(Shape{10, s.channels, s.size, s.size}, rng,
+                                   -1.0f, 1.0f)),
+        output(conv.output_shape(input.shape())),
+        macs(output.numel() * s.channels * 9) {}
+  nn::Conv2d conv;
+  Tensor input;
+  Tensor output;
+  std::int64_t macs;
+  nn::Workspace ws;
+};
+
+void BM_Conv2dForward(benchmark::State& state) {
+  Rng rng(11);
+  ConvBench b(kConvShapes[state.range(0)], rng);
+  for (auto _ : state) {
+    b.conv.forward_into(0, b.input, b.output, b.ws);
+    benchmark::DoNotOptimize(b.output.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * b.macs);
+}
+BENCHMARK(BM_Conv2dForward)->Arg(0)->Arg(1)->ArgNames({"shape"});
+
+void BM_Conv2dInputGradient(benchmark::State& state) {
+  Rng rng(12);
+  ConvBench b(kConvShapes[state.range(0)], rng);
+  b.conv.forward_into(0, b.input, b.output, b.ws);
+  const Tensor grad_output = Tensor::randn(b.output.shape(), rng);
+  Tensor grad_input(b.input.shape());
+  for (auto _ : state) {
+    b.conv.backward_into(0, grad_output, grad_input, b.ws);
+    benchmark::DoNotOptimize(grad_input.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * b.macs);
+}
+BENCHMARK(BM_Conv2dInputGradient)->Arg(0)->Arg(1)->ArgNames({"shape"});
 
 void BM_CoverageMask(benchmark::State& state) {
   const bool exact = state.range(0) != 0;

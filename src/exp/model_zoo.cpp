@@ -76,10 +76,12 @@ bool load_cached(const std::string& path, TrainedModel& trained) {
   return true;
 }
 
-TrainedModel train_entry(const ZooEntry& entry,
-                         const data::MaterializedData& train_data,
-                         const data::MaterializedData& test_data,
-                         const ZooOptions& options) {
+/// `make_set(count)` builds the train or test split; both are built only on
+/// a cache miss, since a cached entry needs neither.
+using MakeSet = data::MaterializedData (*)(std::int64_t);
+
+TrainedModel train_entry(const ZooEntry& entry, MakeSet make_train,
+                         MakeSet make_test, const ZooOptions& options) {
   TrainedModel trained;
   trained.name = entry.name;
   trained.item_shape = Shape{std::vector<std::int64_t>{
@@ -92,6 +94,8 @@ TrainedModel train_entry(const ZooEntry& entry,
     return trained;
   }
 
+  const data::MaterializedData train_data = make_train(entry.train_count);
+  const data::MaterializedData test_data = make_test(entry.test_count);
   Rng init_rng(entry.init_seed);
   trained.model = nn::build_convnet(entry.spec, init_rng);
   if (options.verbose) {
@@ -166,8 +170,7 @@ TrainedModel mnist_tanh(const ZooOptions& options) {
     entry.test_count = 1000;
     entry.train.epochs = 10;
   }
-  return train_entry(entry, digits_train(entry.train_count),
-                     digits_test(entry.test_count), options);
+  return train_entry(entry, digits_train, digits_test, options);
 }
 
 TrainedModel cifar_relu(const ZooOptions& options) {
@@ -205,8 +208,7 @@ TrainedModel cifar_relu(const ZooOptions& options) {
     entry.test_count = 1000;
     entry.train.epochs = 14;
   }
-  return train_entry(entry, shapes_train(entry.train_count),
-                     shapes_test(entry.test_count), options);
+  return train_entry(entry, shapes_train, shapes_test, options);
 }
 
 data::MaterializedData digits_train(std::int64_t count) {

@@ -202,7 +202,7 @@ UniverseConfig UniverseConfig::load(ByteReader& reader) {
   c.requant = reader.read_u8() != 0;
   c.accumulator = reader.read_u8() != 0;
   auto read_ints = [&reader] {
-    std::vector<int> v(reader.read_u64());
+    std::vector<int> v(reader.read_count(sizeof(std::int64_t)));
     for (int& b : v) b = static_cast<int>(reader.read_i64());
     return v;
   };
@@ -330,9 +330,10 @@ void FaultUniverse::save(ByteWriter& writer) const {
 
 FaultUniverse FaultUniverse::load(ByteReader& reader) {
   FaultUniverse u;
-  const std::uint64_t count = reader.read_u64();
+  // A Fault is five u8 fields and an i64 unit.
+  const std::size_t count = reader.read_count(5 + sizeof(std::int64_t));
   u.faults_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     u.faults_.push_back(Fault::load(reader));
   }
   return u;

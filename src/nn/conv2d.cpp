@@ -1,5 +1,6 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -9,6 +10,96 @@
 #include "util/error.h"
 
 namespace dnnv::nn {
+namespace {
+
+// The direct kernels behind forward_into and backward_into. Both passes are
+// one-dimensional correlations over a zero-padded copy of one batch item:
+// with the copy's rows `wide` floats apart, every tap of the output at wide
+// position q = y * wide + x sits at q + (an offset fixed per tap), so a tile
+// of consecutive positions reads each tap as one contiguous run and never
+// branches on the border. Columns x >= width of the wide plane are junk,
+// computed and dropped by store_tile.
+//
+// A tile is kRows rows by kNR positions. The forward pass uses the float
+// GEMM's micro-tile, kMR output channels by kNR positions. The input
+// gradient adds one short dot product per tap into each pixel, so its tile
+// is kGradRows input channels by kNR positions: the dot products and the
+// pixel sums both stay in registers, and the first conv's one or three
+// input channels waste few rows.
+constexpr std::int64_t kMR = 8;
+constexpr std::int64_t kNR = 32;
+constexpr std::int64_t kGradRows = 2;
+
+/// The term offset of a pass with one term.
+constexpr std::int64_t kNoOffset = 0;
+
+/// acc[r][j] += a[r][i * lda] * src[off[i] + j] for i in [begin, end), in
+/// ascending i. Fixed bounds and restrict pointers let the compiler keep the
+/// whole accumulator tile in vector registers, as in gemm()'s micro-kernel.
+template <std::int64_t kRows>
+inline void chain(std::int64_t begin, std::int64_t end, const float* const* a,
+                  std::int64_t lda, const std::int64_t* __restrict off,
+                  const float* __restrict src, float* __restrict acc) {
+  for (std::int64_t i = begin; i < end; ++i) {
+    const float* x = src + off[i];
+#pragma GCC unroll 8
+    for (std::int64_t r = 0; r < kRows; ++r) {
+      const float ar = a[r][i * lda];
+      float* accr = acc + r * kNR;
+      for (std::int64_t j = 0; j < kNR; ++j) accr[j] += ar * x[j];
+    }
+  }
+}
+
+/// One tile of either pass: out[r][j] = 0 + D_0 + D_1 + ... over the terms
+/// t in [0, terms), where D_t is the sum over i in [0, n) of
+/// a[r][t + i * lda] * src[term_off[t] + off[i] + j]. Each D_t is formed as
+/// gemm() forms one C element: a product chain from +0 in ascending i per
+/// kGemmKBlock slice, the slice sums added in order. (The forward pass has
+/// one term, a dot product over its taps; the input gradient has one per
+/// kernel tap, each a dot product over the output channels.) Neither a chain
+/// nor a sum of chains is ever -0, so the GEMM's leading 0 + is exact and
+/// left out. Rows a caller does not need repeat one it does, which keeps the
+/// bounds fixed.
+template <std::int64_t kRows>
+void tile_dot(const float* const* a, std::int64_t lda, std::int64_t n,
+              const std::int64_t* off, const float* src,
+              const std::int64_t* term_off, std::int64_t terms, float* out) {
+  alignas(64) float acc[kRows * kNR] = {};
+  for (std::int64_t t = 0; t < terms; ++t) {
+    const float* rows[kRows];
+    for (std::int64_t r = 0; r < kRows; ++r) rows[r] = a[r] + t;
+    const float* x = src + term_off[t];
+    alignas(64) float dot[kRows * kNR] = {};
+    chain<kRows>(0, std::min(n, kGemmKBlock), rows, lda, off, x, dot);
+    for (std::int64_t i0 = kGemmKBlock; i0 < n; i0 += kGemmKBlock) {
+      alignas(64) float slice[kRows * kNR] = {};
+      chain<kRows>(i0, std::min(n, i0 + kGemmKBlock), rows, lda, off, x,
+                   slice);
+      for (std::int64_t e = 0; e < kRows * kNR; ++e) dot[e] += slice[e];
+    }
+    for (std::int64_t e = 0; e < kRows * kNR; ++e) acc[e] += dot[e];
+  }
+  std::copy(acc, acc + kRows * kNR, out);
+}
+
+/// Hands each run of a tile's lanes (wide positions q0, q0 + 1, ...) that
+/// lands on a real column to store(lane, index, count), `index` being the
+/// run's offset in the dense [height, width] plane; lanes on junk columns or
+/// past the last row are dropped.
+template <class Store>
+void store_tile(std::int64_t q0, std::int64_t wide, std::int64_t height,
+                std::int64_t width, const Store& store) {
+  std::int64_t y = q0 / wide;
+  std::int64_t x = q0 - y * wide;
+  for (std::int64_t lane = 0; lane < kNR && y < height; ++y, x = 0) {
+    const std::int64_t run = std::min(kNR - lane, wide - x);
+    if (x < width) store(lane, y * width + x, std::min(run, width - x));
+    lane += run;
+  }
+}
+
+}  // namespace
 
 Conv2d::Conv2d(const Config& config, Rng& rng, InitKind init)
     : config_(config),
@@ -47,54 +138,120 @@ Tensor Conv2d::forward(const Tensor& input) {
   return output;
 }
 
-void Conv2d::forward_into(std::size_t, const Tensor& input, Tensor& output,
-                          Workspace&) {
+void Conv2d::forward_into(std::size_t index, const Tensor& input,
+                          Tensor& output, Workspace& ws) {
   const Shape out_shape = output_shape(input.shape());
   const std::int64_t n = input.shape()[0];
+  const std::int64_t channels = config_.in_channels;
   const std::int64_t h = input.shape()[2];
   const std::int64_t w = input.shape()[3];
-  cached_out_h_ = out_shape[2];
-  cached_out_w_ = out_shape[3];
-  const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
+  const std::int64_t k = config_.kernel;
+  const std::int64_t s = config_.stride;
+  const std::int64_t pad = config_.pad;
+  const std::int64_t out_h = out_shape[2];
+  const std::int64_t out_w = out_shape[3];
+  cached_out_h_ = out_h;
+  cached_out_w_ = out_w;
+  cached_input_ = input;
+  cols_valid_ = false;
 
-  cached_input_shape_ = input.shape();
-  // resize() (not reconstruction) so the im2col cache storage is reused
-  // across calls of the same batch shape.
-  cached_cols_.resize(Shape{n, col_rows(), out_plane});
+  // Each item, zero-padded, in polyphase layout: phase (py, px) of channel c
+  // holds padded rows py, py + s, ... and columns px, px + s, ..., so tap
+  // (c, ky, kx) of output (oy, ox) is row oy + ky / s, column ox + kx / s of
+  // phase (ky % s, kx % s) — unit-stride runs whatever the stride. For
+  // s = 1 this is the plain padded image. The trailing kNR + k floats are
+  // read only by the junk lanes of the last tile.
+  const std::int64_t wide = (w + 2 * pad + s - 1) / s;
+  const std::int64_t phase = (h + 2 * pad + s - 1) / s * wide;
+  Tensor& padded = ws.zeroed(index, kSlotScratch0,
+                             Shape{channels * s * s * phase + kNR + k});
+  offsets_.resize(static_cast<std::size_t>(col_rows()));
+  for (std::int64_t c = 0, t = 0; c < channels; ++c) {
+    for (std::int64_t ky = 0; ky < k; ++ky) {
+      for (std::int64_t kx = 0; kx < k; ++kx, ++t) {
+        offsets_[static_cast<std::size_t>(t)] =
+            ((c * s + ky % s) * s + kx % s) * phase + ky / s * wide + kx / s;
+      }
+    }
+  }
 
-  const std::int64_t in_stride = config_.in_channels * h * w;
-  const std::int64_t col_stride = col_rows() * out_plane;
-  const std::int64_t out_stride = config_.out_channels * out_plane;
+  const std::int64_t out_c = config_.out_channels;
+  const std::int64_t out_plane = out_h * out_w;
+  const std::int64_t positions = out_h * wide;
   for (std::int64_t i = 0; i < n; ++i) {
-    float* cols = cached_cols_.data() + i * col_stride;
-    im2col(input.data() + i * in_stride, config_.in_channels, h, w,
-           config_.kernel, config_.kernel, config_.stride, config_.pad, cols);
-    // out[out_c, P] = W[out_c, ick] * col[ick, P]
-    float* out = output.data() + i * out_stride;
-    gemm(false, false, config_.out_channels, out_plane, col_rows(), 1.0f,
-         weights_.data(), cols, 0.0f, out);
-    for (std::int64_t oc = 0; oc < config_.out_channels; ++oc) {
-      float* plane = out + oc * out_plane;
-      const float b = bias_[oc];
-      for (std::int64_t p = 0; p < out_plane; ++p) plane[p] += b;
+    const float* image = input.data() + i * channels * h * w;
+    for (std::int64_t c = 0; c < channels; ++c) {
+      for (std::int64_t iy = 0; iy < h; ++iy) {
+        const std::int64_t py = iy + pad;
+        float* row =
+            padded.data() + (c * s + py % s) * s * phase + py / s * wide;
+        const float* src = image + (c * h + iy) * w;
+        for (std::int64_t px = 0; px < s; ++px) {
+          std::int64_t ix = ((px - pad) % s + s) % s;  // (ix + pad) % s == px
+          float* dst = row + px * phase + (ix + pad) / s;
+          for (; ix < w; ix += s) *dst++ = src[ix];
+        }
+      }
+    }
+
+    float* out = output.data() + i * out_c * out_plane;
+    for (std::int64_t oc0 = 0; oc0 < out_c; oc0 += kMR) {
+      const std::int64_t rows = std::min(kMR, out_c - oc0);
+      const float* a[kMR];
+      for (std::int64_t r = 0; r < kMR; ++r) {
+        a[r] = weights_.data() + (oc0 + std::min(r, rows - 1)) * col_rows();
+      }
+      for (std::int64_t q0 = 0; q0 < positions; q0 += kNR) {
+        alignas(64) float tile[kMR * kNR];
+        tile_dot<kMR>(a, 1, col_rows(), offsets_.data(), padded.data() + q0,
+                      &kNoOffset, 1, tile);
+        store_tile(q0, wide, out_h, out_w,
+                   [&](std::int64_t lane, std::int64_t at, std::int64_t len) {
+                     for (std::int64_t r = 0; r < rows; ++r) {
+                       const float* acc = tile + r * kNR + lane;
+                       float* dst = out + (oc0 + r) * out_plane + at;
+                       const float b = bias_[oc0 + r];
+                       for (std::int64_t m = 0; m < len; ++m) {
+                         dst[m] = acc[m] + b;
+                       }
+                     }
+                   });
+      }
     }
   }
 }
 
+const float* Conv2d::item_cols(std::int64_t item) {
+  const Shape& in_shape = cached_input_.shape();
+  const std::int64_t col_stride = col_rows() * cached_out_h_ * cached_out_w_;
+  if (!cols_valid_) {
+    // resize() (not reconstruction) so the column storage is reused across
+    // forwards of the same batch shape.
+    cached_cols_.resize(
+        Shape{in_shape[0], col_rows(), cached_out_h_ * cached_out_w_});
+    const std::int64_t in_stride = in_shape[1] * in_shape[2] * in_shape[3];
+    for (std::int64_t i = 0; i < in_shape[0]; ++i) {
+      im2col(cached_input_.data() + i * in_stride, config_.in_channels,
+             in_shape[2], in_shape[3], config_.kernel, config_.kernel,
+             config_.stride, config_.pad, cached_cols_.data() + i * col_stride);
+    }
+    cols_valid_ = true;
+  }
+  return cached_cols_.data() + item * col_stride;
+}
+
 Tensor Conv2d::backward(const Tensor& grad_output) {
-  const std::int64_t n = cached_input_shape_[0];
+  const std::int64_t n = cached_input_.shape()[0];
   const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
   DNNV_CHECK(grad_output.shape() ==
                  Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
              "grad_output shape " << grad_output.shape() << " unexpected");
-  const std::int64_t col_stride = col_rows() * out_plane;
   const std::int64_t out_stride = config_.out_channels * out_plane;
   for (std::int64_t i = 0; i < n; ++i) {
     const float* dy = grad_output.data() + i * out_stride;
-    const float* cols = cached_cols_.data() + i * col_stride;
     // dW[out_c, ick] += dy[out_c, P] * col^T[P, ick]
     gemm(false, true, config_.out_channels, col_rows(), out_plane, 1.0f, dy,
-         cols, 1.0f, weight_grad_.data());
+         item_cols(i), 1.0f, weight_grad_.data());
     for (std::int64_t oc = 0; oc < config_.out_channels; ++oc) {
       const float* plane = dy + oc * out_plane;
       float acc = 0.0f;
@@ -102,40 +259,96 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       bias_grad_[oc] += acc;
     }
   }
-  Tensor grad_input(cached_input_shape_);
+  Tensor grad_input(cached_input_.shape());
   backward_into(0, grad_output, grad_input, scratch_ws_);
   return grad_input;
 }
 
 void Conv2d::backward_into(std::size_t index, const Tensor& grad_output,
                            Tensor& grad_input, Workspace& ws) {
-  const std::int64_t n = cached_input_shape_[0];
-  const std::int64_t h = cached_input_shape_[2];
-  const std::int64_t w = cached_input_shape_[3];
-  const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
-  DNNV_CHECK(grad_output.shape() ==
-                 Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
+  const std::int64_t n = cached_input_.shape()[0];
+  const std::int64_t channels = config_.in_channels;
+  const std::int64_t h = cached_input_.shape()[2];
+  const std::int64_t w = cached_input_.shape()[3];
+  const std::int64_t k = config_.kernel;
+  const std::int64_t s = config_.stride;
+  const std::int64_t out_c = config_.out_channels;
+  const std::int64_t out_h = cached_out_h_;
+  const std::int64_t out_w = cached_out_w_;
+  const std::int64_t out_plane = out_h * out_w;
+  DNNV_CHECK(grad_output.shape() == Shape({n, out_c, out_h, out_w}),
              "grad_output shape " << grad_output.shape() << " unexpected");
 
-  grad_input.fill(0.0f);  // col2im accumulates
-  Tensor& col_grad =
-      ws.buffer(index, kSlotScratch0, Shape{col_rows(), out_plane});
-  const std::int64_t in_stride = config_.in_channels * h * w;
-  const std::int64_t out_stride = config_.out_channels * out_plane;
+  // The transposed convolution as a unit-stride correlation: each item's
+  // output gradient spread over a zero plane of `wide`-float rows,
+  // dy[oc][oy][ox] at row oy * s + lead, column ox * s + lead, so tap
+  // (ky, kx) of input pixel (iy, ix) is row iy + k-1-ky, column
+  // ix + k-1-kx of every channel's plane. A tap no output reaches reads
+  // zeros and adds exactly +0, where col2im skips it.
+  const std::int64_t wide = w + k - 1;
+  const std::int64_t plane = (h + k - 1) * wide;
+  const std::int64_t lead = k - 1 - config_.pad;
+  Tensor& spread =
+      ws.zeroed(index, kSlotScratch1, Shape{out_c * plane + kNR + k});
+  // Offsets of each output channel's plane, then of each tap (ky, kx).
+  offsets_.resize(static_cast<std::size_t>(out_c + k * k));
+  for (std::int64_t oc = 0; oc < out_c; ++oc) {
+    offsets_[static_cast<std::size_t>(oc)] = oc * plane;
+  }
+  const std::int64_t* tap_off = offsets_.data() + out_c;
+  for (std::int64_t ky = 0, t = out_c; ky < k; ++ky) {
+    for (std::int64_t kx = 0; kx < k; ++kx, ++t) {
+      offsets_[static_cast<std::size_t>(t)] =
+          (k - 1 - ky) * wide + (k - 1 - kx);
+    }
+  }
+  // Outputs whose spread row and column o * s + lead lie inside the plane,
+  // i.e. o * s in [-lead, h + pad) and [-lead, w + pad); the rest reach no
+  // input pixel.
+  const std::int64_t o0 = lead >= 0 ? 0 : (s - 1 - lead) / s;
+  const std::int64_t oy1 = std::min(out_h, (h + config_.pad + s - 1) / s);
+  const std::int64_t ox1 = std::min(out_w, (w + config_.pad + s - 1) / s);
 
+  const std::int64_t in_plane = h * w;
+  const std::int64_t positions = h * wide;
   for (std::int64_t i = 0; i < n; ++i) {
-    const float* dy = grad_output.data() + i * out_stride;
-    // dcol[ick, P] = W^T[ick, out_c] * dy[out_c, P]
-    gemm(true, false, col_rows(), out_plane, config_.out_channels, 1.0f,
-         weights_.data(), dy, 0.0f, col_grad.data());
-    col2im(col_grad.data(), config_.in_channels, h, w, config_.kernel,
-           config_.kernel, config_.stride, config_.pad,
-           grad_input.data() + i * in_stride);
+    const float* dy = grad_output.data() + i * out_c * out_plane;
+    for (std::int64_t oc = 0; oc < out_c; ++oc) {
+      for (std::int64_t oy = o0; oy < oy1; ++oy) {
+        const float* src = dy + oc * out_plane + oy * out_w;
+        float* row = spread.data() + oc * plane + (oy * s + lead) * wide + lead;
+        for (std::int64_t ox = o0; ox < ox1; ++ox) row[ox * s] = src[ox];
+      }
+    }
+
+    float* grad = grad_input.data() + i * channels * in_plane;
+    for (std::int64_t c0 = 0; c0 < channels; c0 += kGradRows) {
+      const std::int64_t rows = std::min(kGradRows, channels - c0);
+      const float* a[kGradRows];
+      for (std::int64_t r = 0; r < kGradRows; ++r) {
+        a[r] = weights_.data() + (c0 + std::min(r, rows - 1)) * k * k;
+      }
+      for (std::int64_t q0 = 0; q0 < positions; q0 += kNR) {
+        // Each pixel adds its taps' dot products over the output channels
+        // in (ky, kx) order, as col2im adds the GEMM's column gradients.
+        alignas(64) float tile[kGradRows * kNR];
+        tile_dot<kGradRows>(a, col_rows(), out_c, offsets_.data(),
+                            spread.data() + q0, tap_off, k * k, tile);
+        store_tile(q0, wide, h, w,
+                   [&](std::int64_t lane, std::int64_t at, std::int64_t len) {
+                     for (std::int64_t r = 0; r < rows; ++r) {
+                       std::memcpy(grad + (c0 + r) * in_plane + at,
+                                   tile + r * kNR + lane,
+                                   static_cast<std::size_t>(len) * sizeof(float));
+                     }
+                   });
+      }
+    }
   }
 }
 
 Tensor Conv2d::sensitivity_backward(const Tensor& sens_output) {
-  Tensor sens_input(cached_input_shape_);
+  Tensor sens_input(cached_input_.shape());
   sensitivity_backward_into(0, sens_output, sens_input, scratch_ws_);
   return sens_input;
 }
@@ -143,14 +356,14 @@ Tensor Conv2d::sensitivity_backward(const Tensor& sens_output) {
 void Conv2d::sensitivity_backward_into(std::size_t index,
                                        const Tensor& sens_output,
                                        Tensor& sens_input, Workspace& ws) {
-  const std::int64_t n = cached_input_shape_[0];
+  const std::int64_t n = cached_input_.shape()[0];
   DNNV_CHECK(sens_output.shape() ==
                  Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
              "sens_output shape " << sens_output.shape() << " unexpected");
   sens_input.fill(0.0f);  // col2im accumulates
   const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
   const std::int64_t in_stride =
-      config_.in_channels * cached_input_shape_[2] * cached_input_shape_[3];
+      config_.in_channels * cached_input_.shape()[2] * cached_input_.shape()[3];
   const std::int64_t out_stride = config_.out_channels * out_plane;
   for (std::int64_t i = 0; i < n; ++i) {
     sensitivity_item(index, i, sens_output.data() + i * out_stride,
@@ -161,7 +374,7 @@ void Conv2d::sensitivity_backward_into(std::size_t index,
 void Conv2d::sensitivity_backward_item(std::size_t index, std::int64_t item,
                                        const Tensor& sens_output,
                                        Tensor& sens_input, Workspace& ws) {
-  DNNV_CHECK(item >= 0 && item < cached_input_shape_[0],
+  DNNV_CHECK(item >= 0 && item < cached_input_.shape()[0],
              "item " << item << " outside cached batch");
   DNNV_CHECK(sens_output.shape() ==
                  Shape({1, config_.out_channels, cached_out_h_, cached_out_w_}),
@@ -174,23 +387,23 @@ void Conv2d::sensitivity_backward_item(std::size_t index, std::int64_t item,
 // One item of the absolute-sensitivity pass, shared by the batched and
 // per-item entry points so their accumulation order is identical. `s_out` and
 // `sens_image` point at this item's [out_c, outH, outW] sensitivity slice and
-// [C, H, W] output slice respectively; the im2col cache of the most recent
-// batched forward supplies |x| taps. The |W| / |col| factors are applied by
-// gemm_abs during panel packing — no absolute-value copies are materialised.
+// [C, H, W] output slice respectively; the im2col columns of the most recent
+// batched forward (item_cols) supply |x| taps. The |W| / |col| factors are
+// applied by gemm_abs during panel packing — no absolute-value copies are
+// materialised.
 // Shared kernel weights receive the sum over all spatial taps of
 // |input tap| * sensitivity, which is zero iff no tap can propagate.
 void Conv2d::sensitivity_item(std::size_t index, std::int64_t item,
                               const float* s_out, float* sens_image,
                               Workspace& ws) {
-  const std::int64_t h = cached_input_shape_[2];
-  const std::int64_t w = cached_input_shape_[3];
+  const std::int64_t h = cached_input_.shape()[2];
+  const std::int64_t w = cached_input_.shape()[3];
   const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
-  const std::int64_t col_stride = col_rows() * out_plane;
 
   Tensor& col_sens =
       ws.buffer(index, kSlotScratch2, Shape{col_rows(), out_plane});
 
-  const float* cols = cached_cols_.data() + item * col_stride;
+  const float* cols = item_cols(item);
   gemm_abs(false, true, /*abs_a=*/false, /*abs_b=*/true, config_.out_channels,
            col_rows(), out_plane, 1.0f, s_out, cols, 1.0f,
            weight_grad_.data());
@@ -249,10 +462,10 @@ std::unique_ptr<Conv2d> Conv2d::load(ByteReader& reader) {
                  layer->config_.kernel > 0 && layer->config_.stride > 0 &&
                  layer->config_.pad >= 0,
              "corrupt conv config");
-  const std::int64_t rows = layer->col_rows();
-  const auto w = reader.read_f32_array(
-      static_cast<std::size_t>(layer->config_.out_channels * rows));
-  layer->weights_ = Tensor(Shape{layer->config_.out_channels, rows}, w);
+  const Config& c = layer->config_;
+  const auto w = reader.read_f32_array(reader.geometry_count(
+      {c.out_channels, c.in_channels, c.kernel, c.kernel}, sizeof(float)));
+  layer->weights_ = Tensor(Shape{c.out_channels, layer->col_rows()}, w);
   const auto b = reader.read_f32_array(
       static_cast<std::size_t>(layer->config_.out_channels));
   layer->bias_ = Tensor(Shape{layer->config_.out_channels}, b);

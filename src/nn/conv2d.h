@@ -1,6 +1,10 @@
-// 2-D convolution layer (im2col + GEMM).
+// 2-D convolution layer: direct register-tiled kernels for the forward pass
+// and the input gradient, im2col + GEMM for the parameter-gradient and
+// sensitivity passes.
 #ifndef DNNV_NN_CONV2D_H_
 #define DNNV_NN_CONV2D_H_
+
+#include <vector>
 
 #include "nn/init.h"
 #include "nn/layer.h"
@@ -9,8 +13,16 @@
 namespace dnnv::nn {
 
 /// Cross-correlation over NCHW inputs. Weights are stored flattened as
-/// [out_channels, in_channels*kh*kw] so forward/backward are single GEMMs per
-/// batch item over the im2col buffer.
+/// [out_channels, in_channels*kh*kw], taps in (c, ky, kx) order.
+///
+/// forward_into and backward_into (Algorithm 2's descent step) are direct
+/// convolutions: each reads its taps in place from a zero-padded copy of one
+/// batch item and never forms im2col columns. Each output still sums its
+/// products in the order the im2col + GEMM formulation does — blocks of
+/// kGemmKBlock taps (forward) or output channels (input gradient) — so both
+/// formulations agree bit for bit. The value backward() and the two
+/// sensitivity passes read im2col columns, which are built from the cached
+/// input on their first use after each forward.
 class Conv2d : public Layer {
  public:
   struct Config {
@@ -57,6 +69,9 @@ class Conv2d : public Layer {
   std::int64_t col_rows() const {
     return config_.in_channels * config_.kernel * config_.kernel;
   }
+  /// Item `item`'s im2col columns [col_rows, out_h*out_w] of the cached
+  /// input, building every item's columns on the first call after a forward.
+  const float* item_cols(std::int64_t item);
 
   Config config_;
   Tensor weights_;      // [out_c, in_c*k*k]
@@ -64,12 +79,14 @@ class Conv2d : public Layer {
   Tensor weight_grad_;  // [out_c, in_c*k*k]
   Tensor bias_grad_;    // [out_c]
 
-  // Caches from the last forward: the input's shape and its per-item im2col
-  // buffers, which are all the reverse and sensitivity passes read.
-  Shape cached_input_shape_;  // [N, C, H, W]
-  Tensor cached_cols_;        // [N, col_rows, out_h*out_w]
+  // Caches from the last forward: a copy of the input, and the im2col
+  // columns derived from it once a pass that reads columns asks for them.
+  Tensor cached_input_;  // [N, C, H, W]
+  Tensor cached_cols_;   // [N, col_rows, out_h*out_w]; valid iff cols_valid_
+  bool cols_valid_ = false;
   std::int64_t cached_out_h_ = 0;
   std::int64_t cached_out_w_ = 0;
+  std::vector<std::int64_t> offsets_;  // direct-kernel offset table
 
   // Scratch arena for the standalone forward()/backward()/
   // sensitivity_backward() entry points (the calibration loop's path), so

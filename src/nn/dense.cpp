@@ -169,8 +169,8 @@ std::unique_ptr<Dense> Dense::load(ByteReader& reader) {
   layer->out_features_ = reader.read_i64();
   DNNV_CHECK(layer->in_features_ > 0 && layer->out_features_ > 0,
              "corrupt dense dims");
-  const auto w = reader.read_f32_array(
-      static_cast<std::size_t>(layer->in_features_ * layer->out_features_));
+  const auto w = reader.read_f32_array(reader.geometry_count(
+      {layer->out_features_, layer->in_features_}, sizeof(float)));
   layer->weights_ = Tensor(Shape{layer->out_features_, layer->in_features_}, w);
   const auto b = reader.read_f32_array(static_cast<std::size_t>(layer->out_features_));
   layer->bias_ = Tensor(Shape{layer->out_features_}, b);

@@ -25,7 +25,7 @@ namespace {
 constexpr std::int64_t kMR = 8;    // micro-tile rows
 constexpr std::int64_t kNR = 32;   // micro-tile cols (4 AVX2 / 2 AVX-512 regs)
 constexpr std::int64_t kMC = 64;   // rows of A per macro-block (parallel unit)
-constexpr std::int64_t kKC = 256;  // K-slice depth (packed panels stay in L1/L2)
+constexpr std::int64_t kKC = kGemmKBlock;  // K-slice depth (panels stay in L1/L2)
 constexpr std::int64_t kNC = 512;  // cols of B per packed panel
 
 /// Reads element (row, col) of op(X) where X is stored row-major

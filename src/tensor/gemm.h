@@ -6,6 +6,13 @@
 
 namespace dnnv {
 
+/// Depth of the K slices gemm() sums separately. With beta = 0 each C
+/// element is formed as 0 + (slice sum) + (slice sum) + ..., each slice sum
+/// a product chain from +0 in ascending k, so a kernel that splits its sums
+/// at the same points (nn::Conv2d's direct convolution) reproduces gemm()
+/// bit for bit.
+inline constexpr std::int64_t kGemmKBlock = 256;
+
 /// C[M,N] = alpha * op(A) * op(B) + beta * C, row-major.
 /// op(A) is A[M,K] (trans_a=false) or Aᵀ with A stored [K,M] (trans_a=true);
 /// likewise for B with dimensions [K,N] / [N,K].

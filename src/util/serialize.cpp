@@ -56,6 +56,22 @@ void ByteReader::require_entries(std::uint64_t n,
                                       << ", have " << bytes_.size());
 }
 
+std::size_t ByteReader::geometry_count(std::initializer_list<std::int64_t> dims,
+                                       std::size_t entry_bytes) const {
+  DNNV_CHECK(entry_bytes > 0, "zero-byte entries");
+  const std::uint64_t limit = remaining() / entry_bytes;
+  std::uint64_t count = 1;
+  for (const std::int64_t d : dims) {
+    const auto factor = static_cast<std::uint64_t>(d);
+    DNNV_CHECK(d >= 0 && (d == 0 || count <= limit / factor),
+               "byte stream underrun: geometry factor " << d << " at offset "
+                   << pos_ << " exceeds the " << remaining()
+                   << " remaining bytes");
+    count *= factor;
+  }
+  return static_cast<std::size_t>(count);
+}
+
 std::uint8_t ByteReader::read_u8() {
   require(1);
   return bytes_[pos_++];

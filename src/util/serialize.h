@@ -3,6 +3,7 @@
 #define DNNV_UTIL_SERIALIZE_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -60,6 +61,15 @@ class ByteReader {
     require_entries(n, min_entry_bytes);
     return static_cast<std::size_t>(n);
   }
+
+  /// The product of `dims` as an entry count, for a format that stores an
+  /// array's geometry rather than its length. Throws unless every factor is
+  /// non-negative and the remaining bytes hold that many entries of
+  /// `entry_bytes` each — checked factor by factor before multiplying, so a
+  /// forged geometry can neither wrap the count nor size a read beyond the
+  /// input.
+  std::size_t geometry_count(std::initializer_list<std::int64_t> dims,
+                             std::size_t entry_bytes) const;
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool exhausted() const { return remaining() == 0; }

@@ -237,6 +237,27 @@ TEST(FaultModelTest, PresetsAndConfigRoundTrip) {
   EXPECT_FALSE(config.summary().empty());
 }
 
+// UniverseConfig arrives inside every deliverable manifest, so its counts
+// are untrusted: a forged count must fail as a typed error, never as a
+// multi-terabyte allocation.
+TEST(FaultModelTest, ConfigLoadRejectsForgedBitCount) {
+  ByteWriter writer;
+  for (int flag = 0; flag < 4; ++flag) writer.write_u8(1);
+  writer.write_u64(std::uint64_t{1} << 40);  // `bits` count
+  writer.write_i64(7);
+  writer.write_i64(3);
+  ByteReader reader(writer.take());
+  EXPECT_THROW(fault::UniverseConfig::load(reader), Error);
+}
+
+TEST(FaultModelTest, UniverseLoadRejectsForgedCount) {
+  ByteWriter writer;
+  writer.write_u64(std::uint64_t{1} << 40);  // fault count
+  make_fault(fault::FaultKind::kBitFlip, 1, false, 6, 3).save(writer);
+  ByteReader reader(writer.take());
+  EXPECT_THROW(fault::FaultUniverse::load(reader), Error);
+}
+
 TEST(FaultLayoutTest, MemoryFaultAdapterRoundTrips) {
   const auto qmodel = small_qmodel();
   const fault::FaultLayout layout(qmodel);

@@ -7,6 +7,7 @@
 
 #include "nn/activation_layer.h"
 #include "nn/builder.h"
+#include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
@@ -105,6 +106,31 @@ TEST(SequentialTest, LoadRejectsGarbage) {
   writer.write_u32(0x12345678);
   ByteReader reader(writer.take());
   EXPECT_THROW(Sequential::load(reader), Error);
+}
+
+// Layer records store a geometry, not a length: a forged one whose weight
+// count wraps past 2^64 must be rejected before any multiplication.
+TEST(SequentialTest, ConvLoadRejectsOverflowingGeometry) {
+  ByteWriter writer;
+  writer.write_i64(std::int64_t{1} << 40);  // in_channels
+  writer.write_i64(2);                       // out_channels
+  writer.write_i64(std::int64_t{1} << 20);  // kernel
+  writer.write_i64(1);                       // stride
+  writer.write_i64(0);                       // pad
+  const float bias[2] = {0.5f, -0.5f};
+  writer.write_f32_array(bias, 2);
+  ByteReader reader(writer.take());
+  EXPECT_THROW(Conv2d::load(reader), Error);
+}
+
+TEST(SequentialTest, DenseLoadRejectsOverflowingGeometry) {
+  ByteWriter writer;
+  writer.write_i64(std::int64_t{1} << 62);  // in_features
+  writer.write_i64(4);                       // out_features
+  const float bias[4] = {0.5f, -0.5f, 1.0f, -1.0f};
+  writer.write_f32_array(bias, 4);
+  ByteReader reader(writer.take());
+  EXPECT_THROW(Dense::load(reader), Error);
 }
 
 TEST(SequentialTest, SummaryMentionsLayers) {

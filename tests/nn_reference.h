@@ -1,0 +1,127 @@
+// Reference float convolution (the oracle for nn::Conv2d). Only tests use
+// it; nothing under src/ does.
+//
+// Both passes are scalar loop nests written from the definition of a
+// cross-correlation over NCHW tensors: no gemm, no im2col or col2im, no
+// padded copies and no tiling. What they share with the engine is the
+// summation order every float depends on, spelled out here:
+//
+//   forward   y = (0 + S_0 + S_1 + ...) + bias, where S_b sums the products
+//             of taps [256 b, 256 b + 256) in (c, ky, kx) order as a chain
+//             from +0; a padding tap multiplies 0.
+//   gradient  dx = 0 + D(0, 0) + D(0, 1) + ... over the taps (ky, kx) that
+//             some output reaches, in (ky, kx) order, where
+//             D = 0 + T_0 + T_1 + ... and T_b sums the products of output
+//             channels [256 b, 256 b + 256) as a chain from +0.
+//
+// The 256 is the float GEMM's K slice (kGemmKBlock), the order in which the
+// im2col + GEMM formulation of the same layer adds its products. Every
+// Conv2d path — the direct forward_into and backward_into, the value
+// backward() — must match these loops bit for bit.
+#ifndef DNNV_TESTS_NN_REFERENCE_H_
+#define DNNV_TESTS_NN_REFERENCE_H_
+
+#include <algorithm>
+#include <cstdint>
+
+#include "nn/conv2d.h"
+#include "tensor/tensor.h"
+
+namespace dnnv::nn::reference {
+
+/// Length of the product chains both passes sum separately.
+constexpr std::int64_t kBlock = 256;
+
+/// Forward pass of a batch: input [N, C, H, W] -> [N, out_c, out_h, out_w],
+/// weights [out_c, C * k * k] in (c, ky, kx) order.
+inline Tensor conv_forward(const Conv2d::Config& cfg, const float* weights,
+                           const float* bias, const Tensor& input) {
+  const std::int64_t n = input.shape()[0], channels = cfg.in_channels;
+  const std::int64_t h = input.shape()[2], w = input.shape()[3];
+  const std::int64_t k = cfg.kernel, taps = channels * k * k;
+  const std::int64_t out_h = (h + 2 * cfg.pad - k) / cfg.stride + 1;
+  const std::int64_t out_w = (w + 2 * cfg.pad - k) / cfg.stride + 1;
+  Tensor out(Shape{n, cfg.out_channels, out_h, out_w});
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t oc = 0; oc < cfg.out_channels; ++oc) {
+      for (std::int64_t oy = 0; oy < out_h; ++oy) {
+        for (std::int64_t ox = 0; ox < out_w; ++ox) {
+          float acc = 0.0f;
+          for (std::int64_t t0 = 0; t0 < taps; t0 += kBlock) {
+            float sum = 0.0f;
+            for (std::int64_t t = t0; t < std::min(taps, t0 + kBlock); ++t) {
+              const std::int64_t c = t / (k * k);
+              const std::int64_t iy = oy * cfg.stride - cfg.pad + t / k % k;
+              const std::int64_t ix = ox * cfg.stride - cfg.pad + t % k;
+              const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < w;
+              const float x =
+                  inside ? input.data()[((i * channels + c) * h + iy) * w + ix]
+                         : 0.0f;
+              sum += weights[oc * taps + t] * x;
+            }
+            acc += sum;
+          }
+          out.data()[((i * cfg.out_channels + oc) * out_h + oy) * out_w + ox] =
+              acc + bias[oc];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Input gradient of a batch: grad_output [N, out_c, out_h, out_w] -> a
+/// tensor of `input_shape` [N, C, H, W].
+inline Tensor conv_input_gradient(const Conv2d::Config& cfg,
+                                  const float* weights,
+                                  const Shape& input_shape,
+                                  const Tensor& grad_output) {
+  const std::int64_t n = input_shape[0], channels = cfg.in_channels;
+  const std::int64_t h = input_shape[2], w = input_shape[3];
+  const std::int64_t k = cfg.kernel, taps = channels * k * k;
+  const std::int64_t out_c = cfg.out_channels;
+  const std::int64_t out_h = grad_output.shape()[2];
+  const std::int64_t out_w = grad_output.shape()[3];
+  Tensor grad(input_shape);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t c = 0; c < channels; ++c) {
+      for (std::int64_t iy = 0; iy < h; ++iy) {
+        for (std::int64_t ix = 0; ix < w; ++ix) {
+          float acc = 0.0f;
+          for (std::int64_t ky = 0; ky < k; ++ky) {
+            for (std::int64_t kx = 0; kx < k; ++kx) {
+              // The output whose tap (ky, kx) reads pixel (iy, ix), if any.
+              const std::int64_t y = iy + cfg.pad - ky;
+              const std::int64_t x = ix + cfg.pad - kx;
+              if (y < 0 || x < 0 || y % cfg.stride != 0 ||
+                  x % cfg.stride != 0) {
+                continue;
+              }
+              const std::int64_t oy = y / cfg.stride, ox = x / cfg.stride;
+              if (oy >= out_h || ox >= out_w) continue;
+              float dot = 0.0f;
+              for (std::int64_t o0 = 0; o0 < out_c; o0 += kBlock) {
+                float sum = 0.0f;
+                for (std::int64_t oc = o0; oc < std::min(out_c, o0 + kBlock);
+                     ++oc) {
+                  sum += weights[oc * taps + (c * k + ky) * k + kx] *
+                         grad_output.data()[((i * out_c + oc) * out_h + oy) *
+                                                out_w +
+                                            ox];
+                }
+                dot += sum;
+              }
+              acc += dot;
+            }
+          }
+          grad.data()[((i * channels + c) * h + iy) * w + ix] = acc;
+        }
+      }
+    }
+  }
+  return grad;
+}
+
+}  // namespace dnnv::nn::reference
+
+#endif  // DNNV_TESTS_NN_REFERENCE_H_
