@@ -10,6 +10,7 @@
 // snapshot with the same per-host family rules as every other bench.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstring>
 #include <iostream>
 #include <map>
@@ -117,11 +118,12 @@ void BM_SynthesisStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesisStep);
 
-// The two passes of Algorithm 2's descent step that Conv2d runs as direct
-// convolutions, on a k = 10 batch: shape 0 is cifar_relu_tiny's second conv
-// ([10, 8, 32, 32] -> 8), shape 1 bench_convnet's third ([10, 16, 16, 16] ->
-// 32, 144 taps); both 3x3, pad 1. Items are multiply-accumulates, so
-// items/s reads as MAC/s.
+// Conv2d's direct passes on a k = 10 batch: shape 0 is cifar_relu_tiny's
+// second conv ([10, 8, 32, 32] -> 8), shape 1 bench_convnet's third
+// ([10, 16, 16, 16] -> 32, 144 taps); both 3x3, pad 1. Items are
+// multiply-accumulates, so items/s reads as MAC/s. Forward and input
+// gradient are Algorithm 2's descent step; the sensitivity pass is one item
+// of the coverage sweep, the value backward one training step.
 struct ConvShape {
   std::int64_t channels, size, out_channels;
 };
@@ -167,6 +169,44 @@ void BM_Conv2dInputGradient(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * b.macs);
 }
 BENCHMARK(BM_Conv2dInputGradient)->Arg(0)->Arg(1)->ArgNames({"shape"});
+
+// One item's sensitivity pass after a 10-item forward, as the coverage
+// sweep runs it: the weight reduction over s and |x|, the bias sums and the
+// input sensitivity through |W| (the MACs of two passes over one item).
+void BM_Conv2dSensitivity(benchmark::State& state) {
+  Rng rng(13);
+  ConvBench b(kConvShapes[state.range(0)], rng);
+  b.conv.forward_into(0, b.input, b.output, b.ws);
+  Tensor sens = Tensor::randn(slice_batch(b.output, 0).shape(), rng);
+  for (std::int64_t e = 0; e < sens.numel(); ++e) sens[e] = std::fabs(sens[e]);
+  sens = stack_batch({sens});
+  Tensor sens_input(stack_batch({slice_batch(b.input, 0)}).shape());
+  for (auto _ : state) {
+    b.conv.zero_grads();
+    b.conv.sensitivity_backward_item(0, 3, sens, sens_input, b.ws);
+    benchmark::DoNotOptimize(sens_input.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * b.macs / 10);
+}
+BENCHMARK(BM_Conv2dSensitivity)->Arg(0)->Arg(1)->ArgNames({"shape"});
+
+// The value backward() of the batch: the weight gradient, the bias sums and
+// the input gradient (the MACs of two passes).
+void BM_Conv2dWeightGradient(benchmark::State& state) {
+  Rng rng(14);
+  ConvBench b(kConvShapes[state.range(0)], rng);
+  b.conv.forward_into(0, b.input, b.output, b.ws);
+  const Tensor grad_output = Tensor::randn(b.output.shape(), rng);
+  for (auto _ : state) {
+    b.conv.zero_grads();
+    Tensor grad_input = b.conv.backward(grad_output);
+    benchmark::DoNotOptimize(grad_input.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * b.macs);
+}
+BENCHMARK(BM_Conv2dWeightGradient)->Arg(0)->Arg(1)->ArgNames({"shape"});
 
 void BM_CoverageMask(benchmark::State& state) {
   const bool exact = state.range(0) != 0;

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "quant/quantize.h"
-#include "tensor/im2col.h"
+#include "tensor/shape.h"
 #include "util/error.h"
 
 namespace dnnv::analysis {

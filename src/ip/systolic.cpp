@@ -4,7 +4,6 @@
 
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "tensor/im2col.h"
 #include "util/error.h"
 
 namespace dnnv::ip {

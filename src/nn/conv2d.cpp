@@ -6,13 +6,13 @@
 
 #include "nn/workspace.h"
 #include "tensor/gemm.h"
-#include "tensor/im2col.h"
+#include "tensor/shape.h"
 #include "util/error.h"
 
 namespace dnnv::nn {
 namespace {
 
-// The direct kernels behind forward_into and backward_into. Both passes are
+// The direct kernels. The forward pass and the input gradient are
 // one-dimensional correlations over a zero-padded copy of one batch item:
 // with the copy's rows `wide` floats apart, every tap of the output at wide
 // position q = y * wide + x sits at q + (an offset fixed per tap), so a tile
@@ -26,9 +26,17 @@ namespace {
 // is kGradRows input channels by kNR positions: the dot products and the
 // pixel sums both stay in registers, and the first conv's one or three
 // input channels waste few rows.
+//
+// The weight reduction sums over positions instead, one sequential chain
+// per (output channel, tap) pair, so its vectors run across output
+// channels: a tile is kTapTile taps by kLanes output channels, and each
+// position adds one tap value times that position's kLanes output-gradient
+// values, read from a copy transposed to [position][channel].
 constexpr std::int64_t kMR = 8;
 constexpr std::int64_t kNR = 32;
 constexpr std::int64_t kGradRows = 2;
+constexpr std::int64_t kLanes = 8;
+constexpr std::int64_t kTapTile = 9;
 
 /// The term offset of a pass with one term.
 constexpr std::int64_t kNoOffset = 0;
@@ -99,7 +107,108 @@ void store_tile(std::int64_t q0, std::int64_t wide, std::int64_t height,
   }
 }
 
+/// acc + a * b as gemm()'s micro-kernel forms it: one fused multiply-add
+/// where the target has one (there the compiler contracts the GEMM's update),
+/// a product and a sum elsewhere. Spelled out because GCC's tuning for some
+/// cores (Sapphire Rapids among them) declines to contract a loop-carried
+/// chain held in registers, as reduce_chain's accumulators are.
+inline float mul_add(float a, float b, float acc) {
+#ifdef __FP_FAST_FMAF
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
+/// acc[t][r] += src[off[t] + q] * g[p][r] over the dense output positions p
+/// in [p0, p1), in ascending p, where q = oy * wide + ox is the wide
+/// position of p = oy * out_w + ox and g[p] holds kLanes floats: one
+/// kGemmKBlock slice of the weight reduction, which may start and end
+/// mid-row.
+template <std::int64_t kTaps>
+void reduce_chain(std::int64_t p0, std::int64_t p1, std::int64_t out_w,
+                  std::int64_t wide, const std::int64_t* __restrict off,
+                  const float* __restrict src, const float* __restrict g,
+                  float* __restrict acc) {
+  std::int64_t oy = p0 / out_w;
+  std::int64_t ox = p0 - oy * out_w;
+  for (std::int64_t p = p0; p < p1; ++oy, ox = 0) {
+    const std::int64_t run = std::min(p1 - p, out_w - ox);
+    const float* x = src + oy * wide + ox;
+    const float* gp = g + p * kLanes;
+    for (std::int64_t j = 0; j < run; ++j) {
+#pragma GCC unroll 16
+      for (std::int64_t t = 0; t < kTaps; ++t) {
+        const float xt = x[off[t] + j];
+        for (std::int64_t r = 0; r < kLanes; ++r) {
+          acc[t * kLanes + r] =
+              mul_add(xt, gp[j * kLanes + r], acc[t * kLanes + r]);
+        }
+      }
+    }
+    p += run;
+  }
+}
+
+/// The zero-padded copy of a [channels, h, w] item that forward_into and the
+/// weight reduction read, in polyphase layout: phase (py, px) of channel c
+/// holds padded rows py, py + s, ... and columns px, px + s, ..., so tap
+/// (c, ky, kx) of output (oy, ox) is row oy + ky / s, column ox + kx / s of
+/// phase (ky % s, kx % s) — unit-stride runs whatever the stride. For s = 1
+/// this is the plain padded image. The trailing kNR + k floats are read only
+/// by the forward's junk lanes of the last tile.
+struct PaddedItem {
+  PaddedItem(std::int64_t height, std::int64_t width, const Conv2d::Config& cfg)
+      : channels(cfg.in_channels),
+        h(height),
+        w(width),
+        s(cfg.stride),
+        pad(cfg.pad),
+        wide((w + 2 * pad + s - 1) / s),
+        phase((h + 2 * pad + s - 1) / s * wide),
+        size(channels * s * s * phase + kNR + cfg.kernel) {}
+
+  /// Offset of tap (c, ky, kx) of output (0, 0).
+  std::int64_t tap(std::int64_t c, std::int64_t ky, std::int64_t kx) const {
+    return ((c * s + ky % s) * s + kx % s) * phase + ky / s * wide + kx / s;
+  }
+
+  /// Writes item `image` (or |image| when `abs`) into the interior of
+  /// `padded`, whose border is zero.
+  void fill(const float* image, bool abs, float* padded) const {
+    for (std::int64_t c = 0; c < channels; ++c) {
+      for (std::int64_t iy = 0; iy < h; ++iy) {
+        const std::int64_t py = iy + pad;
+        float* row = padded + (c * s + py % s) * s * phase + py / s * wide;
+        const float* src = image + (c * h + iy) * w;
+        if (s == 1) {
+          float* dst = row + pad;
+          if (abs) {
+            for (std::int64_t ix = 0; ix < w; ++ix) dst[ix] = std::fabs(src[ix]);
+          } else {
+            std::copy(src, src + w, dst);
+          }
+          continue;
+        }
+        for (std::int64_t px = 0; px < s; ++px) {
+          std::int64_t ix = ((px - pad) % s + s) % s;  // (ix + pad) % s == px
+          float* dst = row + px * phase + (ix + pad) / s;
+          for (; ix < w; ix += s) *dst++ = abs ? std::fabs(src[ix]) : src[ix];
+        }
+      }
+    }
+  }
+
+  std::int64_t channels, h, w, s, pad, wide, phase, size;
+};
+
 }  // namespace
+
+bool Conv2d::valid(const Config& c) {
+  return c.in_channels > 0 && c.out_channels > 0 && c.kernel > 0 &&
+         c.stride >= 1 && c.stride <= c.kernel && c.pad >= 0 &&
+         c.pad < c.kernel;
+}
 
 Conv2d::Conv2d(const Config& config, Rng& rng, InitKind init)
     : config_(config),
@@ -107,10 +216,7 @@ Conv2d::Conv2d(const Config& config, Rng& rng, InitKind init)
       bias_(Shape{config.out_channels}),
       weight_grad_(Shape{config.out_channels, col_rows()}),
       bias_grad_(Shape{config.out_channels}) {
-  DNNV_CHECK(config.in_channels > 0 && config.out_channels > 0,
-             "conv channels must be positive");
-  DNNV_CHECK(config.kernel > 0 && config.stride > 0 && config.pad >= 0,
-             "bad conv geometry");
+  DNNV_CHECK(valid(config), "bad conv config");
   const std::int64_t fan_in = col_rows();
   const std::int64_t fan_out =
       config.out_channels * config.kernel * config.kernel;
@@ -146,54 +252,29 @@ void Conv2d::forward_into(std::size_t index, const Tensor& input,
   const std::int64_t h = input.shape()[2];
   const std::int64_t w = input.shape()[3];
   const std::int64_t k = config_.kernel;
-  const std::int64_t s = config_.stride;
-  const std::int64_t pad = config_.pad;
   const std::int64_t out_h = out_shape[2];
   const std::int64_t out_w = out_shape[3];
   cached_out_h_ = out_h;
   cached_out_w_ = out_w;
   cached_input_ = input;
-  cols_valid_ = false;
 
-  // Each item, zero-padded, in polyphase layout: phase (py, px) of channel c
-  // holds padded rows py, py + s, ... and columns px, px + s, ..., so tap
-  // (c, ky, kx) of output (oy, ox) is row oy + ky / s, column ox + kx / s of
-  // phase (ky % s, kx % s) — unit-stride runs whatever the stride. For
-  // s = 1 this is the plain padded image. The trailing kNR + k floats are
-  // read only by the junk lanes of the last tile.
-  const std::int64_t wide = (w + 2 * pad + s - 1) / s;
-  const std::int64_t phase = (h + 2 * pad + s - 1) / s * wide;
-  Tensor& padded = ws.zeroed(index, kSlotScratch0,
-                             Shape{channels * s * s * phase + kNR + k});
-  offsets_.resize(static_cast<std::size_t>(col_rows()));
+  const PaddedItem layout(h, w, config_);
+  Tensor& padded = ws.zeroed(index, kSlotScratch0, Shape{layout.size});
+  tap_offsets_.resize(static_cast<std::size_t>(col_rows()));
   for (std::int64_t c = 0, t = 0; c < channels; ++c) {
     for (std::int64_t ky = 0; ky < k; ++ky) {
       for (std::int64_t kx = 0; kx < k; ++kx, ++t) {
-        offsets_[static_cast<std::size_t>(t)] =
-            ((c * s + ky % s) * s + kx % s) * phase + ky / s * wide + kx / s;
+        tap_offsets_[static_cast<std::size_t>(t)] = layout.tap(c, ky, kx);
       }
     }
   }
 
   const std::int64_t out_c = config_.out_channels;
   const std::int64_t out_plane = out_h * out_w;
-  const std::int64_t positions = out_h * wide;
+  const std::int64_t positions = out_h * layout.wide;
   for (std::int64_t i = 0; i < n; ++i) {
-    const float* image = input.data() + i * channels * h * w;
-    for (std::int64_t c = 0; c < channels; ++c) {
-      for (std::int64_t iy = 0; iy < h; ++iy) {
-        const std::int64_t py = iy + pad;
-        float* row =
-            padded.data() + (c * s + py % s) * s * phase + py / s * wide;
-        const float* src = image + (c * h + iy) * w;
-        for (std::int64_t px = 0; px < s; ++px) {
-          std::int64_t ix = ((px - pad) % s + s) % s;  // (ix + pad) % s == px
-          float* dst = row + px * phase + (ix + pad) / s;
-          for (; ix < w; ix += s) *dst++ = src[ix];
-        }
-      }
-    }
-
+    layout.fill(input.data() + i * channels * h * w, /*abs=*/false,
+                padded.data());
     float* out = output.data() + i * out_c * out_plane;
     for (std::int64_t oc0 = 0; oc0 < out_c; oc0 += kMR) {
       const std::int64_t rows = std::min(kMR, out_c - oc0);
@@ -203,9 +284,9 @@ void Conv2d::forward_into(std::size_t index, const Tensor& input,
       }
       for (std::int64_t q0 = 0; q0 < positions; q0 += kNR) {
         alignas(64) float tile[kMR * kNR];
-        tile_dot<kMR>(a, 1, col_rows(), offsets_.data(), padded.data() + q0,
-                      &kNoOffset, 1, tile);
-        store_tile(q0, wide, out_h, out_w,
+        tile_dot<kMR>(a, 1, col_rows(), tap_offsets_.data(),
+                      padded.data() + q0, &kNoOffset, 1, tile);
+        store_tile(q0, layout.wide, out_h, out_w,
                    [&](std::int64_t lane, std::int64_t at, std::int64_t len) {
                      for (std::int64_t r = 0; r < rows; ++r) {
                        const float* acc = tile + r * kNR + lane;
@@ -221,43 +302,86 @@ void Conv2d::forward_into(std::size_t index, const Tensor& input,
   }
 }
 
-const float* Conv2d::item_cols(std::int64_t item) {
-  const Shape& in_shape = cached_input_.shape();
-  const std::int64_t col_stride = col_rows() * cached_out_h_ * cached_out_w_;
-  if (!cols_valid_) {
-    // resize() (not reconstruction) so the column storage is reused across
-    // forwards of the same batch shape.
-    cached_cols_.resize(
-        Shape{in_shape[0], col_rows(), cached_out_h_ * cached_out_w_});
-    const std::int64_t in_stride = in_shape[1] * in_shape[2] * in_shape[3];
-    for (std::int64_t i = 0; i < in_shape[0]; ++i) {
-      im2col(cached_input_.data() + i * in_stride, config_.in_channels,
-             in_shape[2], in_shape[3], config_.kernel, config_.kernel,
-             config_.stride, config_.pad, cached_cols_.data() + i * col_stride);
+// The weight reduction: weight_grad_[oc][t] += S_0 + S_1 + ..., added in
+// order, where S_b chains g[oc][p] * x_t[p] from +0 over the output
+// positions p of block [b * kGemmKBlock, (b + 1) * kGemmKBlock) — what
+// gemm(beta = 1) adds for dy [out_c, P] times the im2col columns'
+// transpose, each column x_t read in place as tap t of the padded item.
+// Lanes past the last output channel and taps past the last one repeat
+// real ones and are dropped.
+void Conv2d::reduce_params(std::size_t index, std::int64_t item,
+                           const float* g, bool abs_input, Workspace& ws) {
+  const std::int64_t channels = config_.in_channels;
+  const std::int64_t h = cached_input_.shape()[2];
+  const std::int64_t w = cached_input_.shape()[3];
+  const std::int64_t out_c = config_.out_channels;
+  const std::int64_t taps = col_rows();
+  const std::int64_t positions = cached_out_h_ * cached_out_w_;
+  const PaddedItem layout(h, w, config_);
+  Tensor& padded = ws.zeroed(index, kSlotScratch0, Shape{layout.size});
+  layout.fill(cached_input_.data() + item * channels * h * w, abs_input,
+              padded.data());
+
+  // g transposed to [group][p][lane], lane r of group b being channel
+  // b * kLanes + r.
+  const std::int64_t groups = (out_c + kLanes - 1) / kLanes;
+  Tensor& gt =
+      ws.buffer(index, kSlotScratch2, Shape{groups * positions * kLanes});
+  for (std::int64_t b = 0; b < groups; ++b) {
+    const float* src[kLanes];
+    for (std::int64_t r = 0; r < kLanes; ++r) {
+      src[r] = g + std::min(b * kLanes + r, out_c - 1) * positions;
     }
-    cols_valid_ = true;
+    float* dst = gt.data() + b * positions * kLanes;
+    for (std::int64_t p = 0; p < positions; ++p) {
+      for (std::int64_t r = 0; r < kLanes; ++r) dst[p * kLanes + r] = src[r][p];
+    }
   }
-  return cached_cols_.data() + item * col_stride;
+
+  for (std::int64_t b = 0; b < groups; ++b) {
+    const std::int64_t rows = std::min(kLanes, out_c - b * kLanes);
+    const float* gb = gt.data() + b * positions * kLanes;
+    // Each bias sums its channel's positions as one chain from +0; the
+    // group's kLanes chains run side by side.
+    float sums[kLanes] = {};
+    for (std::int64_t p = 0; p < positions; ++p) {
+      for (std::int64_t r = 0; r < kLanes; ++r) sums[r] += gb[p * kLanes + r];
+    }
+    for (std::int64_t r = 0; r < rows; ++r) bias_grad_[b * kLanes + r] += sums[r];
+
+    for (std::int64_t t0 = 0; t0 < taps; t0 += kTapTile) {
+      const std::int64_t count = std::min(kTapTile, taps - t0);
+      std::int64_t off[kTapTile];
+      for (std::int64_t t = 0; t < kTapTile; ++t) {
+        off[t] = tap_offsets_[static_cast<std::size_t>(
+            t0 + std::min(t, count - 1))];
+      }
+      for (std::int64_t p0 = 0; p0 < positions; p0 += kGemmKBlock) {
+        alignas(64) float slice[kTapTile * kLanes] = {};
+        reduce_chain<kTapTile>(p0, std::min(positions, p0 + kGemmKBlock),
+                               cached_out_w_, layout.wide, off,
+                               padded.data(), gb, slice);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          float* dst = weight_grad_.data() + (b * kLanes + r) * taps + t0;
+          for (std::int64_t t = 0; t < count; ++t) {
+            dst[t] += slice[t * kLanes + r];
+          }
+        }
+      }
+    }
+  }
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::int64_t n = cached_input_.shape()[0];
-  const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
   DNNV_CHECK(grad_output.shape() ==
                  Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
              "grad_output shape " << grad_output.shape() << " unexpected");
-  const std::int64_t out_stride = config_.out_channels * out_plane;
+  const std::int64_t out_stride =
+      config_.out_channels * cached_out_h_ * cached_out_w_;
   for (std::int64_t i = 0; i < n; ++i) {
-    const float* dy = grad_output.data() + i * out_stride;
-    // dW[out_c, ick] += dy[out_c, P] * col^T[P, ick]
-    gemm(false, true, config_.out_channels, col_rows(), out_plane, 1.0f, dy,
-         item_cols(i), 1.0f, weight_grad_.data());
-    for (std::int64_t oc = 0; oc < config_.out_channels; ++oc) {
-      const float* plane = dy + oc * out_plane;
-      float acc = 0.0f;
-      for (std::int64_t p = 0; p < out_plane; ++p) acc += plane[p];
-      bias_grad_[oc] += acc;
-    }
+    reduce_params(0, i, grad_output.data() + i * out_stride,
+                  /*abs_input=*/false, scratch_ws_);
   }
   Tensor grad_input(cached_input_.shape());
   backward_into(0, grad_output, grad_input, scratch_ws_);
@@ -267,6 +391,16 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 void Conv2d::backward_into(std::size_t index, const Tensor& grad_output,
                            Tensor& grad_input, Workspace& ws) {
   const std::int64_t n = cached_input_.shape()[0];
+  DNNV_CHECK(grad_output.shape() ==
+                 Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
+             "grad_output shape " << grad_output.shape() << " unexpected");
+  input_gradient(index, weights_.data(), grad_output.data(), n,
+                 grad_input.data(), ws);
+}
+
+void Conv2d::input_gradient(std::size_t index, const float* weights,
+                            const float* dy, std::int64_t items, float* grad,
+                            Workspace& ws) {
   const std::int64_t channels = config_.in_channels;
   const std::int64_t h = cached_input_.shape()[2];
   const std::int64_t w = cached_input_.shape()[3];
@@ -276,29 +410,27 @@ void Conv2d::backward_into(std::size_t index, const Tensor& grad_output,
   const std::int64_t out_h = cached_out_h_;
   const std::int64_t out_w = cached_out_w_;
   const std::int64_t out_plane = out_h * out_w;
-  DNNV_CHECK(grad_output.shape() == Shape({n, out_c, out_h, out_w}),
-             "grad_output shape " << grad_output.shape() << " unexpected");
 
   // The transposed convolution as a unit-stride correlation: each item's
   // output gradient spread over a zero plane of `wide`-float rows,
   // dy[oc][oy][ox] at row oy * s + lead, column ox * s + lead, so tap
   // (ky, kx) of input pixel (iy, ix) is row iy + k-1-ky, column
   // ix + k-1-kx of every channel's plane. A tap no output reaches reads
-  // zeros and adds exactly +0, where col2im skips it.
+  // zeros and adds exactly +0, where col2im skipped it.
   const std::int64_t wide = w + k - 1;
   const std::int64_t plane = (h + k - 1) * wide;
   const std::int64_t lead = k - 1 - config_.pad;
   Tensor& spread =
       ws.zeroed(index, kSlotScratch1, Shape{out_c * plane + kNR + k});
   // Offsets of each output channel's plane, then of each tap (ky, kx).
-  offsets_.resize(static_cast<std::size_t>(out_c + k * k));
+  grad_offsets_.resize(static_cast<std::size_t>(out_c + k * k));
   for (std::int64_t oc = 0; oc < out_c; ++oc) {
-    offsets_[static_cast<std::size_t>(oc)] = oc * plane;
+    grad_offsets_[static_cast<std::size_t>(oc)] = oc * plane;
   }
-  const std::int64_t* tap_off = offsets_.data() + out_c;
+  const std::int64_t* tap_off = grad_offsets_.data() + out_c;
   for (std::int64_t ky = 0, t = out_c; ky < k; ++ky) {
     for (std::int64_t kx = 0; kx < k; ++kx, ++t) {
-      offsets_[static_cast<std::size_t>(t)] =
+      grad_offsets_[static_cast<std::size_t>(t)] =
           (k - 1 - ky) * wide + (k - 1 - kx);
     }
   }
@@ -311,33 +443,33 @@ void Conv2d::backward_into(std::size_t index, const Tensor& grad_output,
 
   const std::int64_t in_plane = h * w;
   const std::int64_t positions = h * wide;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* dy = grad_output.data() + i * out_c * out_plane;
+  for (std::int64_t i = 0; i < items; ++i) {
+    const float* dy_i = dy + i * out_c * out_plane;
     for (std::int64_t oc = 0; oc < out_c; ++oc) {
       for (std::int64_t oy = o0; oy < oy1; ++oy) {
-        const float* src = dy + oc * out_plane + oy * out_w;
+        const float* src = dy_i + oc * out_plane + oy * out_w;
         float* row = spread.data() + oc * plane + (oy * s + lead) * wide + lead;
         for (std::int64_t ox = o0; ox < ox1; ++ox) row[ox * s] = src[ox];
       }
     }
 
-    float* grad = grad_input.data() + i * channels * in_plane;
+    float* grad_i = grad + i * channels * in_plane;
     for (std::int64_t c0 = 0; c0 < channels; c0 += kGradRows) {
       const std::int64_t rows = std::min(kGradRows, channels - c0);
       const float* a[kGradRows];
       for (std::int64_t r = 0; r < kGradRows; ++r) {
-        a[r] = weights_.data() + (c0 + std::min(r, rows - 1)) * k * k;
+        a[r] = weights + (c0 + std::min(r, rows - 1)) * k * k;
       }
       for (std::int64_t q0 = 0; q0 < positions; q0 += kNR) {
         // Each pixel adds its taps' dot products over the output channels
-        // in (ky, kx) order, as col2im adds the GEMM's column gradients.
+        // in (ky, kx) order, as col2im added the GEMM's column gradients.
         alignas(64) float tile[kGradRows * kNR];
-        tile_dot<kGradRows>(a, col_rows(), out_c, offsets_.data(),
+        tile_dot<kGradRows>(a, col_rows(), out_c, grad_offsets_.data(),
                             spread.data() + q0, tap_off, k * k, tile);
         store_tile(q0, wide, h, w,
                    [&](std::int64_t lane, std::int64_t at, std::int64_t len) {
                      for (std::int64_t r = 0; r < rows; ++r) {
-                       std::memcpy(grad + (c0 + r) * in_plane + at,
+                       std::memcpy(grad_i + (c0 + r) * in_plane + at,
                                    tile + r * kNR + lane,
                                    static_cast<std::size_t>(len) * sizeof(float));
                      }
@@ -360,7 +492,6 @@ void Conv2d::sensitivity_backward_into(std::size_t index,
   DNNV_CHECK(sens_output.shape() ==
                  Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
              "sens_output shape " << sens_output.shape() << " unexpected");
-  sens_input.fill(0.0f);  // col2im accumulates
   const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
   const std::int64_t in_stride =
       config_.in_channels * cached_input_.shape()[2] * cached_input_.shape()[3];
@@ -380,44 +511,24 @@ void Conv2d::sensitivity_backward_item(std::size_t index, std::int64_t item,
                  Shape({1, config_.out_channels, cached_out_h_, cached_out_w_}),
              "per-item sens_output shape " << sens_output.shape()
                                            << " unexpected");
-  sens_input.fill(0.0f);  // col2im accumulates
   sensitivity_item(index, item, sens_output.data(), sens_input.data(), ws);
 }
 
 // One item of the absolute-sensitivity pass, shared by the batched and
-// per-item entry points so their accumulation order is identical. `s_out` and
-// `sens_image` point at this item's [out_c, outH, outW] sensitivity slice and
-// [C, H, W] output slice respectively; the im2col columns of the most recent
-// batched forward (item_cols) supply |x| taps. The |W| / |col| factors are
-// applied by gemm_abs during panel packing — no absolute-value copies are
-// materialised.
-// Shared kernel weights receive the sum over all spatial taps of
-// |input tap| * sensitivity, which is zero iff no tap can propagate.
+// per-item entry points so their accumulation order is identical. `s_out`
+// and `sens_image` point at this item's [out_c, outH, outW] sensitivity
+// slice and [C, H, W] output slice. Shared kernel weights receive the sum
+// over all positions of |input tap| * sensitivity, which is zero iff no tap
+// can propagate; the input sensitivity is the input gradient through |W|.
 void Conv2d::sensitivity_item(std::size_t index, std::int64_t item,
                               const float* s_out, float* sens_image,
                               Workspace& ws) {
-  const std::int64_t h = cached_input_.shape()[2];
-  const std::int64_t w = cached_input_.shape()[3];
-  const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
-
-  Tensor& col_sens =
-      ws.buffer(index, kSlotScratch2, Shape{col_rows(), out_plane});
-
-  const float* cols = item_cols(item);
-  gemm_abs(false, true, /*abs_a=*/false, /*abs_b=*/true, config_.out_channels,
-           col_rows(), out_plane, 1.0f, s_out, cols, 1.0f,
-           weight_grad_.data());
-  for (std::int64_t oc = 0; oc < config_.out_channels; ++oc) {
-    const float* plane = s_out + oc * out_plane;
-    float acc = 0.0f;
-    for (std::int64_t p = 0; p < out_plane; ++p) acc += plane[p];
-    bias_grad_[oc] += acc;
+  reduce_params(index, item, s_out, /*abs_input=*/true, ws);
+  Tensor& abs_weights = ws.buffer(index, kSlotScratch3, weights_.shape());
+  for (std::int64_t e = 0; e < weights_.numel(); ++e) {
+    abs_weights[e] = std::fabs(weights_[e]);
   }
-  gemm_abs(true, false, /*abs_a=*/true, /*abs_b=*/false, col_rows(), out_plane,
-           config_.out_channels, 1.0f, weights_.data(), s_out, 0.0f,
-           col_sens.data());
-  col2im(col_sens.data(), config_.in_channels, h, w, config_.kernel,
-         config_.kernel, config_.stride, config_.pad, sens_image);
+  input_gradient(index, abs_weights.data(), s_out, 1, sens_image, ws);
 }
 
 std::vector<ParamView> Conv2d::param_views() {
@@ -458,10 +569,7 @@ std::unique_ptr<Conv2d> Conv2d::load(ByteReader& reader) {
   layer->config_.kernel = reader.read_i64();
   layer->config_.stride = reader.read_i64();
   layer->config_.pad = reader.read_i64();
-  DNNV_CHECK(layer->config_.in_channels > 0 && layer->config_.out_channels > 0 &&
-                 layer->config_.kernel > 0 && layer->config_.stride > 0 &&
-                 layer->config_.pad >= 0,
-             "corrupt conv config");
+  DNNV_CHECK(valid(layer->config_), "corrupt conv config");
   const Config& c = layer->config_;
   const auto w = reader.read_f32_array(reader.geometry_count(
       {c.out_channels, c.in_channels, c.kernel, c.kernel}, sizeof(float)));

@@ -1,6 +1,5 @@
-// 2-D convolution layer: direct register-tiled kernels for the forward pass
-// and the input gradient, im2col + GEMM for the parameter-gradient and
-// sensitivity passes.
+// 2-D convolution layer: every pass is a direct register-tiled kernel that
+// reads its taps in place and never forms im2col columns.
 #ifndef DNNV_NN_CONV2D_H_
 #define DNNV_NN_CONV2D_H_
 
@@ -15,26 +14,39 @@ namespace dnnv::nn {
 /// Cross-correlation over NCHW inputs. Weights are stored flattened as
 /// [out_channels, in_channels*kh*kw], taps in (c, ky, kx) order.
 ///
-/// forward_into and backward_into (Algorithm 2's descent step) are direct
-/// convolutions: each reads its taps in place from a zero-padded copy of one
-/// batch item and never forms im2col columns. Each output still sums its
-/// products in the order the im2col + GEMM formulation does — blocks of
-/// kGemmKBlock taps (forward) or output channels (input gradient) — so both
-/// formulations agree bit for bit. The value backward() and the two
-/// sensitivity passes read im2col columns, which are built from the cached
-/// input on their first use after each forward.
+/// Three kernels serve every pass, each reading one batch item at a time:
+///  - the forward correlation (forward_into) reads taps in place from a
+///    zero-padded copy of the item;
+///  - the input gradient (backward_into) correlates the output gradient,
+///    spread over zero planes, with the flipped kernel; the input
+///    sensitivity runs it on |W| and the output sensitivity;
+///  - the weight reduction w[oc][t] += sum_p g[oc][p] * x_t[p] reads tap t of
+///    every output position p in place from the padded copy of the cached
+///    item. The value backward() runs it on dy and x (the weight gradient),
+///    the sensitivity passes on s and |x| (the weight sensitivity).
+/// Each sum keeps the order of the im2col + GEMM formulation the layer once
+/// used — product chains over blocks of kGemmKBlock taps (forward), output
+/// channels (input gradient) or output positions (weight reduction), the
+/// block sums added in order — so every float is that formulation's, bit for
+/// bit (tests/nn_reference.h spells each order out).
 class Conv2d : public Layer {
  public:
   struct Config {
     std::int64_t in_channels = 0;
     std::int64_t out_channels = 0;
     std::int64_t kernel = 3;  ///< square kernel edge
-    std::int64_t stride = 1;
-    std::int64_t pad = 0;
+    std::int64_t stride = 1;  ///< 1 <= stride <= kernel
+    std::int64_t pad = 0;     ///< 0 <= pad < kernel
   };
 
   Conv2d(const Config& config, Rng& rng,
          InitKind init = InitKind::kKaimingNormal);
+
+  /// True for the configurations a layer may hold: positive channels and
+  /// kernel, windows that leave no input pixel out (stride <= kernel) and
+  /// each cover at least one (pad < kernel). Loaders check it on every
+  /// conv record.
+  static bool valid(const Config& config);
 
   std::string kind() const override { return "conv2d"; }
   Tensor forward(const Tensor& input) override;
@@ -66,12 +78,18 @@ class Conv2d : public Layer {
   /// passes so both run identical arithmetic in identical order).
   void sensitivity_item(std::size_t index, std::int64_t item,
                         const float* s_out, float* sens_image, Workspace& ws);
+  /// weight_grad_ += the weight reduction of cached item `item` against
+  /// g [out_c, out_h*out_w], over |x| when `abs_input`; bias_grad_ += the
+  /// position sums of g.
+  void reduce_params(std::size_t index, std::int64_t item, const float* g,
+                     bool abs_input, Workspace& ws);
+  /// The input gradient of `items` consecutive items of dy through `weights`
+  /// ([out_c, col_rows]) into `grad`, every pixel overwritten.
+  void input_gradient(std::size_t index, const float* weights, const float* dy,
+                      std::int64_t items, float* grad, Workspace& ws);
   std::int64_t col_rows() const {
     return config_.in_channels * config_.kernel * config_.kernel;
   }
-  /// Item `item`'s im2col columns [col_rows, out_h*out_w] of the cached
-  /// input, building every item's columns on the first call after a forward.
-  const float* item_cols(std::int64_t item);
 
   Config config_;
   Tensor weights_;      // [out_c, in_c*k*k]
@@ -79,19 +97,19 @@ class Conv2d : public Layer {
   Tensor weight_grad_;  // [out_c, in_c*k*k]
   Tensor bias_grad_;    // [out_c]
 
-  // Caches from the last forward: a copy of the input, and the im2col
-  // columns derived from it once a pass that reads columns asks for them.
+  // Caches from the last forward: a copy of the input, and each tap's offset
+  // in the padded copy of one of its items.
   Tensor cached_input_;  // [N, C, H, W]
-  Tensor cached_cols_;   // [N, col_rows, out_h*out_w]; valid iff cols_valid_
-  bool cols_valid_ = false;
   std::int64_t cached_out_h_ = 0;
   std::int64_t cached_out_w_ = 0;
-  std::vector<std::int64_t> offsets_;  // direct-kernel offset table
+  std::vector<std::int64_t> tap_offsets_;   // [col_rows]
+  std::vector<std::int64_t> grad_offsets_;  // input_gradient's offset table
 
   // Scratch arena for the standalone forward()/backward()/
   // sensitivity_backward() entry points (the calibration loop's path), so
-  // repeated calls reuse their col-gradient buffers instead of allocating a
-  // fresh Workspace per call. Never cloned — each copy warms its own.
+  // repeated calls reuse their padded and spread buffers instead of
+  // allocating a fresh Workspace per call. Never cloned — each copy warms
+  // its own.
   Workspace scratch_ws_;
 };
 

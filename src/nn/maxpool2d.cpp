@@ -1,7 +1,7 @@
 #include "nn/maxpool2d.h"
 
 #include "nn/workspace.h"
-#include "tensor/im2col.h"
+#include "tensor/shape.h"
 #include "util/error.h"
 
 namespace dnnv::nn {

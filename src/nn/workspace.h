@@ -26,6 +26,7 @@ enum WorkspaceSlot : int {
   kSlotScratch0 = 3,  ///< layer-private scratch
   kSlotScratch1 = 4,
   kSlotScratch2 = 5,
+  kSlotScratch3 = 6,
 };
 
 /// Per-layer tensor arena (see file comment).

@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "quant/quantize.h"
-#include "tensor/im2col.h"
+#include "tensor/shape.h"
 #include "util/error.h"
 
 namespace dnnv::quant {

@@ -16,7 +16,7 @@
 #include "quant/qgemm.h"
 #include "quant/qops.h"
 #include "tensor/batch.h"
-#include "tensor/im2col.h"
+#include "tensor/shape.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -933,23 +933,39 @@ QuantModel QuantModel::load(ByteReader& reader) {
         q.in_features = reader.read_i64();
         q.out_features = reader.read_i64();
         q.dequant_output = reader.read_u8() != 0;
-        const std::uint64_t num_scales = reader.read_u64();
-        for (std::uint64_t s = 0; s < num_scales; ++s) {
+        // The weight geometry is bounded by the stream (one byte per code)
+        // before weight_channels() or weight_fanin() multiplies it.
+        const bool conv = q.kind == QLayerKind::kConv2d;
+        if (conv) {
+          DNNV_CHECK(nn::Conv2d::valid({q.in_channels, q.out_channels,
+                                        q.kernel, q.stride, q.pad}),
+                     q.name << ": corrupt conv geometry");
+        } else {
+          DNNV_CHECK(q.in_features > 0 && q.out_features > 0,
+                     q.name << ": corrupt dense geometry");
+        }
+        const std::size_t weight_count =
+            conv ? reader.geometry_count(
+                       {q.out_channels, q.in_channels, q.kernel, q.kernel}, 1)
+                 : reader.geometry_count({q.out_features, q.in_features}, 1);
+        const auto channels = static_cast<std::size_t>(weight_channels(q));
+        const std::size_t num_scales = reader.read_count(sizeof(float));
+        DNNV_CHECK(num_scales == 1 || num_scales == channels,
+                   q.name << ": " << num_scales << " weight scales for "
+                          << channels << " channels");
+        for (std::size_t s = 0; s < num_scales; ++s) {
           q.wscales.push_back(reader.read_f32());
         }
-        const std::uint64_t wsize = reader.read_u64();
-        const auto wbytes = reader.read_bytes(static_cast<std::size_t>(wsize));
+        const std::size_t wsize = reader.read_count(1);
+        const auto wbytes = reader.read_bytes(wsize);
         q.weights.resize(wbytes.size());
         std::memcpy(q.weights.data(), wbytes.data(), wbytes.size());
         q.bias_scale = reader.read_f32();
-        const std::uint64_t bsize = reader.read_u64();
-        const auto bbytes = reader.read_bytes(static_cast<std::size_t>(bsize));
+        const std::size_t bsize = reader.read_count(1);
+        const auto bbytes = reader.read_bytes(bsize);
         q.bias_codes.resize(bbytes.size());
         std::memcpy(q.bias_codes.data(), bbytes.data(), bbytes.size());
-        DNNV_CHECK(static_cast<std::int64_t>(q.weights.size()) ==
-                           weight_channels(q) * weight_fanin(q) &&
-                       static_cast<std::int64_t>(q.bias_codes.size()) ==
-                           weight_channels(q),
+        DNNV_CHECK(wsize == weight_count && bsize == channels,
                    q.name << ": corrupt parameter sizes");
         if (q.dequant_output) {
           qm.num_classes_ = static_cast<int>(q.out_features);
@@ -965,6 +981,9 @@ QuantModel QuantModel::load(ByteReader& reader) {
         break;
       case QLayerKind::kFlatten:
         break;
+      default:
+        DNNV_THROW(q.name << ": unknown layer kind "
+                          << static_cast<int>(q.kind));
     }
     qm.layers_.push_back(std::move(q));
   }

@@ -1,7 +1,6 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "util/error.h"
@@ -37,18 +36,16 @@ inline float op_at(const float* x, std::int64_t ld, bool transposed,
 
 /// Packs op(A)[ic..ic+mc, pc..pc+kc] into kMR-row micro-panels:
 /// dst[panel][p * kMR + r], zero-padded to a whole number of panels. The
-/// transpose (and optional absolute value — the sensitivity pipeline's |W|)
-/// are absorbed here instead of materialising transformed copies of op(A).
-void pack_a(const float* a, std::int64_t lda, bool trans_a, bool abs_a,
-            std::int64_t ic, std::int64_t pc, std::int64_t mc, std::int64_t kc,
-            float alpha, float* dst) {
+/// transpose is absorbed here instead of materialising a transposed copy of
+/// op(A).
+void pack_a(const float* a, std::int64_t lda, bool trans_a, std::int64_t ic,
+            std::int64_t pc, std::int64_t mc, std::int64_t kc, float alpha,
+            float* dst) {
   for (std::int64_t ir = 0; ir < mc; ir += kMR) {
     const std::int64_t rows = std::min(kMR, mc - ir);
     for (std::int64_t p = 0; p < kc; ++p) {
       for (std::int64_t r = 0; r < rows; ++r) {
-        float v = op_at(a, lda, trans_a, ic + ir + r, pc + p);
-        if (abs_a) v = std::fabs(v);
-        dst[p * kMR + r] = alpha * v;
+        dst[p * kMR + r] = alpha * op_at(a, lda, trans_a, ic + ir + r, pc + p);
       }
       for (std::int64_t r = rows; r < kMR; ++r) dst[p * kMR + r] = 0.0f;
     }
@@ -58,9 +55,8 @@ void pack_a(const float* a, std::int64_t lda, bool trans_a, bool abs_a,
 
 /// Packs op(B)[pc..pc+kc, jc..jc+nc] into kNR-column micro-panels:
 /// dst[panel][p * kNR + j], zero-padded to a whole number of panels.
-void pack_b(const float* b, std::int64_t ldb, bool trans_b, bool abs_b,
-            std::int64_t pc, std::int64_t jc, std::int64_t kc, std::int64_t nc,
-            float* dst) {
+void pack_b(const float* b, std::int64_t ldb, bool trans_b, std::int64_t pc,
+            std::int64_t jc, std::int64_t kc, std::int64_t nc, float* dst) {
   for (std::int64_t jr = 0; jr < nc; jr += kNR) {
     const std::int64_t cols = std::min(kNR, nc - jr);
     if (trans_b) {
@@ -71,7 +67,7 @@ void pack_b(const float* b, std::int64_t ldb, bool trans_b, bool abs_b,
       for (std::int64_t j = 0; j < cols; ++j) {
         const float* src = b + (jc + jr + j) * ldb + pc;
         for (std::int64_t p = 0; p < kc; ++p) {
-          dst[p * kNR + j] = abs_b ? std::fabs(src[p]) : src[p];
+          dst[p * kNR + j] = src[p];
         }
       }
       for (std::int64_t j = cols; j < kNR; ++j) {
@@ -81,7 +77,7 @@ void pack_b(const float* b, std::int64_t ldb, bool trans_b, bool abs_b,
       for (std::int64_t p = 0; p < kc; ++p) {
         const float* src = b + (pc + p) * ldb + jc + jr;
         for (std::int64_t j = 0; j < cols; ++j) {
-          dst[p * kNR + j] = abs_b ? std::fabs(src[j]) : src[j];
+          dst[p * kNR + j] = src[j];
         }
         for (std::int64_t j = cols; j < kNR; ++j) dst[p * kNR + j] = 0.0f;
       }
@@ -146,13 +142,6 @@ std::vector<float>& b_pack_buffer() {
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, const float* b,
           float beta, float* c) {
-  gemm_abs(trans_a, trans_b, /*abs_a=*/false, /*abs_b=*/false, m, n, k, alpha,
-           a, b, beta, c);
-}
-
-void gemm_abs(bool trans_a, bool trans_b, bool abs_a, bool abs_b,
-              std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c) {
   DNNV_CHECK(m >= 0 && n >= 0 && k >= 0, "negative GEMM dims");
   if (beta == 0.0f) {
     for (std::int64_t i = 0; i < m * n; ++i) c[i] = 0.0f;
@@ -180,14 +169,14 @@ void gemm_abs(bool trans_a, bool trans_b, bool abs_a, bool abs_b,
     const std::int64_t nc = std::min(kNC, n - jc);
     for (std::int64_t pc = 0; pc < k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, k - pc);
-      pack_b(b, ldb, trans_b, abs_b, pc, jc, kc, nc, b_pack.data());
+      pack_b(b, ldb, trans_b, pc, jc, kc, nc, b_pack.data());
 
       auto ic_block = [&](std::size_t bi) {
         const std::int64_t ic = static_cast<std::int64_t>(bi) * kMC;
         const std::int64_t mc = std::min(kMC, m - ic);
         std::vector<float>& a_pack = a_pack_buffer();
         a_pack.resize(static_cast<std::size_t>(kMC * kKC));
-        pack_a(a, lda, trans_a, abs_a, ic, pc, mc, kc, alpha, a_pack.data());
+        pack_a(a, lda, trans_a, ic, pc, mc, kc, alpha, a_pack.data());
         macro_block(mc, nc, kc, a_pack.data(), b_pack.data(),
                     c + ic * n + jc, n);
       };

@@ -1,4 +1,5 @@
-// Single-precision GEMM used by the Dense and Conv2d kernels.
+// Single-precision GEMM used by the Dense kernels; its K slices also fix the
+// summation order of the direct Conv2d kernels.
 #ifndef DNNV_TENSOR_GEMM_H_
 #define DNNV_TENSOR_GEMM_H_
 
@@ -6,11 +7,10 @@
 
 namespace dnnv {
 
-/// Depth of the K slices gemm() sums separately. With beta = 0 each C
-/// element is formed as 0 + (slice sum) + (slice sum) + ..., each slice sum
-/// a product chain from +0 in ascending k, so a kernel that splits its sums
-/// at the same points (nn::Conv2d's direct convolution) reproduces gemm()
-/// bit for bit.
+/// Depth of the K slices gemm() sums separately. Each C element is formed
+/// as beta * C + (slice sum) + (slice sum) + ..., each slice sum a product
+/// chain from +0 in ascending k, so a kernel that splits its sums at the
+/// same points (nn::Conv2d's direct kernels) reproduces gemm() bit for bit.
 inline constexpr std::int64_t kGemmKBlock = 256;
 
 /// C[M,N] = alpha * op(A) * op(B) + beta * C, row-major.
@@ -26,14 +26,6 @@ inline constexpr std::int64_t kGemmKBlock = 256;
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, const float* b,
           float beta, float* c);
-
-/// gemm() with |op(A)| and/or |op(B)| applied on the fly during panel
-/// packing — the absolute-sensitivity pipeline's kernels (|W|ᵀ·s, s·|col|ᵀ)
-/// without materialising the absolute-value copies. Bitwise equal to taking
-/// the absolutes first and calling gemm().
-void gemm_abs(bool trans_a, bool trans_b, bool abs_a, bool abs_b,
-              std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-              const float* a, const float* b, float beta, float* c);
 
 }  // namespace dnnv
 

@@ -46,4 +46,13 @@ std::ostream& operator<<(std::ostream& os, const Shape& shape) {
   return os << shape.to_string();
 }
 
+std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
+                          std::int64_t stride, std::int64_t pad) {
+  DNNV_CHECK(stride > 0, "stride must be positive");
+  const std::int64_t eff = in + 2 * pad - kernel;
+  DNNV_CHECK(eff >= 0, "kernel " << kernel << " larger than padded input "
+                                 << in + 2 * pad);
+  return eff / stride + 1;
+}
+
 }  // namespace dnnv

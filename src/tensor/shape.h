@@ -38,6 +38,10 @@ class Shape {
 
 std::ostream& operator<<(std::ostream& os, const Shape& shape);
 
+/// Output spatial size of a convolution/pooling window sweep.
+std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
+                          std::int64_t stride, std::int64_t pad);
+
 }  // namespace dnnv
 
 #endif  // DNNV_TENSOR_SHAPE_H_

@@ -1,13 +1,17 @@
-// Conv2d against the test-only float reference (tests/nn_reference.h): the
-// direct forward_into and backward_into and the value backward()'s input
-// gradient must match it bit for bit on every random_conv_cases() conv, on
-// both tiny zoo models' convs over pool items, and on two convs whose sums
-// cross a 256-term block. The im2col columns the value and sensitivity
-// passes read are built lazily after each forward, so a second test checks
-// they are never stale. Like MIOpen's convolution tests, the comparison
-// prints one row per case and a summary.
+// Conv2d against the test-only float reference (tests/nn_reference.h):
+// forward_into, backward_into, the value backward()'s input, weight and bias
+// gradients, and the batched and per-item sensitivity passes (parameter and
+// input sensitivities) must match it bit for bit on every
+// random_conv_cases() conv, on both tiny zoo models' convs over pool items,
+// and on two convs whose sums cross a 256-term block. The stride-2 cases
+// cover the polyphase layout, and the zoo convs' 784- and 1024-position
+// planes split the weight reduction into blocks, the mnist ones mid-row. A
+// second test checks that nothing cached by one forward leaks into a pass
+// after the next. Like MIOpen's convolution tests, the comparison prints one
+// row per case and a summary.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -120,14 +124,33 @@ std::string geometry(const ConvCase& c) {
 
 const char* verdict(bool pass) { return pass ? "PASS" : "FAIL"; }
 
+/// The conv's weight (0) or bias (1) grad buffer equals `want` bit for bit.
+bool same_grad(Conv2d& conv, std::size_t view, const Tensor& want) {
+  const ParamView v = conv.param_views()[view];
+  return v.size == want.numel() &&
+         std::memcmp(v.grad, want.data(),
+                     sizeof(float) * static_cast<std::size_t>(v.size)) == 0;
+}
+
+bool same_param_grads(Conv2d& conv, const reference::ParamGrads& want) {
+  return same_grad(conv, 0, want.weight) && same_grad(conv, 1, want.bias);
+}
+
+/// Item `item` of a batch, as a batch of one.
+Tensor item_of(const Tensor& batch, std::int64_t item) {
+  return stack_batch({slice_batch(batch, item)});
+}
+
 TEST(ConvReferenceTest, DirectAndValuePassesMatchReferenceBitForBit) {
   std::vector<ConvCase> cases = all_cases();
   const char* rule =
       "+-------------------+-------------------------------+"
-      "--------------------------------+---------+----------+----------+\n";
-  std::printf("%s| %-17s | %-29s | %-30s | %-7s | %-8s | %-8s |\n%s", rule,
-              "Suite", "Case", "Geometry", "forward", "bwd_into", "backward",
-              rule);
+      "--------------------------------+---------+----------+--------+"
+      "--------+--------+------+-----------+\n";
+  std::printf("%s| %-17s | %-29s | %-30s | %-7s | %-8s | %-6s | %-6s | %-6s "
+              "| %-4s | %-9s |\n%s",
+              rule, "Suite", "Case", "Geometry", "forward", "bwd_into",
+              "bwd_dx", "bwd_dW", "bwd_db", "sens", "sens_item", rule);
   int failed = 0;
   for (ConvCase& c : cases) {
     SCOPED_TRACE(c.suite + " " + c.name);
@@ -139,6 +162,12 @@ TEST(ConvReferenceTest, DirectAndValuePassesMatchReferenceBitForBit) {
     const Tensor dy = Tensor::randn(want_y.shape(), grad_rng);
     const Tensor want_dx = reference::conv_input_gradient(
         cfg, conv.weights().data(), c.input.shape(), dy);
+    const reference::ParamGrads want_grads =
+        reference::conv_param_gradient(cfg, c.input, dy);
+    Tensor sens = Tensor::randn(want_y.shape(), grad_rng);
+    for (std::int64_t e = 0; e < sens.numel(); ++e) {
+      sens[e] = std::fabs(sens[e]);
+    }
 
     Workspace ws;
     Tensor y(conv.output_shape(c.input.shape()));
@@ -148,18 +177,58 @@ TEST(ConvReferenceTest, DirectAndValuePassesMatchReferenceBitForBit) {
     const bool forward_ok = same_bits(y, want_y);
     const bool into_ok = same_bits(dx, want_dx);
 
+    // The value path; its forward caches the same input.
     const bool value_forward_ok = same_bits(conv.forward(c.input), want_y);
     conv.zero_grads();
-    const bool value_ok =
-        value_forward_ok && same_bits(conv.backward(dy), want_dx);
+    const bool dx_ok = value_forward_ok && same_bits(conv.backward(dy), want_dx);
+    const bool dw_ok = same_grad(conv, 0, want_grads.weight);
+    const bool db_ok = same_grad(conv, 1, want_grads.bias);
 
+    // The batched sensitivity pass after a workspace forward.
+    conv.forward_into(0, c.input, y, ws);
+    conv.zero_grads();
+    Tensor sdx(c.input.shape());
+    conv.sensitivity_backward_into(0, sens, sdx, ws);
+    const bool sens_ok =
+        same_param_grads(conv, reference::conv_param_sensitivity(cfg, c.input,
+                                                                  sens)) &&
+        same_bits(sdx, reference::conv_input_sensitivity(
+                           cfg, conv.weights().data(), c.input.shape(), sens));
+
+    // The per-item pass against the same batched forward, one item at a
+    // time, each against the reference on a batch of that item alone.
+    bool item_ok = true;
+    for (std::int64_t i = 0; i < c.input.shape()[0]; ++i) {
+      const Tensor item = item_of(c.input, i);
+      const Tensor item_sens = item_of(sens, i);
+      conv.zero_grads();
+      Tensor item_sdx(item.shape());
+      conv.sensitivity_backward_item(0, i, item_sens, item_sdx, ws);
+      item_ok = item_ok &&
+                same_param_grads(conv, reference::conv_param_sensitivity(
+                                           cfg, item, item_sens)) &&
+                same_bits(item_sdx,
+                          reference::conv_input_sensitivity(
+                              cfg, conv.weights().data(), item.shape(),
+                              item_sens));
+    }
+
+    const bool all_ok = forward_ok && into_ok && dx_ok && dw_ok && db_ok &&
+                        sens_ok && item_ok;
     EXPECT_TRUE(forward_ok);
     EXPECT_TRUE(into_ok);
-    EXPECT_TRUE(value_ok);
-    failed += forward_ok && into_ok && value_ok ? 0 : 1;
-    std::printf("| %-17s | %-29s | %-30s | %-7s | %-8s | %-8s |\n",
+    EXPECT_TRUE(dx_ok);
+    EXPECT_TRUE(dw_ok);
+    EXPECT_TRUE(db_ok);
+    EXPECT_TRUE(sens_ok);
+    EXPECT_TRUE(item_ok);
+    failed += all_ok ? 0 : 1;
+    std::printf("| %-17s | %-29s | %-30s | %-7s | %-8s | %-6s | %-6s | %-6s "
+                "| %-4s | %-9s |\n",
                 c.suite.c_str(), c.name.c_str(), geometry(c).c_str(),
-                verdict(forward_ok), verdict(into_ok), verdict(value_ok));
+                verdict(forward_ok), verdict(into_ok), verdict(dx_ok),
+                verdict(dw_ok), verdict(db_ok), verdict(sens_ok),
+                verdict(item_ok));
   }
   const char* summary_rule =
       "+-------------+--------+--------+--------------+\n";
@@ -186,6 +255,9 @@ bool same_floats(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+// Every reverse pass reads the input cached by the latest forward, so after
+// a forward of batch A and then of batch B, each pass must equal the pass of
+// a fresh clone that has only ever seen B, or the reference on B.
 TEST(ConvReferenceTest, ColumnCacheIsRebuiltAfterEveryForward) {
   const auto c = test_nets::random_conv_cases()[1];
   const std::vector<Tensor> probes = c.probes();
@@ -228,7 +300,7 @@ TEST(ConvReferenceTest, ColumnCacheIsRebuiltAfterEveryForward) {
     EXPECT_FALSE(same_floats(on_a, on_b));
   }
 
-  // The value backward's weight gradient reads the same columns.
+  // So must the value backward's weight gradient.
   Rng grad_rng(6);
   const Tensor grad_logits = Tensor::randn(logits, grad_rng);
   model.forward(batch_a);
@@ -242,6 +314,27 @@ TEST(ConvReferenceTest, ColumnCacheIsRebuiltAfterEveryForward) {
   fresh.zero_grads();
   fresh.backward(grad_logits);
   EXPECT_TRUE(same_floats(grads_of(model), grads_of(fresh)));
+
+  // A second forward may change the input's height and width; the passes
+  // after it must read taps at the new geometry's offsets.
+  Rng conv_rng(8);
+  Conv2d conv({2, 3, 3, 2, 1}, conv_rng);
+  Workspace ws;
+  for (const Shape& shape : {Shape{2, 2, 9, 7}, Shape{3, 2, 12, 10}}) {
+    SCOPED_TRACE(shape.to_string());
+    const Tensor x = Tensor::rand_uniform(shape, conv_rng, -1.0f, 1.0f);
+    Tensor y(conv.output_shape(shape));
+    conv.forward_into(0, x, y, ws);
+    const Tensor s = Tensor::rand_uniform(y.shape(), conv_rng, 0.0f, 1.0f);
+    conv.zero_grads();
+    Tensor sx(shape);
+    conv.sensitivity_backward_into(0, s, sx, ws);
+    EXPECT_TRUE(same_param_grads(
+        conv, reference::conv_param_sensitivity(conv.config(), x, s)));
+    EXPECT_TRUE(same_bits(sx, reference::conv_input_sensitivity(
+                                  conv.config(), conv.weights().data(), shape,
+                                  s)));
+  }
 }
 
 }  // namespace

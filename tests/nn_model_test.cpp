@@ -123,6 +123,31 @@ TEST(SequentialTest, ConvLoadRejectsOverflowingGeometry) {
   EXPECT_THROW(Conv2d::load(reader), Error);
 }
 
+// A conv record whose stride or padding reaches past its kernel is
+// rejected on load; pad 2^40 once loaded and then overflowed the first
+// forward's output size.
+TEST(SequentialTest, ConvLoadRejectsUnboundedStrideAndPadding) {
+  const auto record = [](std::int64_t stride, std::int64_t pad) {
+    ByteWriter writer;
+    writer.write_i64(1);  // in_channels
+    writer.write_i64(1);  // out_channels
+    writer.write_i64(3);  // kernel
+    writer.write_i64(stride);
+    writer.write_i64(pad);
+    const std::vector<float> weights(9, 0.5f);
+    writer.write_f32_array(weights.data(), weights.size());
+    const float bias = 0.25f;
+    writer.write_f32_array(&bias, 1);
+    return ByteReader(writer.take());
+  };
+  ByteReader ok = record(3, 2);
+  EXPECT_EQ(Conv2d::load(ok)->config().pad, 2);
+  ByteReader pad = record(1, std::int64_t{1} << 40);
+  EXPECT_THROW(Conv2d::load(pad), Error);
+  ByteReader stride = record(4, 0);
+  EXPECT_THROW(Conv2d::load(stride), Error);
+}
+
 TEST(SequentialTest, DenseLoadRejectsOverflowingGeometry) {
   ByteWriter writer;
   writer.write_i64(std::int64_t{1} << 62);  // in_features

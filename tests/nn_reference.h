@@ -1,7 +1,7 @@
 // Reference float convolution (the oracle for nn::Conv2d). Only tests use
 // it; nothing under src/ does.
 //
-// Both passes are scalar loop nests written from the definition of a
+// Every pass is a scalar loop nest written from the definition of a
 // cross-correlation over NCHW tensors: no gemm, no im2col or col2im, no
 // padded copies and no tiling. What they share with the engine is the
 // summation order every float depends on, spelled out here:
@@ -13,16 +13,27 @@
 //             some output reaches, in (ky, kx) order, where
 //             D = 0 + T_0 + T_1 + ... and T_b sums the products of output
 //             channels [256 b, 256 b + 256) as a chain from +0.
+//   weights   dW[oc][t] = 0 + R_0 + R_1 + ... over the items in order, then
+//             within an item over blocks b, where R_b sums
+//             dy[oc][p] * x_t[p] over the output positions
+//             p = oy * out_w + ox in [256 b, 256 b + 256) as a chain from
+//             +0 (a block may end mid-row); x_t[p] is the input under tap t
+//             of output p, 0 on padding.
+//   bias      db[oc] = 0 + B_0 + B_1 + ... over the items, B_i summing
+//             dy[oc][p] over all of item i's positions as one chain from +0.
 //
-// The 256 is the float GEMM's K slice (kGemmKBlock), the order in which the
-// im2col + GEMM formulation of the same layer adds its products. Every
-// Conv2d path — the direct forward_into and backward_into, the value
-// backward() — must match these loops bit for bit.
+// The sensitivity passes are the same loops over absolute values: the
+// weight and bias sensitivities use s and |x|, the input sensitivity |W|
+// and s. The 256 is the float GEMM's K slice (kGemmKBlock), the order in
+// which the im2col + GEMM formulation of the same layer adds its products.
+// Every Conv2d path must match these loops bit for bit.
 #ifndef DNNV_TESTS_NN_REFERENCE_H_
 #define DNNV_TESTS_NN_REFERENCE_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "nn/conv2d.h"
 #include "tensor/tensor.h"
@@ -120,6 +131,82 @@ inline Tensor conv_input_gradient(const Conv2d::Config& cfg,
     }
   }
   return grad;
+}
+
+/// Parameter gradients of a batch, summed from zero over its items in order.
+struct ParamGrads {
+  Tensor weight;  ///< [out_c, C * k * k]
+  Tensor bias;    ///< [out_c]
+};
+
+/// dW and db for input [N, C, H, W] and g [N, out_c, out_h, out_w], with
+/// |x| in place of x when `abs_input`.
+inline ParamGrads conv_param_sums(const Conv2d::Config& cfg,
+                                  const Tensor& input, const Tensor& g,
+                                  bool abs_input) {
+  const std::int64_t n = input.shape()[0], channels = cfg.in_channels;
+  const std::int64_t h = input.shape()[2], w = input.shape()[3];
+  const std::int64_t k = cfg.kernel, taps = channels * k * k;
+  const std::int64_t out_c = cfg.out_channels;
+  const std::int64_t out_h = g.shape()[2], out_w = g.shape()[3];
+  const std::int64_t positions = out_h * out_w;
+  ParamGrads grads{Tensor(Shape{out_c, taps}), Tensor(Shape{out_c})};
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t oc = 0; oc < out_c; ++oc) {
+      const float* gi = g.data() + (i * out_c + oc) * positions;
+      for (std::int64_t t = 0; t < taps; ++t) {
+        const std::int64_t c = t / (k * k);
+        for (std::int64_t p0 = 0; p0 < positions; p0 += kBlock) {
+          float sum = 0.0f;
+          for (std::int64_t p = p0; p < std::min(positions, p0 + kBlock);
+               ++p) {
+            const std::int64_t iy = p / out_w * cfg.stride - cfg.pad + t / k % k;
+            const std::int64_t ix = p % out_w * cfg.stride - cfg.pad + t % k;
+            const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < w;
+            float x =
+                inside ? input.data()[((i * channels + c) * h + iy) * w + ix]
+                       : 0.0f;
+            if (abs_input) x = std::fabs(x);
+            sum += gi[p] * x;
+          }
+          grads.weight.data()[oc * taps + t] += sum;
+        }
+      }
+      float sum = 0.0f;
+      for (std::int64_t p = 0; p < positions; ++p) sum += gi[p];
+      grads.bias.data()[oc] += sum;
+    }
+  }
+  return grads;
+}
+
+/// The value backward()'s parameter gradients.
+inline ParamGrads conv_param_gradient(const Conv2d::Config& cfg,
+                                      const Tensor& input,
+                                      const Tensor& grad_output) {
+  return conv_param_sums(cfg, input, grad_output, /*abs_input=*/false);
+}
+
+/// The weight and bias sensitivities: the same sums over s and |x|.
+inline ParamGrads conv_param_sensitivity(const Conv2d::Config& cfg,
+                                         const Tensor& input,
+                                         const Tensor& sens_output) {
+  return conv_param_sums(cfg, input, sens_output, /*abs_input=*/true);
+}
+
+/// The input sensitivity: the input gradient's sums over |W| and s.
+inline Tensor conv_input_sensitivity(const Conv2d::Config& cfg,
+                                     const float* weights,
+                                     const Shape& input_shape,
+                                     const Tensor& sens_output) {
+  const std::int64_t size = cfg.out_channels * cfg.in_channels * cfg.kernel *
+                            cfg.kernel;
+  std::vector<float> abs_weights(static_cast<std::size_t>(size));
+  for (std::int64_t e = 0; e < size; ++e) {
+    abs_weights[static_cast<std::size_t>(e)] = std::fabs(weights[e]);
+  }
+  return conv_input_gradient(cfg, abs_weights.data(), input_shape,
+                             sens_output);
 }
 
 }  // namespace dnnv::nn::reference

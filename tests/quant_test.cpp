@@ -451,6 +451,107 @@ TEST(QuantModelTest, SerializeRoundTripWithCrcFooter) {
   std::remove(bad_path.c_str());
 }
 
+// ---------- Forged model streams ----------
+
+/// The fields of one conv record that the forged streams vary.
+struct ConvRecord {
+  std::int64_t in_channels = 1;
+  std::int64_t out_channels = 4;
+  std::int64_t kernel = 3;
+  std::int64_t stride = 1;
+  std::int64_t pad = 1;
+  std::uint64_t scales = 1;  ///< weight-scale entries written
+  std::uint8_t kind = static_cast<std::uint8_t>(QLayerKind::kConv2d);
+};
+
+/// A QuantModel stream of one conv layer, laid out field by field as
+/// QuantModel::save writes it, with 36 weight and 4 bias codes.
+ByteReader conv_stream(const ConvRecord& r) {
+  ByteWriter w;
+  w.write_u32(0x384D5144);  // "DQM8"
+  w.write_u32(1);           // version
+  w.write_u8(static_cast<std::uint8_t>(Granularity::kPerChannel));
+  w.write_u8(0);  // calibration
+  w.write_f64(99.99);
+  w.write_i64(64);
+  w.write_u8(0);  // no Normalize
+  w.write_u64(1);
+  w.write_u8(r.kind);
+  w.write_string("conv2d0");
+  w.write_f32(0.05f);  // in_scale
+  w.write_f32(0.1f);   // out_scale
+  for (const std::int64_t v :
+       {r.in_channels, r.out_channels, r.kernel, r.stride, r.pad}) {
+    w.write_i64(v);
+  }
+  w.write_i64(0);  // in_features
+  w.write_i64(0);  // out_features
+  w.write_u8(0);   // dequant_output
+  w.write_u64(r.scales);
+  for (std::uint64_t i = 0; i < r.scales; ++i) w.write_f32(0.01f);
+  const std::vector<std::uint8_t> weights(36, 3), bias(4, 1);
+  w.write_u64(weights.size());
+  w.write_bytes(weights.data(), weights.size());
+  w.write_f32(0.02f);  // bias_scale
+  w.write_u64(bias.size());
+  w.write_bytes(bias.data(), bias.size());
+  return ByteReader(w.take());
+}
+
+TEST(QuantModelTest, ForgedConvStreamLoadsWhenWellFormed) {
+  ByteReader per_tensor = conv_stream({});
+  EXPECT_EQ(QuantModel::load(per_tensor).param_count(), 40);
+  ConvRecord per_channel;
+  per_channel.scales = 4;
+  ByteReader reader = conv_stream(per_channel);
+  EXPECT_EQ(QuantModel::load(reader).param_count(), 40);
+}
+
+// Each record below crashed or overflowed before load checked it: no scale
+// at all (wscale_for dereferenced an empty vector), fewer scales than
+// channels (a heap over-read) and a geometry whose weight count overflows a
+// signed 64-bit product.
+TEST(QuantModelTest, LoadRejectsConvWithoutWeightScales) {
+  ConvRecord r;
+  r.scales = 0;
+  ByteReader reader = conv_stream(r);
+  EXPECT_THROW(QuantModel::load(reader), Error);
+}
+
+TEST(QuantModelTest, LoadRejectsTooFewWeightScales) {
+  ConvRecord r;
+  r.scales = 2;
+  ByteReader reader = conv_stream(r);
+  EXPECT_THROW(QuantModel::load(reader), Error);
+}
+
+TEST(QuantModelTest, LoadRejectsOverflowingConvGeometry) {
+  ConvRecord r;
+  r.in_channels = std::int64_t{1} << 32;
+  r.kernel = std::int64_t{1} << 16;
+  ByteReader reader = conv_stream(r);
+  EXPECT_THROW(QuantModel::load(reader), Error);
+}
+
+// A kind byte outside QLayerKind once loaded as a layer with no fields.
+TEST(QuantModelTest, LoadRejectsUnknownLayerKind) {
+  ConvRecord r;
+  r.kind = 9;
+  ByteReader reader = conv_stream(r);
+  EXPECT_THROW(QuantModel::load(reader), Error);
+}
+
+TEST(QuantModelTest, LoadRejectsUnboundedConvStrideAndPadding) {
+  ConvRecord pad;
+  pad.pad = std::int64_t{1} << 40;
+  ByteReader pad_reader = conv_stream(pad);
+  EXPECT_THROW(QuantModel::load(pad_reader), Error);
+  ConvRecord stride;
+  stride.stride = 4;  // past the 3-wide kernel
+  ByteReader stride_reader = conv_stream(stride);
+  EXPECT_THROW(QuantModel::load(stride_reader), Error);
+}
+
 TEST(QuantModelTest, LogitErrorBoundHoldsOnZooModels) {
   // The satellite cross-check: int8-engine logits stay within the analytic
   // bound of the float reference on both zoo models, per-channel AND

@@ -5,7 +5,6 @@
 
 #include "tensor/batch.h"
 #include "tensor/gemm.h"
-#include "tensor/im2col.h"
 #include "tensor/shape.h"
 #include "tensor/tensor.h"
 #include "util/error.h"
@@ -283,57 +282,13 @@ TEST(GemmTest, RowResultsAreBatchSizeInvariant) {
   }
 }
 
-// ---------- im2col ----------
+// ---------- conv geometry ----------
 
-TEST(Im2colTest, OutDims) {
+TEST(ShapeTest, ConvOutDim) {
   EXPECT_EQ(conv_out_dim(28, 3, 1, 1), 28);
   EXPECT_EQ(conv_out_dim(28, 3, 1, 0), 26);
   EXPECT_EQ(conv_out_dim(28, 2, 2, 0), 14);
   EXPECT_THROW(conv_out_dim(2, 5, 1, 0), Error);
-}
-
-TEST(Im2colTest, IdentityKernelReproducesImage) {
-  // 1x1 kernel, stride 1, no pad: columns == image.
-  const float image[] = {1, 2, 3, 4};
-  float cols[4];
-  im2col(image, 1, 2, 2, 1, 1, 1, 0, cols);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(cols[i], image[i]);
-}
-
-TEST(Im2colTest, PaddingReadsZero) {
-  const float image[] = {1, 2, 3, 4};  // 1x2x2
-  // 3x3 kernel, pad 1 -> out 2x2; centre tap row is the image itself.
-  std::vector<float> cols(9 * 4);
-  im2col(image, 1, 2, 2, 3, 3, 1, 1, cols.data());
-  // tap (ky=0,kx=0) at output (0,0) reads image(-1,-1) = 0
-  EXPECT_EQ(cols[0], 0.0f);
-  // centre tap (ky=1,kx=1) is row 4: equals the image
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(cols[4 * 4 + i], image[i]);
-}
-
-TEST(Im2colTest, Col2imIsAdjoint) {
-  // <im2col(x), y> == <x, col2im(y)> for random x, y (adjoint property).
-  Rng rng(31);
-  const std::int64_t c = 2, h = 5, w = 4, kh = 3, kw = 3, stride = 1, pad = 1;
-  const std::int64_t out_h = conv_out_dim(h, kh, stride, pad);
-  const std::int64_t out_w = conv_out_dim(w, kw, stride, pad);
-  const std::int64_t rows = c * kh * kw;
-  std::vector<float> x(static_cast<std::size_t>(c * h * w));
-  std::vector<float> y(static_cast<std::size_t>(rows * out_h * out_w));
-  for (auto& v : x) v = static_cast<float>(rng.normal());
-  for (auto& v : y) v = static_cast<float>(rng.normal());
-
-  std::vector<float> cols(y.size());
-  im2col(x.data(), c, h, w, kh, kw, stride, pad, cols.data());
-  double lhs = 0.0;
-  for (std::size_t i = 0; i < y.size(); ++i) lhs += cols[i] * y[i];
-
-  std::vector<float> back(x.size(), 0.0f);
-  col2im(y.data(), c, h, w, kh, kw, stride, pad, back.data());
-  double rhs = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) rhs += x[i] * back[i];
-
-  EXPECT_NEAR(lhs, rhs, 1e-3);
 }
 
 // ---------- batch ----------
