@@ -181,15 +181,6 @@ struct PaddedItem {
         const std::int64_t py = iy + pad;
         float* row = padded + (c * s + py % s) * s * phase + py / s * wide;
         const float* src = image + (c * h + iy) * w;
-        if (s == 1) {
-          float* dst = row + pad;
-          if (abs) {
-            for (std::int64_t ix = 0; ix < w; ++ix) dst[ix] = std::fabs(src[ix]);
-          } else {
-            std::copy(src, src + w, dst);
-          }
-          continue;
-        }
         for (std::int64_t px = 0; px < s; ++px) {
           std::int64_t ix = ((px - pad) % s + s) % s;  // (ix + pad) % s == px
           float* dst = row + px * phase + (ix + pad) / s;
@@ -260,11 +251,11 @@ void Conv2d::forward_into(std::size_t index, const Tensor& input,
 
   const PaddedItem layout(h, w, config_);
   Tensor& padded = ws.zeroed(index, kSlotScratch0, Shape{layout.size});
-  tap_offsets_.resize(static_cast<std::size_t>(col_rows()));
+  offsets_.resize(static_cast<std::size_t>(col_rows()));
   for (std::int64_t c = 0, t = 0; c < channels; ++c) {
     for (std::int64_t ky = 0; ky < k; ++ky) {
       for (std::int64_t kx = 0; kx < k; ++kx, ++t) {
-        tap_offsets_[static_cast<std::size_t>(t)] = layout.tap(c, ky, kx);
+        offsets_[static_cast<std::size_t>(t)] = layout.tap(c, ky, kx);
       }
     }
   }
@@ -284,8 +275,8 @@ void Conv2d::forward_into(std::size_t index, const Tensor& input,
       }
       for (std::int64_t q0 = 0; q0 < positions; q0 += kNR) {
         alignas(64) float tile[kMR * kNR];
-        tile_dot<kMR>(a, 1, col_rows(), tap_offsets_.data(),
-                      padded.data() + q0, &kNoOffset, 1, tile);
+        tile_dot<kMR>(a, 1, col_rows(), offsets_.data(), padded.data() + q0,
+                      &kNoOffset, 1, tile);
         store_tile(q0, layout.wide, out_h, out_w,
                    [&](std::int64_t lane, std::int64_t at, std::int64_t len) {
                      for (std::int64_t r = 0; r < rows; ++r) {
@@ -314,6 +305,7 @@ void Conv2d::reduce_params(std::size_t index, std::int64_t item,
   const std::int64_t channels = config_.in_channels;
   const std::int64_t h = cached_input_.shape()[2];
   const std::int64_t w = cached_input_.shape()[3];
+  const std::int64_t k = config_.kernel;
   const std::int64_t out_c = config_.out_channels;
   const std::int64_t taps = col_rows();
   const std::int64_t positions = cached_out_h_ * cached_out_w_;
@@ -353,8 +345,8 @@ void Conv2d::reduce_params(std::size_t index, std::int64_t item,
       const std::int64_t count = std::min(kTapTile, taps - t0);
       std::int64_t off[kTapTile];
       for (std::int64_t t = 0; t < kTapTile; ++t) {
-        off[t] = tap_offsets_[static_cast<std::size_t>(
-            t0 + std::min(t, count - 1))];
+        const std::int64_t tap = t0 + std::min(t, count - 1);
+        off[t] = layout.tap(tap / (k * k), tap / k % k, tap % k);
       }
       for (std::int64_t p0 = 0; p0 < positions; p0 += kGemmKBlock) {
         alignas(64) float slice[kTapTile * kLanes] = {};
@@ -423,14 +415,14 @@ void Conv2d::input_gradient(std::size_t index, const float* weights,
   Tensor& spread =
       ws.zeroed(index, kSlotScratch1, Shape{out_c * plane + kNR + k});
   // Offsets of each output channel's plane, then of each tap (ky, kx).
-  grad_offsets_.resize(static_cast<std::size_t>(out_c + k * k));
+  offsets_.resize(static_cast<std::size_t>(out_c + k * k));
   for (std::int64_t oc = 0; oc < out_c; ++oc) {
-    grad_offsets_[static_cast<std::size_t>(oc)] = oc * plane;
+    offsets_[static_cast<std::size_t>(oc)] = oc * plane;
   }
-  const std::int64_t* tap_off = grad_offsets_.data() + out_c;
+  const std::int64_t* tap_off = offsets_.data() + out_c;
   for (std::int64_t ky = 0, t = out_c; ky < k; ++ky) {
     for (std::int64_t kx = 0; kx < k; ++kx, ++t) {
-      grad_offsets_[static_cast<std::size_t>(t)] =
+      offsets_[static_cast<std::size_t>(t)] =
           (k - 1 - ky) * wide + (k - 1 - kx);
     }
   }
@@ -464,7 +456,7 @@ void Conv2d::input_gradient(std::size_t index, const float* weights,
         // Each pixel adds its taps' dot products over the output channels
         // in (ky, kx) order, as col2im added the GEMM's column gradients.
         alignas(64) float tile[kGradRows * kNR];
-        tile_dot<kGradRows>(a, col_rows(), out_c, grad_offsets_.data(),
+        tile_dot<kGradRows>(a, col_rows(), out_c, offsets_.data(),
                             spread.data() + q0, tap_off, k * k, tile);
         store_tile(q0, wide, h, w,
                    [&](std::int64_t lane, std::int64_t at, std::int64_t len) {

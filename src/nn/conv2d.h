@@ -43,9 +43,11 @@ class Conv2d : public Layer {
          InitKind init = InitKind::kKaimingNormal);
 
   /// True for the configurations a layer may hold: positive channels and
-  /// kernel, windows that leave no input pixel out (stride <= kernel) and
-  /// each cover at least one (pad < kernel). Loaders check it on every
-  /// conv record.
+  /// kernel, and a stride and padding bounded by the kernel (stride <=
+  /// kernel, pad < kernel). A stream bounds the kernel through its weight
+  /// count, so these bounds keep the padded item (channels * stride^2
+  /// phases) and the output size from overflowing. Loaders check it on
+  /// every conv record.
   static bool valid(const Config& config);
 
   std::string kind() const override { return "conv2d"; }
@@ -97,13 +99,14 @@ class Conv2d : public Layer {
   Tensor weight_grad_;  // [out_c, in_c*k*k]
   Tensor bias_grad_;    // [out_c]
 
-  // Caches from the last forward: a copy of the input, and each tap's offset
-  // in the padded copy of one of its items.
+  // Caches from the last forward: a copy of the input and the output size.
   Tensor cached_input_;  // [N, C, H, W]
   std::int64_t cached_out_h_ = 0;
   std::int64_t cached_out_w_ = 0;
-  std::vector<std::int64_t> tap_offsets_;   // [col_rows]
-  std::vector<std::int64_t> grad_offsets_;  // input_gradient's offset table
+
+  // The offset table of the forward or input-gradient pass running now;
+  // each pass rebuilds it, so nothing in it outlives the pass.
+  std::vector<std::int64_t> offsets_;
 
   // Scratch arena for the standalone forward()/backward()/
   // sensitivity_backward() entry points (the calibration loop's path), so

@@ -124,7 +124,9 @@ TEST(SequentialTest, ConvLoadRejectsOverflowingGeometry) {
 }
 
 // A conv record whose stride or padding reaches past its kernel is
-// rejected on load; pad 2^40 once loaded and then overflowed the first
+// rejected on load: the stream bounds the kernel through its weight count,
+// and the kernel bounds stride and padding, so the padded-item and output
+// sizes cannot overflow. Pad 2^40 once loaded and then overflowed the first
 // forward's output size.
 TEST(SequentialTest, ConvLoadRejectsUnboundedStrideAndPadding) {
   const auto record = [](std::int64_t stride, std::int64_t pad) {
