@@ -4,7 +4,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "coverage/parameter_coverage.h"
+#include "coverage/criterion.h"
 #include "util/table.h"
 
 namespace {
@@ -14,7 +14,8 @@ double mean_coverage(const dnnv::nn::Sequential& model,
                      std::int64_t param_count) {
   dnnv::cov::CoverageConfig config;
   config.epsilon = epsilon;
-  const auto masks = dnnv::cov::activation_masks(model, images, config);
+  const auto masks =
+      dnnv::cov::make_parameter_criterion(model, config)->measure_pool(images);
   double total = 0.0;
   for (const auto& mask : masks) {
     total += static_cast<double>(mask.count()) / static_cast<double>(param_count);

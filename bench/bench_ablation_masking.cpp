@@ -4,7 +4,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "coverage/parameter_coverage.h"
+#include "coverage/criterion.h"
 #include "testgen/gradient_generator.h"
 #include "util/table.h"
 
@@ -19,16 +19,18 @@ int main(int argc, char** argv) {
   for (const bool use_mnist : {false, true}) {
   auto trained = use_mnist ? exp::mnist_tanh(options) : exp::cifar_relu(options);
   const auto universe = static_cast<std::size_t>(trained.model.param_count());
+  const auto criterion =
+      cov::make_parameter_criterion(trained.model, trained.coverage);
 
   auto run = [&](bool masked) {
     cov::CoverageAccumulator acc(universe);
     testgen::GradientGenerator::Options gen_options;
     gen_options.max_tests = budget;
-    gen_options.coverage = trained.coverage;
     gen_options.steps = 60;
     gen_options.mask_activated = masked;
     return testgen::GradientGenerator(gen_options)
-        .generate(trained.model, trained.item_shape, trained.num_classes, acc);
+        .generate(*criterion, trained.model, trained.item_shape,
+                  trained.num_classes, acc);
   };
 
   const auto masked = run(true);

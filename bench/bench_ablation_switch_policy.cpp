@@ -3,7 +3,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "coverage/parameter_coverage.h"
+#include "coverage/criterion.h"
 #include "testgen/combined_generator.h"
 #include "util/table.h"
 
@@ -19,20 +19,19 @@ int main(int argc, char** argv) {
   auto trained = exp::cifar_relu(options);
   const auto pool = exp::shapes_train(pool_size);
   const auto universe = static_cast<std::size_t>(trained.model.param_count());
-  const auto masks =
-      cov::activation_masks(trained.model, pool.images, trained.coverage);
+  const auto criterion =
+      cov::make_parameter_criterion(trained.model, trained.coverage);
+  const auto masks = criterion->measure_pool(pool.images);
 
   auto run = [&](testgen::SwitchPolicy policy) {
     cov::CoverageAccumulator acc(universe);
     testgen::CombinedGenerator::Options combined_options;
     combined_options.max_tests = budget;
-    combined_options.coverage = trained.coverage;
     combined_options.policy = policy;
-    combined_options.gradient.coverage = trained.coverage;
     combined_options.gradient.steps = 60;
     return testgen::CombinedGenerator(combined_options)
-        .generate(trained.model, pool.images, masks, trained.item_shape,
-                  trained.num_classes, acc);
+        .generate(*criterion, trained.model, pool.images, masks,
+                  trained.item_shape, trained.num_classes, acc);
   };
 
   const auto once = run(testgen::SwitchPolicy::kSwitchOnce);

@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "coverage/parameter_coverage.h"
+#include "coverage/criterion.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
 
@@ -16,7 +16,8 @@ double mean_coverage(const dnnv::nn::Sequential& model,
                      const std::vector<dnnv::Tensor>& images,
                      const dnnv::cov::CoverageConfig& config,
                      std::int64_t param_count) {
-  const auto masks = dnnv::cov::activation_masks(model, images, config);
+  const auto masks =
+      dnnv::cov::make_parameter_criterion(model, config)->measure_pool(images);
   double total = 0.0;
   for (const auto& mask : masks) {
     total += static_cast<double>(mask.count()) / static_cast<double>(param_count);

@@ -6,8 +6,8 @@
 // whole training set leaves ~8% never activated); gradient synthesis starts
 // lower but keeps climbing; the combined method dominates (30 tests ≈ 92%).
 //
-// All methods run through the generator registry against one shared pool
-// mask pass (testgen::make_generator + GenContext.masks).
+// All methods run through the generator registry against one shared
+// criterion and its pool mask pass (GenContext.criterion + .masks).
 //
 //   ./build/bench_fig3_methods [--pool 400] [--budget 60] [--model both]
 //                              [--quick] [--json [path|family]]
@@ -20,7 +20,7 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_json.h"
-#include "coverage/parameter_coverage.h"
+#include "coverage/criterion.h"
 #include "testgen/generator.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -73,8 +73,9 @@ int run_for_model(const std::string& which, std::int64_t pool_size, int budget,
 
   Stopwatch timer;
   std::cout << "computing pool activation masks (parallel)...\n";
-  const auto masks =
-      cov::activation_masks(trained.model, pool.images, trained.coverage);
+  const auto criterion =
+      cov::make_parameter_criterion(trained.model, trained.coverage);
+  const auto masks = criterion->measure_pool(pool.images);
   std::cout << "  done in " << timer.elapsed_seconds() << "s\n";
 
   // Shared config; every method draws the knobs it understands.
@@ -87,6 +88,7 @@ int run_for_model(const std::string& which, std::int64_t pool_size, int budget,
   testgen::GenContext ctx;
   ctx.model = &trained.model;
   ctx.pool = &pool.images;
+  ctx.criterion = criterion.get();
   ctx.masks = &masks;
   ctx.item_shape = trained.item_shape;
   ctx.num_classes = trained.num_classes;

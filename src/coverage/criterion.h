@@ -144,9 +144,9 @@ class Criterion {
 
  protected:
   /// Fills `masks` with each item's hit points. Implementations size and
-  /// clear the masks themselves — the legacy engines' into-variants already
-  /// do, and value criteria call prepare_masks() — so storage is zeroed
-  /// exactly once per batch.
+  /// clear the masks themselves — the ParameterCoverage / NeuronCoverage
+  /// into-variants already do, and value criteria call prepare_masks() — so
+  /// storage is zeroed exactly once per batch.
   virtual void measure_batch(const Tensor& batch,
                              std::vector<DynamicBitset>& masks) = 0;
 
@@ -177,8 +177,8 @@ std::unique_ptr<Criterion> make_criterion(const std::string& name,
                                           const CriterionConfig& config = {});
 
 /// Convenience for the paper's default metric: a "parameter" criterion
-/// over `model` with the given activation config — the fallback every
-/// legacy (criterion-less) generator path builds.
+/// over `model` with the given activation config — the default criterion
+/// of every generation method but "neuron".
 std::unique_ptr<Criterion> make_parameter_criterion(
     const nn::Sequential& model, const CoverageConfig& coverage);
 

@@ -1,6 +1,5 @@
 #include "coverage/neuron_coverage.h"
 
-#include "coverage/criterion.h"
 #include "tensor/batch.h"
 #include "util/error.h"
 
@@ -121,18 +120,6 @@ void NeuronCoverage::neuron_masks_batched(const Tensor& batch,
     std::size_t bit = 0;
     for (const Tensor* act : activations) scan_activation(*act, i, mask, bit);
   }
-}
-
-std::vector<DynamicBitset> neuron_masks(const nn::Sequential& model,
-                                        const Shape& item_shape,
-                                        const std::vector<Tensor>& inputs,
-                                        const NeuronCoverageConfig& config) {
-  CriterionContext ctx;
-  ctx.model = &model;
-  ctx.item_shape = item_shape;
-  CriterionConfig criterion_config;
-  criterion_config.neuron_threshold = config.threshold;
-  return make_criterion("neuron", ctx, criterion_config)->measure_pool(inputs);
 }
 
 }  // namespace dnnv::cov

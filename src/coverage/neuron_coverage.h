@@ -77,13 +77,6 @@ class NeuronCoverage {
   nn::Workspace workspace_;  ///< batched-pass buffers, reused across calls
 };
 
-/// Neuron-mask computation over an input pool: batched forwards, clone per
-/// worker across batches; the result order matches `inputs`.
-std::vector<DynamicBitset> neuron_masks(const nn::Sequential& model,
-                                        const Shape& item_shape,
-                                        const std::vector<Tensor>& inputs,
-                                        const NeuronCoverageConfig& config = {});
-
 }  // namespace dnnv::cov
 
 #endif  // DNNV_COVERAGE_NEURON_COVERAGE_H_

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "coverage/criterion.h"
 #include "tensor/batch.h"
 #include "util/error.h"
 
@@ -129,12 +128,6 @@ void ParameterCoverage::activation_masks_batched(
 double ParameterCoverage::validation_coverage(const Tensor& input) {
   const DynamicBitset mask = activation_mask(input);
   return static_cast<double>(mask.count()) / static_cast<double>(param_count_);
-}
-
-std::vector<DynamicBitset> activation_masks(const nn::Sequential& model,
-                                            const std::vector<Tensor>& inputs,
-                                            const CoverageConfig& config) {
-  return make_parameter_criterion(model, config)->measure_pool(inputs);
 }
 
 }  // namespace dnnv::cov

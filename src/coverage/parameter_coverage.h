@@ -84,15 +84,6 @@ class ParameterCoverage {
   std::vector<std::uint64_t> word_scratch_;  ///< mask_from_grads scratch
 };
 
-/// Computes activation masks for many inputs; the result order matches
-/// `inputs`. Inputs are swept in batches through the batched engine
-/// (one model forward per batch, per-item sensitivity passes); worker
-/// threads each clone the model once and own a contiguous range of batches,
-/// so results are deterministic and identical to the serial sweep.
-std::vector<DynamicBitset> activation_masks(const nn::Sequential& model,
-                                            const std::vector<Tensor>& inputs,
-                                            const CoverageConfig& config = {});
-
 }  // namespace dnnv::cov
 
 #endif  // DNNV_COVERAGE_PARAMETER_COVERAGE_H_

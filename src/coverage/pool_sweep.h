@@ -6,8 +6,7 @@
 // to the serial sweep), with a serial fallback when already inside a pool
 // worker. Only the measurer construction and the per-batch call differ —
 // they come in as callables, so this is the ONE sweep loop behind
-// Criterion::measure_pool and (through the criterion adapters) the legacy
-// activation_masks / neuron_masks free functions.
+// Criterion::measure_pool.
 #ifndef DNNV_COVERAGE_POOL_SWEEP_H_
 #define DNNV_COVERAGE_POOL_SWEEP_H_
 

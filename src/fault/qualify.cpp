@@ -70,7 +70,6 @@ FaultQualification qualify_suite(const quant::QuantModel& model,
   FaultSimulator sim(model, suite);
   SimOptions sim_options;
   sim_options.mode = SimMode::kFullMatrix;
-  sim_options.backend = SimBackend::kInt8;
   sim_options.pool = options.pool;
   const SimResult result = sim.run_batched(universe, sim_options);
   q.detected = static_cast<std::int64_t>(result.detected);

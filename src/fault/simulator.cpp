@@ -70,15 +70,6 @@ struct ChunkPlan {
   }
 };
 
-void require_code_faults(const FaultUniverse& universe, const char* where) {
-  for (const Fault& f : universe.faults()) {
-    DNNV_CHECK(is_code_fault(f.kind),
-               where << ": " << f.describe()
-                     << " is not expressible on the float backend "
-                        "(use SimBackend::kInt8)");
-  }
-}
-
 }  // namespace
 
 FaultSimulator::FaultSimulator(const quant::QuantModel& clean,
@@ -90,13 +81,6 @@ FaultSimulator::FaultSimulator(const quant::QuantModel& clean,
 
 SimResult FaultSimulator::run_batched(const FaultUniverse& universe,
                                       const SimOptions& options) {
-  return options.backend == SimBackend::kInt8
-             ? run_batched_int8(universe, options)
-             : run_batched_float(universe, options);
-}
-
-SimResult FaultSimulator::run_batched_int8(const FaultUniverse& universe,
-                                           const SimOptions& options) {
   SimResult result;
   result.num_tests = inputs_.size();
   result.first_detected.assign(universe.size(), -1);
@@ -167,107 +151,15 @@ SimResult FaultSimulator::run_batched_int8(const FaultUniverse& universe,
   return result;
 }
 
-SimResult FaultSimulator::run_batched_float(const FaultUniverse& universe,
-                                            const SimOptions& options) {
-  require_code_faults(universe, "run_batched(float)");
-  SimResult result;
-  result.num_tests = inputs_.size();
-  result.first_detected.assign(universe.size(), -1);
-  const bool full = options.mode == SimMode::kFullMatrix;
-  if (full) result.rows.assign(universe.size(), DynamicBitset());
-  const auto n = static_cast<std::int64_t>(inputs_.size());
-  const ChunkPlan plan(n, full, options.chunk);
-  const std::size_t num_chunks = plan.begins.size();
-
-  // Flat clean-code + dequant-scale tables in weight-memory order: a code
-  // fault at flat address a realizes as set_param(a, scale[a] * code) on
-  // the dequantized mirror — exactly how QuantizedIp's float backend
-  // refreshes a faulted byte.
-  const FaultLayout layout(clean_);
-  std::vector<std::int8_t> codes;
-  std::vector<float> scales;
-  for (const auto& view : clean_.param_views()) {
-    for (std::int64_t i = 0; i < view.size; ++i) {
-      codes.push_back(view.codes[i]);
-      scales.push_back(
-          view.scales[static_cast<std::size_t>(i / view.per_channel)]);
-    }
-  }
-
-  std::vector<Tensor> chunk_batches(num_chunks);
-  std::vector<std::vector<int>> chunk_labels(num_chunks);
-  nn::Sequential clean_ref = clean_.dequantized_reference();
-  for (std::size_t k = 0; k < num_chunks; ++k) {
-    const std::vector<Tensor> span(
-        inputs_.begin() + static_cast<std::ptrdiff_t>(plan.begins[k]),
-        inputs_.begin() + static_cast<std::ptrdiff_t>(plan.end(k)));
-    chunk_batches[k] = stack_batch(span);
-    chunk_labels[k] = clean_ref.predict_labels(chunk_batches[k]);
-    result.clean_labels.insert(result.clean_labels.end(),
-                               chunk_labels[k].begin(),
-                               chunk_labels[k].end());
-  }
-
-  struct Worker {
-    nn::Sequential model;
-  };
-  WorkerPool<Worker> workers;
-  ThreadPool& pool = options.pool ? *options.pool : ThreadPool::shared();
-  pool.parallel_for(universe.size(), [&](std::size_t fi) {
-    const Fault& f = universe[fi];
-    const std::size_t addr = layout.flat_address(f);
-    const std::int8_t prev = codes[addr];
-    const std::int8_t next = faulted_code(prev, f);
-    DynamicBitset row(full ? result.num_tests : 0);
-    std::int64_t first = -1;
-    if (next != prev) {
-      auto worker = workers.acquire([this] {
-        auto w = std::make_unique<Worker>();
-        w->model = clean_.dequantized_reference();
-        return w;
-      });
-      worker->model.set_param(static_cast<std::int64_t>(addr),
-                              scales[addr] * static_cast<float>(next));
-      for (std::size_t k = 0; k < num_chunks && (full || first < 0); ++k) {
-        const std::vector<int> labels =
-            worker->model.predict_labels(chunk_batches[k]);
-        for (std::size_t t = 0; t < labels.size(); ++t) {
-          if (labels[t] == chunk_labels[k][t]) continue;
-          const std::int64_t test =
-              plan.begins[k] + static_cast<std::int64_t>(t);
-          if (first < 0) first = test;
-          if (!full) break;
-          row.set(static_cast<std::size_t>(test));
-        }
-      }
-      worker->model.set_param(static_cast<std::int64_t>(addr),
-                              scales[addr] * static_cast<float>(prev));
-      workers.release(std::move(worker));
-    }
-    result.first_detected[fi] = first;
-    if (full) result.rows[fi] = std::move(row);
-  });
-  for (const std::int64_t first : result.first_detected) {
-    if (first >= 0) ++result.detected;
-  }
-  return result;
-}
-
 SimResult FaultSimulator::run_sequential(const FaultUniverse& universe,
                                          const SimOptions& options) {
-  if (options.backend == SimBackend::kFloat) {
-    require_code_faults(universe, "run_sequential(float)");
-  }
   SimResult result;
   result.num_tests = inputs_.size();
   result.first_detected.assign(universe.size(), -1);
   const bool full = options.mode == SimMode::kFullMatrix;
   if (full) result.rows.assign(universe.size(), DynamicBitset());
 
-  const ip::QuantBackend backend = options.backend == SimBackend::kInt8
-                                       ? ip::QuantBackend::kInt8
-                                       : ip::QuantBackend::kDequantFloat;
-  ip::QuantizedIp device(clean_, item_shape_, backend);
+  ip::QuantizedIp device(clean_, item_shape_);
   ip::FaultInjector injector(device);
   const FaultLayout layout(clean_);
   result.clean_labels = device.predict_all(inputs_);

@@ -31,10 +31,11 @@
 
 namespace dnnv::fault {
 
-/// Which execution engine the faults are simulated on.
+/// The execution engine the faults are simulated on: always the integer
+/// engine (the artifact the IP executes). Single-valued; it stays only
+/// because e2ebench/decomposed.cpp assigns SimOptions::backend.
 enum class SimBackend : std::uint8_t {
-  kInt8 = 0,   ///< the integer engine (the artifact the IP executes)
-  kFloat = 1,  ///< dequantized float mirror (code faults only)
+  kInt8 = 0,
 };
 
 enum class SimMode : std::uint8_t {
@@ -91,11 +92,6 @@ class FaultSimulator {
                            const SimOptions& options = {});
 
  private:
-  SimResult run_batched_int8(const FaultUniverse& universe,
-                             const SimOptions& options);
-  SimResult run_batched_float(const FaultUniverse& universe,
-                              const SimOptions& options);
-
   quant::QuantModel clean_;
   std::vector<Tensor> inputs_;
   Shape item_shape_;

@@ -4,11 +4,11 @@
 // many validation sessions over one deliverable (pipeline::ValidationService)
 // both need several independent device instances of the SAME artifact —
 // predict() is stateful, so one instance cannot serve threads concurrently.
-// Building a device is not free (a QuantizedIp reconstructs its float mirror
-// and weight memory), so instances are pooled: acquire() hands out an idle
-// device or builds a new one through the factory, and the RAII Lease returns
-// it on destruction. created() exposes the total factory invocations so
-// tests can assert there is no per-call construction churn.
+// Building a device is not free (a QuantizedIp copies its QuantModel and
+// rebuilds its weight memory), so instances are pooled: acquire() hands out
+// an idle device or builds a new one through the factory, and the RAII Lease
+// returns it on destruction. created() exposes the total factory invocations
+// so tests can assert there is no per-call construction churn.
 #ifndef DNNV_IP_DEVICE_POOL_H_
 #define DNNV_IP_DEVICE_POOL_H_
 

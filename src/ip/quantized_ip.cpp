@@ -32,49 +32,39 @@ QuantizedIp::QuantizedIp(const nn::Sequential& model, Shape item_shape)
 
 QuantizedIp::QuantizedIp(const nn::Sequential& model, Shape item_shape,
                          const std::vector<Tensor>& calibration,
-                         const quant::QuantConfig& config, QuantBackend backend)
-    : model_(model.clone()),
-      item_shape_(std::move(item_shape)),
-      backend_(backend) {
+                         const quant::QuantConfig& config)
+    : item_shape_(std::move(item_shape)) {
   std::vector<std::int64_t> dims;
   dims.push_back(1);
   dims.insert(dims.end(), item_shape_.dims().begin(), item_shape_.dims().end());
-  const Shape out = model_.output_shape(Shape{dims});
+  const Shape out = model.output_shape(Shape{dims});
   DNNV_CHECK(out.ndim() == 2, "IP model must produce [N, k] logits");
   num_classes_ = static_cast<int>(out[1]);
 
-  qmodel_ = quant::QuantModel::quantize(model_, calibration, config);
+  qmodel_ = quant::QuantModel::quantize(model, calibration, config);
+  original_params_ = model.clone().snapshot_params();
   build_memory();
-  // Swap the float mirror onto the dequantized weights (the kDequantFloat
-  // backend must execute the quantized parameters, not the originals).
-  refresh_quant_if_dirty();
-  refresh_float_if_dirty();
 }
 
-QuantizedIp::QuantizedIp(quant::QuantModel shipped, Shape item_shape,
-                         QuantBackend backend)
-    : model_(shipped.dequantized_reference()),
-      qmodel_(std::move(shipped)),
+QuantizedIp::QuantizedIp(quant::QuantModel shipped, Shape item_shape)
+    : qmodel_(std::move(shipped)),
       item_shape_(std::move(item_shape)),
-      num_classes_(qmodel_.num_classes()),
-      backend_(backend) {
+      num_classes_(qmodel_.num_classes()) {
   build_memory();
-  // memory_ was just built FROM qmodel_'s codes and model_ IS their
-  // dequantization — everything is already consistent, skip the refreshes
-  // (clone_ip() constructs through here once per replay worker).
-  quant_dirty_ = false;
-  float_dirty_ = false;
+  // The artifact is its own reference: snapshot the dequantized codes.
+  std::size_t address = 0;
+  for (const auto& info : table_) {
+    for (std::int64_t i = 0; i < info.size; ++i, ++address) {
+      original_params_.push_back(
+          info.channel_scales[static_cast<std::size_t>(i / info.per_channel)] *
+          static_cast<float>(static_cast<std::int8_t>(memory_[address])));
+    }
+  }
 }
 
 void QuantizedIp::build_memory() {
   // The weight memory IS the QuantModel's code store, flattened in float
   // param order (weights before bias per layer); one byte per parameter.
-  original_params_.reserve(static_cast<std::size_t>(model_.param_count()));
-  for (const auto& view : model_.param_views()) {
-    for (std::int64_t i = 0; i < view.size; ++i) {
-      original_params_.push_back(view.data[i]);
-    }
-  }
   std::size_t offset = 0;
   for (const auto& view : qmodel_.param_views()) {
     QuantTensorInfo info;
@@ -89,9 +79,6 @@ void QuantizedIp::build_memory() {
     }
     offset += static_cast<std::size_t>(view.size);
   }
-  DNNV_CHECK(memory_.size() ==
-                 static_cast<std::size_t>(model_.param_count()),
-             "weight memory does not cover every parameter");
 }
 
 void QuantizedIp::refresh_quant_if_dirty() {
@@ -108,43 +95,17 @@ void QuantizedIp::refresh_quant_if_dirty() {
   quant_dirty_ = false;
 }
 
-void QuantizedIp::refresh_float_if_dirty() {
-  if (!float_dirty_) return;
-  // Memory bytes -> dequantised float model (the kDequantFloat backend),
-  // each code scaled with its channel's scale.
-  std::size_t address = 0;
-  std::size_t tensor = 0;
-  for (const auto& view : model_.param_views()) {
-    const QuantTensorInfo& info = table_[tensor++];
-    for (std::int64_t i = 0; i < view.size; ++i, ++address) {
-      const float scale =
-          info.channel_scales[static_cast<std::size_t>(i / info.per_channel)];
-      view.data[i] =
-          scale * static_cast<float>(static_cast<std::int8_t>(memory_[address]));
-    }
-  }
-  float_dirty_ = false;
-}
-
 int QuantizedIp::predict(const Tensor& input) {
   DNNV_CHECK(input.shape() == item_shape_,
              "input shape " << input.shape() << " != IP input " << item_shape_);
-  if (backend_ == QuantBackend::kInt8) {
-    refresh_quant_if_dirty();
-    return qmodel_.predict_labels(stack_batch({input})).front();
-  }
-  refresh_float_if_dirty();
-  return model_.predict_label(input);
+  refresh_quant_if_dirty();
+  return qmodel_.predict_labels(stack_batch({input})).front();
 }
 
 std::vector<int> QuantizedIp::predict_all(const std::vector<Tensor>& inputs) {
   if (inputs.empty()) return {};
-  if (backend_ == QuantBackend::kInt8) {
-    refresh_quant_if_dirty();
-    return qmodel_.predict_labels(stack_batch(inputs));
-  }
-  refresh_float_if_dirty();
-  return model_.predict_labels(stack_batch(inputs));
+  refresh_quant_if_dirty();
+  return qmodel_.predict_labels(stack_batch(inputs));
 }
 
 std::uint8_t QuantizedIp::read_byte(std::size_t address) const {
@@ -156,7 +117,6 @@ void QuantizedIp::write_byte(std::size_t address, std::uint8_t value) {
   DNNV_CHECK(address < memory_.size(), "address " << address << " out of range");
   memory_[address] = value;
   quant_dirty_ = true;
-  float_dirty_ = true;
   invalidate_replicas();
 }
 
@@ -165,7 +125,6 @@ void QuantizedIp::flip_bit(std::size_t address, int bit) {
   DNNV_CHECK(bit >= 0 && bit < 8, "bit index " << bit << " out of range");
   memory_[address] ^= static_cast<std::uint8_t>(1u << bit);
   quant_dirty_ = true;
-  float_dirty_ = true;
   invalidate_replicas();
 }
 
@@ -201,17 +160,12 @@ std::unique_ptr<BlackBoxIp> QuantizedIp::clone_ip() {
   // The refreshed QuantModel carries the current memory contents (faults
   // included), so the clone replays exactly this device's behaviour.
   refresh_quant_if_dirty();
-  return std::make_unique<QuantizedIp>(qmodel_, item_shape_, backend_);
+  return std::make_unique<QuantizedIp>(qmodel_, item_shape_);
 }
 
 const quant::QuantModel& QuantizedIp::quant_model() {
   refresh_quant_if_dirty();
   return qmodel_;
-}
-
-nn::Sequential& QuantizedIp::reference_model() {
-  refresh_float_if_dirty();
-  return model_;
 }
 
 }  // namespace dnnv::ip

@@ -7,9 +7,7 @@
 // byte buffer, fault injection (bit flips, stuck-at, byte writes) acts on
 // the BUFFER, and inference executes the codes on the quant:: integer
 // engine — int8 GEMMs, int32 accumulators, fixed-point requantisation —
-// the arithmetic a real IP performs. The pre-refactor behaviour
-// (dequantise to float, run the float engine) remains selectable as
-// QuantBackend::kDequantFloat for A/B comparisons.
+// the arithmetic a real IP performs.
 #ifndef DNNV_IP_QUANTIZED_IP_H_
 #define DNNV_IP_QUANTIZED_IP_H_
 
@@ -21,12 +19,6 @@
 #include "quant/quant_model.h"
 
 namespace dnnv::ip {
-
-/// Which engine executes the weight memory.
-enum class QuantBackend {
-  kInt8,         ///< quant::QuantModel integer engine (the default)
-  kDequantFloat  ///< dequantise codes to float, run the float engine
-};
 
 /// Quantisation parameters of one tensor in the weight memory. Weights may
 /// carry per-channel scales; `scale` keeps the per-tensor summary (the max
@@ -52,30 +44,22 @@ class QuantizedIp : public BlackBoxIp {
   /// Quantises with a caller-provided calibration pool and config.
   QuantizedIp(const nn::Sequential& model, Shape item_shape,
               const std::vector<Tensor>& calibration,
-              const quant::QuantConfig& config = {},
-              QuantBackend backend = QuantBackend::kInt8);
+              const quant::QuantConfig& config = {});
 
   /// Wraps an ALREADY-quantized artifact (e.g. loaded from a
   /// pipeline::Deliverable): the weight memory is initialised from the
-  /// model's codes and the float mirror from their dequantization, so the
-  /// fault-injection surface works identically on delivered IPs. There is
-  /// no pre-quantization float master here — the artifact is its own
-  /// reference, so max_quantization_error() reads 0 until the memory is
-  /// faulted (clone_ip() constructs through this path too).
-  QuantizedIp(quant::QuantModel shipped, Shape item_shape,
-              QuantBackend backend = QuantBackend::kInt8);
+  /// model's codes, so the fault-injection surface works identically on
+  /// delivered IPs. There is no pre-quantization float master here — the
+  /// artifact is its own reference, so max_quantization_error() reads 0
+  /// until the memory is faulted (clone_ip() constructs through this path
+  /// too).
+  QuantizedIp(quant::QuantModel shipped, Shape item_shape);
 
   int predict(const Tensor& input) override;
   std::vector<int> predict_all(const std::vector<Tensor>& inputs) override;
   std::unique_ptr<BlackBoxIp> clone_ip() override;
   Shape input_shape() const override { return item_shape_; }
   int num_classes() const override { return num_classes_; }
-
-  QuantBackend backend() const { return backend_; }
-  void set_backend(QuantBackend backend) {
-    backend_ = backend;
-    invalidate_replicas();
-  }
 
   // ---- Memory / fault-injection surface ----
 
@@ -107,32 +91,20 @@ class QuantizedIp : public BlackBoxIp {
   /// The executed quantised model (current memory contents).
   const quant::QuantModel& quant_model();
 
-  /// Float realization of the current memory (scale * int8 parameters) —
-  /// hand this to cov::ParameterCoverage / the generators so coverage and
-  /// suites target the weights the IP actually carries.
-  nn::Sequential& reference_model();
-
  private:
-  // The two backends refresh independently so fault-injection sweeps under
-  // the default int8 backend never pay for the float mirror.
+  /// Rebuilds qmodel_'s codes and derived execution state from memory_.
   void refresh_quant_if_dirty();
-  void refresh_float_if_dirty();
 
-  /// Builds memory_/table_ from qmodel_'s codes and snapshots
-  /// original_params_ from model_ (both must be set). Does not touch the
-  /// dirty flags — each constructor decides what still needs refreshing.
+  /// Builds memory_/table_ from qmodel_'s codes (in float param order).
   void build_memory();
 
-  nn::Sequential model_;                 // dequantised float-backend model
-  quant::QuantModel qmodel_;             // int8-backend executable
+  quant::QuantModel qmodel_;             // the executable
   std::vector<float> original_params_;   // pre-quantisation float snapshot
   Shape item_shape_;
   int num_classes_ = 0;
-  QuantBackend backend_ = QuantBackend::kInt8;
   std::vector<std::uint8_t> memory_;     // int8 two's complement per param
   std::vector<QuantTensorInfo> table_;
-  bool quant_dirty_ = true;
-  bool float_dirty_ = true;
+  bool quant_dirty_ = false;             // memory_ written since refresh
 };
 
 }  // namespace dnnv::ip

@@ -494,16 +494,27 @@ void Conv2d::sensitivity_backward_into(std::size_t index,
   }
 }
 
-void Conv2d::sensitivity_backward_item(std::size_t index, std::int64_t item,
-                                       const Tensor& sens_output,
-                                       Tensor& sens_input, Workspace& ws) {
+void Conv2d::check_item(std::int64_t item, const Tensor& sens_output) const {
   DNNV_CHECK(item >= 0 && item < cached_input_.shape()[0],
              "item " << item << " outside cached batch");
   DNNV_CHECK(sens_output.shape() ==
                  Shape({1, config_.out_channels, cached_out_h_, cached_out_w_}),
              "per-item sens_output shape " << sens_output.shape()
                                            << " unexpected");
+}
+
+void Conv2d::sensitivity_backward_item(std::size_t index, std::int64_t item,
+                                       const Tensor& sens_output,
+                                       Tensor& sens_input, Workspace& ws) {
+  check_item(item, sens_output);
   sensitivity_item(index, item, sens_output.data(), sens_input.data(), ws);
+}
+
+void Conv2d::parameter_sensitivity_item(std::size_t index, std::int64_t item,
+                                        const Tensor& sens_output,
+                                        Workspace& ws) {
+  check_item(item, sens_output);
+  sensitivity_item(index, item, sens_output.data(), nullptr, ws);
 }
 
 // One item of the absolute-sensitivity pass, shared by the batched and
@@ -516,6 +527,7 @@ void Conv2d::sensitivity_item(std::size_t index, std::int64_t item,
                               const float* s_out, float* sens_image,
                               Workspace& ws) {
   reduce_params(index, item, s_out, /*abs_input=*/true, ws);
+  if (sens_image == nullptr) return;
   Tensor& abs_weights = ws.buffer(index, kSlotScratch3, weights_.shape());
   for (std::int64_t e = 0; e < weights_.numel(); ++e) {
     abs_weights[e] = std::fabs(weights_[e]);

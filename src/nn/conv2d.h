@@ -63,6 +63,9 @@ class Conv2d : public Layer {
   void sensitivity_backward_item(std::size_t index, std::int64_t item,
                                  const Tensor& sens_output, Tensor& sens_input,
                                  Workspace& ws) override;
+  void parameter_sensitivity_item(std::size_t index, std::int64_t item,
+                                  const Tensor& sens_output,
+                                  Workspace& ws) override;
   Shape output_shape(const Shape& input_shape) const override;
   std::vector<ParamView> param_views() override;
   std::unique_ptr<Layer> clone() const override;
@@ -76,8 +79,11 @@ class Conv2d : public Layer {
  private:
   Conv2d() = default;  // for load()/clone()
   void check_input(const Shape& input_shape) const;
+  /// Checks a per-item pass's item index and [1, ...] sensitivity shape.
+  void check_item(std::int64_t item, const Tensor& sens_output) const;
   /// One item's sensitivity propagation (shared by the batched and per-item
-  /// passes so both run identical arithmetic in identical order).
+  /// passes so both run identical arithmetic in identical order). A null
+  /// `sens_image` skips the input sensitivity.
   void sensitivity_item(std::size_t index, std::int64_t item,
                         const float* s_out, float* sens_image, Workspace& ws);
   /// weight_grad_ += the weight reduction of cached item `item` against

@@ -96,16 +96,26 @@ void Dense::sensitivity_backward_into(std::size_t, const Tensor& sens_output,
   }
 }
 
-void Dense::sensitivity_backward_item(std::size_t, std::int64_t item,
-                                      const Tensor& sens_output,
-                                      Tensor& sens_input, Workspace&) {
+void Dense::check_item(std::int64_t item, const Tensor& sens_output) const {
   DNNV_CHECK(item >= 0 && item < cached_input_.shape()[0],
              "item " << item << " outside cached batch");
   DNNV_CHECK(sens_output.shape() == Shape({1, out_features_}),
              "per-item sens_output shape " << sens_output.shape()
                                            << " unexpected");
+}
+
+void Dense::sensitivity_backward_item(std::size_t, std::int64_t item,
+                                      const Tensor& sens_output,
+                                      Tensor& sens_input, Workspace&) {
+  check_item(item, sens_output);
   sens_input.fill(0.0f);
   sensitivity_item(item, sens_output.data(), sens_input.data());
+}
+
+void Dense::parameter_sensitivity_item(std::size_t, std::int64_t item,
+                                       const Tensor& sens_output, Workspace&) {
+  check_item(item, sens_output);
+  sensitivity_item(item, sens_output.data(), nullptr);
 }
 
 // Shared per-item kernel: the batched pass and the per-item pass run the
@@ -126,6 +136,7 @@ void Dense::sensitivity_item(std::int64_t item, const float* s_row,
       wg_row[k] += s * std::fabs(x_row[k]);
     }
     bias_grad_[j] += s;
+    if (out_row == nullptr) continue;
     // Input sensitivity: ŝ_i = Σ_j |W_ji| s_j.
     const float* w_row = weights_.data() + j * in_features_;
     for (std::int64_t k = 0; k < in_features_; ++k) {

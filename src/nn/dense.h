@@ -28,6 +28,9 @@ class Dense : public Layer {
   void sensitivity_backward_item(std::size_t index, std::int64_t item,
                                  const Tensor& sens_output, Tensor& sens_input,
                                  Workspace& ws) override;
+  void parameter_sensitivity_item(std::size_t index, std::int64_t item,
+                                  const Tensor& sens_output,
+                                  Workspace& ws) override;
   Shape output_shape(const Shape& input_shape) const override;
   std::vector<ParamView> param_views() override;
   std::unique_ptr<Layer> clone() const override;
@@ -44,8 +47,11 @@ class Dense : public Layer {
  private:
   Dense() = default;  // for load()
 
+  /// Checks a per-item pass's item index and [1, out] sensitivity shape.
+  void check_item(std::int64_t item, const Tensor& sens_output) const;
   /// One item's sensitivity propagation (shared by the batched and per-item
-  /// passes so both orders of accumulation are identical).
+  /// passes so both orders of accumulation are identical). A null `out_row`
+  /// skips the input sensitivity.
   void sensitivity_item(std::int64_t item, const float* s_row, float* out_row);
 
   std::int64_t in_features_ = 0;

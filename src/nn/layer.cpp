@@ -27,6 +27,13 @@ void Layer::sensitivity_backward_item(std::size_t, std::int64_t, const Tensor&,
                           "sensitivity pass");
 }
 
+void Layer::parameter_sensitivity_item(std::size_t, std::int64_t,
+                                       const Tensor&, Workspace&) {
+  DNNV_THROW("layer '" << kind()
+                       << "' does not implement the per-item parameter "
+                          "sensitivity pass");
+}
+
 std::int64_t Layer::param_count() const {
   // param_views() hands out mutable buffer pointers, so it is non-const;
   // counting their sizes is logically const.

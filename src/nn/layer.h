@@ -95,6 +95,13 @@ class Layer {
                                          const Tensor& sens_output,
                                          Tensor& sens_input, Workspace& ws);
 
+  /// sensitivity_backward_item without the input sensitivity: accumulates
+  /// this layer's parameter sensitivities only. Sequential runs it on its
+  /// first layer with parameters, whose input sensitivity nothing reads.
+  virtual void parameter_sensitivity_item(std::size_t index, std::int64_t item,
+                                          const Tensor& sens_output,
+                                          Workspace& ws);
+
   /// Output shape for a given (un-batched or batched) input shape.
   virtual Shape output_shape(const Shape& input_shape) const = 0;
 

@@ -139,14 +139,19 @@ const Tensor& Sequential::sensitivity_backward(const Tensor& sens_logits,
   return *sens;
 }
 
-const Tensor& Sequential::sensitivity_backward_item(std::int64_t item,
-                                                    const Tensor& sens_logits,
-                                                    Workspace& ws) {
+void Sequential::sensitivity_backward_item(std::int64_t item,
+                                           const Tensor& sens_logits,
+                                           Workspace& ws) {
   const auto& shapes = ws.shapes();
   DNNV_CHECK(shapes.size() == layers_.size(),
              "per-item sensitivity pass without a prior workspace forward");
+  std::size_t first = 0;
+  while (first < layers_.size() && layers_[first]->param_count() == 0) {
+    ++first;
+  }
+  if (first == layers_.size()) return;
   const Tensor* sens = &sens_logits;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
+  for (std::size_t i = layers_.size() - 1; i > first; --i) {
     // This layer's input shape with the batch axis collapsed to one item.
     std::vector<std::int64_t> dims = shapes[i].dims();
     dims[0] = 1;
@@ -154,7 +159,7 @@ const Tensor& Sequential::sensitivity_backward_item(std::int64_t item,
     layers_[i]->sensitivity_backward_item(i, item, *sens, sens_in, ws);
     sens = &sens_in;
   }
-  return *sens;
+  layers_[first]->parameter_sensitivity_item(first, item, *sens, ws);
 }
 
 void Sequential::zero_grads() {

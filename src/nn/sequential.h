@@ -84,11 +84,12 @@ class Sequential {
   /// Per-item absolute-sensitivity pass against the caches of the most
   /// recent BATCHED workspace forward: propagates `sens_logits` (shape
   /// [1, k]) for batch item `item` only, accumulating that item's parameter
-  /// sensitivities into the grad buffers. One batched forward + N of these
-  /// is the engine behind cov::ParameterCoverage::activation_masks_batched.
-  const Tensor& sensitivity_backward_item(std::int64_t item,
-                                          const Tensor& sens_logits,
-                                          Workspace& ws);
+  /// sensitivities into the grad buffers. The chain stops at the first
+  /// layer with parameters, whose input sensitivity reaches no parameter.
+  /// One batched forward + N of these is the engine behind
+  /// cov::ParameterCoverage::activation_masks_batched.
+  void sensitivity_backward_item(std::int64_t item, const Tensor& sens_logits,
+                                 Workspace& ws);
 
   /// Zeroes all parameter gradient buffers.
   void zero_grads();

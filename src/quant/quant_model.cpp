@@ -978,6 +978,9 @@ QuantModel QuantModel::load(ByteReader& reader) {
       case QLayerKind::kMaxPool:
         q.kernel = reader.read_i64();
         q.stride = reader.read_i64();
+        DNNV_CHECK(q.kernel >= 1 && q.stride >= 1,
+                   q.name << ": corrupt max-pool geometry k" << q.kernel
+                          << " s" << q.stride);
         break;
       case QLayerKind::kFlatten:
         break;

@@ -13,27 +13,6 @@ CombinedGenerator::CombinedGenerator(Options options) : options_(options) {
 }
 
 GenerationResult CombinedGenerator::generate(
-    const nn::Sequential& model, const std::vector<Tensor>& pool,
-    const Shape& item_shape, int num_classes,
-    cov::CoverageAccumulator& accumulator) const {
-  const auto criterion =
-      cov::make_parameter_criterion(model, options_.coverage);
-  const auto masks = criterion->measure_pool(pool);
-  return generate(*criterion, model, pool, masks, item_shape, num_classes,
-                  accumulator);
-}
-
-GenerationResult CombinedGenerator::generate(
-    const nn::Sequential& model, const std::vector<Tensor>& pool,
-    const std::vector<DynamicBitset>& masks, const Shape& item_shape,
-    int num_classes, cov::CoverageAccumulator& accumulator) const {
-  const auto criterion =
-      cov::make_parameter_criterion(model, options_.coverage);
-  return generate(*criterion, model, pool, masks, item_shape, num_classes,
-                  accumulator);
-}
-
-GenerationResult CombinedGenerator::generate(
     cov::Criterion& criterion, const nn::Sequential& model,
     const std::vector<Tensor>& pool, const std::vector<DynamicBitset>& masks,
     const Shape& item_shape, int num_classes,

@@ -32,16 +32,15 @@ class CombinedGenerator {
     /// probe targets the CURRENT un-activated parameters, so its gain decays
     /// as greedy picks land).
     int probe_refresh = 8;
-    cov::CoverageConfig coverage;
     GradientGenerator::Options gradient;  ///< max_tests ignored (budget shared)
   };
 
   explicit CombinedGenerator(Options options);
 
-  /// Criterion-driven core: greedy gains and Algorithm 2 probe masks are
-  /// measured by `criterion` (whose covered set is NOT consulted — the
-  /// shared `accumulator` carries the run's covered state). `masks` are the
-  /// pool's precomputed point masks under the SAME criterion. Algorithm 2's
+  /// Greedy gains and Algorithm 2 probe masks are measured by `criterion`
+  /// (whose covered set is NOT consulted — the shared `accumulator` carries
+  /// the run's covered state). `masks` are the pool's precomputed point
+  /// masks under the SAME criterion. Algorithm 2's
   /// masked-model synthesis applies only when criterion.parameter_indexed()
   /// (the covered bits must address the parameter space to be zeroed out);
   /// other criteria descend on an unmasked clone.
@@ -49,23 +48,6 @@ class CombinedGenerator {
                             const nn::Sequential& model,
                             const std::vector<Tensor>& pool,
                             const std::vector<DynamicBitset>& masks,
-                            const Shape& item_shape, int num_classes,
-                            cov::CoverageAccumulator& accumulator) const;
-
-  /// Historical entry point: parameter-activation criterion built from
-  /// Options::coverage. `masks` are its precomputed activation masks (from
-  /// cov::activation_masks with the same coverage config); passing them in
-  /// lets benches share the expensive pool pass. Bit-identical to the
-  /// pre-criterion implementation.
-  GenerationResult generate(const nn::Sequential& model,
-                            const std::vector<Tensor>& pool,
-                            const std::vector<DynamicBitset>& masks,
-                            const Shape& item_shape, int num_classes,
-                            cov::CoverageAccumulator& accumulator) const;
-
-  /// Convenience overload that computes pool masks itself.
-  GenerationResult generate(const nn::Sequential& model,
-                            const std::vector<Tensor>& pool,
                             const Shape& item_shape, int num_classes,
                             cov::CoverageAccumulator& accumulator) const;
 

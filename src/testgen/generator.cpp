@@ -28,30 +28,60 @@ void require_item(const GenContext& ctx, const char* method) {
   DNNV_CHECK(ctx.num_classes > 0, method << " generator needs ctx.num_classes");
 }
 
-/// Resolves the shared accumulator, or backs the run with `scratch` when the
-/// caller did not pass one (the trajectory still reaches the result). The
-/// universe comes from the masks, the criterion's point space, or (legacy)
-/// the model's parameter count — in that order.
+/// The criterion a run measures by: ctx.criterion, or else the method's
+/// default from `make_default`, owned by `fallback`. Pool masks are valid
+/// only with the criterion that measured them, so masks without a criterion
+/// are rejected here, once for every method.
+template <typename MakeDefault>
+cov::Criterion& resolve_criterion(const GenContext& ctx, const char* method,
+                                  std::unique_ptr<cov::Criterion>& fallback,
+                                  MakeDefault make_default) {
+  DNNV_CHECK(ctx.masks == nullptr || ctx.criterion != nullptr,
+             method << " generator: ctx.masks are valid only with the "
+                       "ctx.criterion that measured them");
+  if (ctx.criterion != nullptr) return *ctx.criterion;
+  fallback = make_default();
+  return *fallback;
+}
+
+/// The default of every method but "neuron": parameter-activation coverage.
+cov::Criterion& resolve_parameter_criterion(
+    const GenContext& ctx, const char* method,
+    const cov::CoverageConfig& coverage,
+    std::unique_ptr<cov::Criterion>& fallback) {
+  return resolve_criterion(ctx, method, fallback, [&] {
+    return cov::make_parameter_criterion(require_model(ctx, method), coverage);
+  });
+}
+
+/// The pool's masks: ctx.masks when given, else measured by `criterion`
+/// into `measured`.
+const std::vector<DynamicBitset>& resolve_masks(
+    const GenContext& ctx, const std::vector<Tensor>& pool,
+    const cov::Criterion& criterion, std::vector<DynamicBitset>& measured) {
+  if (ctx.masks != nullptr) return *ctx.masks;
+  measured = criterion.measure_pool(pool);
+  return measured;
+}
+
+/// Resolves the shared accumulator, or backs the run with `scratch` over the
+/// criterion's point space when the caller did not pass one (the trajectory
+/// still reaches the result).
 cov::CoverageAccumulator& resolve_accumulator(
-    const GenContext& ctx, std::unique_ptr<cov::CoverageAccumulator>& scratch) {
+    const GenContext& ctx, const cov::Criterion& criterion,
+    std::unique_ptr<cov::CoverageAccumulator>& scratch) {
   if (ctx.accumulator != nullptr) return *ctx.accumulator;
-  const std::size_t universe =
-      ctx.masks != nullptr && !ctx.masks->empty()
-          ? ctx.masks->front().size()
-      : ctx.criterion != nullptr
-          ? ctx.criterion->total_points()
-          : static_cast<std::size_t>(ctx.model->param_count());
-  scratch = std::make_unique<cov::CoverageAccumulator>(universe);
+  scratch = std::make_unique<cov::CoverageAccumulator>(criterion.total_points());
   return *scratch;
 }
 
-// ---- Adapters (delegate to the pre-registry classes verbatim) ----
+// ---- Adapters ----
 
 class GreedyAdapter final : public Generator {
  public:
-  explicit GreedyAdapter(const GeneratorConfig& config) {
+  explicit GreedyAdapter(const GeneratorConfig& config)
+      : coverage_(config.coverage) {
     options_.max_tests = config.max_tests;
-    options_.coverage = config.coverage;
     options_.stop_on_zero_gain = config.stop_on_zero_gain;
   }
 
@@ -59,32 +89,28 @@ class GreedyAdapter final : public Generator {
 
   GenerationResult generate(const GenContext& ctx) const override {
     const auto& pool = require_pool(ctx, "greedy");
+    std::unique_ptr<cov::Criterion> fallback;
+    auto& criterion =
+        resolve_parameter_criterion(ctx, "greedy", coverage_, fallback);
+    std::vector<DynamicBitset> measured;
+    const auto& masks = resolve_masks(ctx, pool, criterion, measured);
     std::unique_ptr<cov::CoverageAccumulator> scratch;
-    auto& accumulator = resolve_accumulator(ctx, scratch);
-    const GreedySelector selector(options_);
-    if (ctx.masks != nullptr) {
-      std::vector<bool> used(pool.size(), false);
-      return selector.select_with_masks(pool, *ctx.masks, accumulator, used);
-    }
-    if (ctx.criterion != nullptr) {
-      const auto masks = ctx.criterion->measure_pool(pool);
-      std::vector<bool> used(pool.size(), false);
-      return selector.select_with_masks(pool, masks, accumulator, used);
-    }
-    const auto& model = require_model(ctx, "greedy");
-    return selector.select(model, pool, accumulator);
+    auto& accumulator = resolve_accumulator(ctx, criterion, scratch);
+    std::vector<bool> used(pool.size(), false);
+    return GreedySelector(options_).select_with_masks(pool, masks, accumulator,
+                                                      used);
   }
 
  private:
   GreedySelector::Options options_;
+  cov::CoverageConfig coverage_;
 };
 
 class GradientAdapter final : public Generator {
  public:
-  explicit GradientAdapter(const GeneratorConfig& config) {
-    options_ = config.gradient;
+  explicit GradientAdapter(const GeneratorConfig& config)
+      : options_(config.gradient), coverage_(config.coverage) {
     options_.max_tests = config.max_tests;
-    options_.coverage = config.coverage;
   }
 
   std::string name() const override { return "gradient"; }
@@ -92,25 +118,28 @@ class GradientAdapter final : public Generator {
   GenerationResult generate(const GenContext& ctx) const override {
     const auto& model = require_model(ctx, "gradient");
     require_item(ctx, "gradient");
+    std::unique_ptr<cov::Criterion> fallback;
+    auto& criterion =
+        resolve_parameter_criterion(ctx, "gradient", coverage_, fallback);
     std::unique_ptr<cov::CoverageAccumulator> scratch;
-    auto& accumulator = resolve_accumulator(ctx, scratch);
+    auto& accumulator = resolve_accumulator(ctx, criterion, scratch);
     return GradientGenerator(options_).generate(
-        model, ctx.item_shape, ctx.num_classes, accumulator, ctx.criterion);
+        criterion, model, ctx.item_shape, ctx.num_classes, accumulator);
   }
 
  private:
   GradientGenerator::Options options_;
+  cov::CoverageConfig coverage_;
 };
 
 class CombinedAdapter final : public Generator {
  public:
-  explicit CombinedAdapter(const GeneratorConfig& config) {
+  explicit CombinedAdapter(const GeneratorConfig& config)
+      : coverage_(config.coverage) {
     options_.max_tests = config.max_tests;
     options_.policy = config.policy;
     options_.probe_refresh = config.probe_refresh;
-    options_.coverage = config.coverage;
     options_.gradient = config.gradient;
-    options_.gradient.coverage = config.coverage;
   }
 
   std::string name() const override { return "combined"; }
@@ -119,108 +148,109 @@ class CombinedAdapter final : public Generator {
     const auto& model = require_model(ctx, "combined");
     const auto& pool = require_pool(ctx, "combined");
     require_item(ctx, "combined");
+    std::unique_ptr<cov::Criterion> fallback;
+    auto& criterion =
+        resolve_parameter_criterion(ctx, "combined", coverage_, fallback);
+    std::vector<DynamicBitset> measured;
+    const auto& masks = resolve_masks(ctx, pool, criterion, measured);
     std::unique_ptr<cov::CoverageAccumulator> scratch;
-    auto& accumulator = resolve_accumulator(ctx, scratch);
-    const CombinedGenerator generator(options_);
-    if (ctx.criterion != nullptr) {
-      if (ctx.masks != nullptr) {
-        return generator.generate(*ctx.criterion, model, pool, *ctx.masks,
-                                  ctx.item_shape, ctx.num_classes,
-                                  accumulator);
-      }
-      const auto masks = ctx.criterion->measure_pool(pool);
-      return generator.generate(*ctx.criterion, model, pool, masks,
-                                ctx.item_shape, ctx.num_classes, accumulator);
-    }
-    if (ctx.masks != nullptr) {
-      return generator.generate(model, pool, *ctx.masks, ctx.item_shape,
-                                ctx.num_classes, accumulator);
-    }
-    return generator.generate(model, pool, ctx.item_shape, ctx.num_classes,
-                              accumulator);
+    auto& accumulator = resolve_accumulator(ctx, criterion, scratch);
+    return CombinedGenerator(options_).generate(criterion, model, pool, masks,
+                                                ctx.item_shape,
+                                                ctx.num_classes, accumulator);
   }
 
  private:
   CombinedGenerator::Options options_;
+  cov::CoverageConfig coverage_;
 };
 
 class NeuronAdapter final : public Generator {
  public:
-  explicit NeuronAdapter(const GeneratorConfig& config) {
+  explicit NeuronAdapter(const GeneratorConfig& config)
+      : neuron_(config.neuron) {
     options_.max_tests = config.max_tests;
-    options_.coverage = config.neuron;
     options_.fill_seed = config.neuron_fill_seed;
   }
 
   std::string name() const override { return "neuron"; }
 
+  // The "neuron" METHOD is a selection strategy — greedy to saturation,
+  // then random fill — over the criterion's points; by default those of
+  // the "neuron" criterion (the [10]/[11] baseline).
   GenerationResult generate(const GenContext& ctx) const override {
     const auto& pool = require_pool(ctx, "neuron");
-    const NeuronCoverageSelector selector(options_);
-    // With a criterion the "neuron" METHOD becomes its selection strategy —
-    // greedy to saturation, then random fill — over the criterion's points
-    // (its masks when precomputed). Without one it keeps its historical
-    // neuron-coverage metric.
-    if (ctx.masks != nullptr && ctx.criterion != nullptr) {
-      return selector.select_with_masks(pool, *ctx.masks);
-    }
-    if (ctx.criterion != nullptr) {
-      return selector.select_with_masks(pool,
-                                        ctx.criterion->measure_pool(pool));
-    }
-    const auto& model = require_model(ctx, "neuron");
-    DNNV_CHECK(ctx.item_shape.ndim() > 0,
-               "neuron generator needs ctx.item_shape");
-    return selector.select(model, ctx.item_shape, pool);
+    std::unique_ptr<cov::Criterion> fallback;
+    auto& criterion = resolve_criterion(ctx, "neuron", fallback, [&] {
+      cov::CriterionContext criterion_ctx;
+      criterion_ctx.model = &require_model(ctx, "neuron");
+      DNNV_CHECK(ctx.item_shape.ndim() > 0,
+                 "neuron generator needs ctx.item_shape");
+      criterion_ctx.item_shape = ctx.item_shape;
+      cov::CriterionConfig config;
+      config.neuron_threshold = neuron_.threshold;
+      return cov::make_criterion("neuron", criterion_ctx, config);
+    });
+    std::vector<DynamicBitset> measured;
+    return NeuronCoverageSelector(options_).select_with_masks(
+        pool, resolve_masks(ctx, pool, criterion, measured));
   }
 
  private:
   NeuronCoverageSelector::Options options_;
+  cov::NeuronCoverageConfig neuron_;
 };
 
 class RandomAdapter final : public Generator {
  public:
   explicit RandomAdapter(const GeneratorConfig& config)
-      : max_tests_(config.max_tests), seed_(config.random_seed) {}
+      : max_tests_(config.max_tests),
+        seed_(config.random_seed),
+        coverage_(config.coverage) {}
 
   std::string name() const override { return "random"; }
 
   GenerationResult generate(const GenContext& ctx) const override {
     const auto& pool = require_pool(ctx, "random");
     GenerationResult result = RandomSelector(max_tests_, seed_).select(pool);
-    // With pool masks (or a criterion to measure them) at hand the control
-    // also reports its coverage trajectory (what Fig 3 plots for the random
-    // curve). Selection itself never consults coverage.
+    // Selection never consults coverage; the control only reports its
+    // coverage trajectory (what Fig 3 plots for the random curve), and only
+    // when there is a criterion to measure it by. Without ctx.model there
+    // is no default criterion, hence no trajectory.
+    if (ctx.criterion == nullptr && ctx.masks == nullptr &&
+        ctx.model == nullptr) {
+      return result;
+    }
+    std::unique_ptr<cov::Criterion> fallback;
+    auto& criterion =
+        resolve_parameter_criterion(ctx, "random", coverage_, fallback);
+    std::unique_ptr<cov::CoverageAccumulator> scratch;
+    auto& accumulator = resolve_accumulator(ctx, criterion, scratch);
+    auto record = [&](const DynamicBitset& mask) {
+      accumulator.add(mask);
+      result.coverage_after.push_back(accumulator.coverage());
+    };
     if (ctx.masks != nullptr) {
       DNNV_CHECK(ctx.masks->size() == pool.size(), "pool/mask size mismatch");
-      std::unique_ptr<cov::CoverageAccumulator> scratch;
-      auto& accumulator = resolve_accumulator(ctx, scratch);
       for (const auto& test : result.tests) {
-        accumulator.add(
-            (*ctx.masks)[static_cast<std::size_t>(test.pool_index)]);
-        result.coverage_after.push_back(accumulator.coverage());
+        record((*ctx.masks)[static_cast<std::size_t>(test.pool_index)]);
       }
-      result.final_coverage = accumulator.coverage();
-    } else if (ctx.criterion != nullptr) {
-      // Measure only the selected tests — the whole-pool pass is for benches
-      // that share masks across methods.
+    } else {
+      // Measure only the selected tests — the whole-pool pass is for
+      // benches that share masks across methods.
       std::vector<Tensor> selected;
       selected.reserve(result.tests.size());
       for (const auto& test : result.tests) selected.push_back(test.input);
-      std::unique_ptr<cov::CoverageAccumulator> scratch;
-      auto& accumulator = resolve_accumulator(ctx, scratch);
-      for (const auto& mask : ctx.criterion->measure_pool(selected)) {
-        accumulator.add(mask);
-        result.coverage_after.push_back(accumulator.coverage());
-      }
-      result.final_coverage = accumulator.coverage();
+      for (const auto& mask : criterion.measure_pool(selected)) record(mask);
     }
+    result.final_coverage = accumulator.coverage();
     return result;
   }
 
  private:
   int max_tests_;
   std::uint64_t seed_;
+  cov::CoverageConfig coverage_;
 };
 
 template <typename Adapter>

@@ -2,14 +2,13 @@
 //
 // The paper's methods (Algorithm 1 selection, Algorithm 2 synthesis, the
 // §IV-D combined rule) and the comparison baselines (neuron coverage,
-// random) historically had incompatible signatures, so every bench/example
-// hand-wired each one. Generator normalises them to
+// random) all run as
 //   GenerationResult generate(const GenContext&)
-// and a string-keyed factory (make_generator) so callers select methods by
-// name — the pluggable-criterion design of coverage-guided DNN testing
+// behind a string-keyed factory (make_generator), so callers select methods
+// by name — the pluggable-criterion design of coverage-guided DNN testing
 // frameworks (DeepConcolic, DeepHunter et al.) applied to this codebase.
-// Adapters delegate to the original classes and are bit-identical to the
-// pre-registry entry points (guarded by tests/pipeline_test.cpp).
+// Every method measures coverage through one cov::Criterion: the caller's,
+// or the method's default built from GeneratorConfig.
 #ifndef DNNV_TESTGEN_GENERATOR_H_
 #define DNNV_TESTGEN_GENERATOR_H_
 
@@ -26,10 +25,6 @@
 #include "testgen/combined_generator.h"
 #include "testgen/functional_test.h"
 
-namespace dnnv::analysis {
-struct ExcitationTarget;
-}
-
 namespace dnnv::testgen {
 
 /// Everything a generation run may consume, bundled. Pointees are borrowed:
@@ -38,50 +33,45 @@ namespace dnnv::testgen {
 /// adapters check what they actually need and throw dnnv::Error on a
 /// missing requirement.
 struct GenContext {
-  /// The vendor model the suite must exercise. Required by every method.
+  /// The vendor model the suite must exercise. Required by "gradient" and
+  /// "combined", and by every method that builds its default criterion.
   const nn::Sequential* model = nullptr;
   /// Training-candidate pool. Required by pool-selection methods
   /// ("greedy", "combined", "neuron", "random").
   const std::vector<Tensor>* pool = nullptr;
-  /// Optional precomputed pool masks (from ctx.criterion->measure_pool, or
-  /// cov::activation_masks with the SAME coverage config when no criterion
-  /// is set). Passing them lets benches share the expensive pool pass across
-  /// methods; when absent, methods that need masks compute their own.
+  /// Optional precomputed pool masks, from criterion->measure_pool. Valid
+  /// only together with the criterion that measured them: masks without a
+  /// criterion throw. Passing them lets benches share the expensive pool
+  /// pass across methods; when absent, methods that need masks measure the
+  /// pool themselves.
   const std::vector<DynamicBitset>* masks = nullptr;
   /// Un-batched input shape (CHW / feature vector).
   Shape item_shape;
   int num_classes = 0;
   /// Coverage criterion the run selects by (borrowed; single-threaded use).
-  /// When set, pool/probe masks come from criterion->measure*, greedy picks
-  /// maximise criterion gain, and the accumulator universe is
-  /// criterion->total_points(). When null, methods keep their historical
-  /// metric: parameter-activation coverage built from the generator config
-  /// ("greedy"/"gradient"/"combined") or neuron coverage ("neuron") — the
-  /// bit-identical legacy paths.
+  /// Pool/probe masks come from criterion->measure*, greedy picks maximise
+  /// criterion gain, and the accumulator universe is
+  /// criterion->total_points(). When null, each method builds its default
+  /// from GeneratorConfig: the "neuron" criterion at neuron.threshold for
+  /// "neuron", the "parameter" criterion at `coverage` for every other
+  /// method.
   cov::Criterion* criterion = nullptr;
   /// Shared coverage accumulator, updated as tests are emitted. Optional:
   /// when null, methods that track coverage use a scratch one (the
   /// trajectory still lands in GenerationResult::coverage_after).
   cov::CoverageAccumulator* accumulator = nullptr;
-  /// Excitation targets for the conditionally-masked in-distribution faults
-  /// (analysis::classify_conditional): per-fault accumulator intervals a
-  /// test must drive a channel into to expose the fault. Advisory objective
-  /// hook for excitation-chasing methods; no built-in method consumes it
-  /// yet, and null is always valid.
-  const std::vector<analysis::ExcitationTarget>* excitation = nullptr;
 };
 
 /// One config for every method — a superset of the per-method option
-/// structs. Adapters copy the fields their method understands; the shared
-/// `coverage` criterion is propagated into the gradient options so the two
-/// cannot silently diverge.
+/// structs. Adapters copy the fields their method understands.
 struct GeneratorConfig {
   int max_tests = 50;
-  /// Parameter-activation criterion ("greedy" / "gradient" / "combined").
+  /// "parameter" criterion knobs: the default criterion of "greedy" /
+  /// "gradient" / "combined" / "random" when the context brings none
+  /// (VendorPipeline builds its "parameter" criterion from them too).
   cov::CoverageConfig coverage;
   /// Algorithm 2 knobs ("gradient" and the combined method's synthesis
-  /// side). gradient.max_tests and gradient.coverage are overridden by
-  /// max_tests / coverage above.
+  /// side). gradient.max_tests is overridden by max_tests above.
   GradientGenerator::Options gradient;
   // -- "combined" --
   SwitchPolicy policy = SwitchPolicy::kSwitchOnce;
@@ -89,6 +79,7 @@ struct GeneratorConfig {
   // -- "greedy" --
   bool stop_on_zero_gain = false;
   // -- "neuron" baseline --
+  /// Default "neuron" criterion of "neuron" when the context brings none.
   cov::NeuronCoverageConfig neuron;
   std::uint64_t neuron_fill_seed = 11;
   // -- "random" control --

@@ -82,19 +82,13 @@ Tensor GradientGenerator::generate_batch_tensor(nn::Sequential& loss_model,
 }
 
 GenerationResult GradientGenerator::generate(
-    const nn::Sequential& model, const Shape& item_shape, int num_classes,
-    cov::CoverageAccumulator& accumulator, cov::Criterion* criterion) const {
+    cov::Criterion& criterion, const nn::Sequential& model,
+    const Shape& item_shape, int num_classes,
+    cov::CoverageAccumulator& accumulator) const {
   GenerationResult result;
   Rng rng(options_.seed);
-  // The historical metric when the caller brings no criterion: parameter-
-  // activation coverage from Options::coverage (bit-identical path).
-  std::unique_ptr<cov::Criterion> fallback;
-  if (criterion == nullptr) {
-    fallback = cov::make_parameter_criterion(model, options_.coverage);
-    criterion = fallback.get();
-  }
   const bool mask_activated =
-      options_.mask_activated && criterion->parameter_indexed();
+      options_.mask_activated && criterion.parameter_indexed();
 
   std::vector<DynamicBitset> masks;  ///< storage reused across batches
   int batch_index = 0;
@@ -108,7 +102,7 @@ GenerationResult GradientGenerator::generate(
     // Coverage is always measured on the TRUE model (Algorithm 2 validates
     // against the IP that ships, not the masked scratch copy) — one batched
     // forward for the whole synthetic batch.
-    criterion->measure(batch, masks);
+    criterion.measure(batch, masks);
     // The last batch ships only the items the budget has room for.
     for (int i = 0; i < num_classes &&
                     static_cast<int>(result.tests.size()) < options_.max_tests;

@@ -12,7 +12,6 @@
 
 #include "coverage/accumulator.h"
 #include "coverage/criterion.h"
-#include "coverage/parameter_coverage.h"
 #include "nn/sequential.h"
 #include "testgen/functional_test.h"
 #include "util/rng.h"
@@ -48,23 +47,19 @@ class GradientGenerator {
     /// the true model with exact semantics.
     float backward_leak = 0.05f;
     std::uint64_t seed = 7;
-    cov::CoverageConfig coverage;  ///< criterion for the coverage trajectory
   };
 
   explicit GradientGenerator(Options options) : options_(options) {}
 
   /// Generates batches of k tests until exactly max_tests are emitted (a
-  /// last batch that does not fit contributes only its first items),
-  /// measuring coverage against `model` and updating `accumulator` after
-  /// each test.
-  /// `criterion` (borrowed, optional) replaces the default parameter-
-  /// activation metric built from Options::coverage: synthesised batches
-  /// are measured by it, and the masked-model steering applies only when
-  /// it is parameter-indexed.
-  GenerationResult generate(const nn::Sequential& model,
+  /// last batch that does not fit contributes only its first items). Each
+  /// synthesised batch is measured by `criterion` on `model`, updating
+  /// `accumulator` after each test; the masked-model steering applies only
+  /// when the criterion is parameter-indexed.
+  GenerationResult generate(cov::Criterion& criterion,
+                            const nn::Sequential& model,
                             const Shape& item_shape, int num_classes,
-                            cov::CoverageAccumulator& accumulator,
-                            cov::Criterion* criterion = nullptr) const;
+                            cov::CoverageAccumulator& accumulator) const;
 
   /// Synthesises one batch of k inputs (class i descending loss toward label
   /// i) against `loss_model` — exposed for the combined method's probing.

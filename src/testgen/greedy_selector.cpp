@@ -6,14 +6,6 @@
 
 namespace dnnv::testgen {
 
-GenerationResult GreedySelector::select(
-    const nn::Sequential& model, const std::vector<Tensor>& pool,
-    cov::CoverageAccumulator& accumulator) const {
-  const auto masks = cov::activation_masks(model, pool, options_.coverage);
-  std::vector<bool> used(pool.size(), false);
-  return select_with_masks(pool, masks, accumulator, used);
-}
-
 GenerationResult GreedySelector::select_with_masks(
     const std::vector<Tensor>& pool, const std::vector<DynamicBitset>& masks,
     cov::CoverageAccumulator& accumulator, std::vector<bool>& used) const {

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "coverage/accumulator.h"
-#include "coverage/parameter_coverage.h"
-#include "nn/sequential.h"
 #include "testgen/functional_test.h"
 
 namespace dnnv::testgen {
@@ -20,8 +18,7 @@ namespace dnnv::testgen {
 class GreedySelector {
  public:
   struct Options {
-    int max_tests = 50;                 ///< Nt
-    cov::CoverageConfig coverage;       ///< activation criterion
+    int max_tests = 50;  ///< Nt
     /// Stop as soon as the best candidate adds zero new parameters (the
     /// remaining picks would be arbitrary). Off reproduces the paper's
     /// "keep selecting to Nt" behaviour.
@@ -30,15 +27,10 @@ class GreedySelector {
 
   explicit GreedySelector(Options options) : options_(options) {}
 
-  /// Selects from `pool`, starting from (and updating) `accumulator`.
-  /// Activation masks for the pool are computed in parallel once.
-  GenerationResult select(const nn::Sequential& model,
-                          const std::vector<Tensor>& pool,
-                          cov::CoverageAccumulator& accumulator) const;
-
-  /// Variant reusing precomputed pool masks (shared across methods/benches).
-  /// `used` flags pool entries that must not be selected again; selected
-  /// entries are flagged on return.
+  /// Selects from `pool` by its precomputed point masks (one per item,
+  /// from a cov::Criterion's measure_pool), starting from (and updating)
+  /// `accumulator`. `used` flags pool entries that must not be selected
+  /// again; selected entries are flagged on return.
   GenerationResult select_with_masks(const std::vector<Tensor>& pool,
                                      const std::vector<DynamicBitset>& masks,
                                      cov::CoverageAccumulator& accumulator,

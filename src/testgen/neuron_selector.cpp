@@ -7,14 +7,6 @@
 
 namespace dnnv::testgen {
 
-GenerationResult NeuronCoverageSelector::select(
-    const nn::Sequential& model, const Shape& item_shape,
-    const std::vector<Tensor>& pool) const {
-  DNNV_CHECK(!pool.empty(), "empty candidate pool");
-  return select_with_masks(
-      pool, cov::neuron_masks(model, item_shape, pool, options_.coverage));
-}
-
 GenerationResult NeuronCoverageSelector::select_with_masks(
     const std::vector<Tensor>& pool,
     const std::vector<DynamicBitset>& masks) const {

@@ -3,9 +3,8 @@
 #ifndef DNNV_TESTGEN_NEURON_SELECTOR_H_
 #define DNNV_TESTGEN_NEURON_SELECTOR_H_
 
-#include "coverage/neuron_coverage.h"
-#include "nn/sequential.h"
 #include "testgen/functional_test.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace dnnv::testgen {
@@ -19,18 +18,14 @@ class NeuronCoverageSelector {
  public:
   struct Options {
     int max_tests = 50;
-    cov::NeuronCoverageConfig coverage;
     std::uint64_t fill_seed = 11;  ///< for the post-saturation random fill
   };
 
   explicit NeuronCoverageSelector(Options options) : options_(options) {}
 
-  GenerationResult select(const nn::Sequential& model, const Shape& item_shape,
-                          const std::vector<Tensor>& pool) const;
-
-  /// Criterion-generic core: greedy saturation + random fill over arbitrary
-  /// per-pool-item point masks (neuron masks historically; any
-  /// cov::Criterion::measure_pool output in general).
+  /// Greedy saturation + random fill over per-pool-item point masks (any
+  /// cov::Criterion::measure_pool output; the "neuron" criterion's for the
+  /// baseline).
   GenerationResult select_with_masks(
       const std::vector<Tensor>& pool,
       const std::vector<DynamicBitset>& masks) const;

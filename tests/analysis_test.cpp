@@ -255,7 +255,6 @@ TEST(TestabilityTest, PrunedFaultsAreUndetectedByExhaustiveSimulation) {
     fault::FaultSimulator sim(qmodel, suite);
     fault::SimOptions options;
     options.mode = fault::SimMode::kFullMatrix;
-    options.backend = fault::SimBackend::kInt8;
     const fault::SimResult result = sim.run_batched(pruned, options);
     EXPECT_EQ(result.detected, 0u) << trained.name;
     ASSERT_EQ(result.rows.size(), pruned.size()) << trained.name;
@@ -691,7 +690,6 @@ TEST(AffineDomainTest, ConditionalFaultsAreMaskedInDistribution) {
   fault::FaultSimulator sim(qmodel, suite);
   fault::SimOptions sim_options;
   sim_options.mode = fault::SimMode::kFullMatrix;
-  sim_options.backend = fault::SimBackend::kInt8;
   const auto result = sim.run_batched(masked, sim_options);
   EXPECT_EQ(result.detected, 0u);
   for (std::size_t i = 0; i < result.rows.size(); ++i) {
@@ -757,7 +755,6 @@ TEST(TestabilityTest, DominatedDetectionImpliedOnFullMatrix) {
   fault::FaultSimulator sim(qmodel, suite);
   fault::SimOptions sim_options;
   sim_options.mode = fault::SimMode::kFullMatrix;
-  sim_options.backend = fault::SimBackend::kInt8;
   const auto result = sim.run_batched(pruned, sim_options);
   ASSERT_EQ(result.rows.size(), pruned.size());
   std::size_t checked = 0;

@@ -1,6 +1,6 @@
 // Coverage-criterion API tests: the registry's built-ins must be
-// bit-identical to the legacy concrete classes (masks, counts and greedy
-// pick order, float and int8, on both zoo models), the registry must fail
+// bit-identical to the concrete classes (masks, counts and greedy pick
+// order, float and int8, on both zoo models), the registry must fail
 // loudly on unknown/duplicate names, CoverageMap merging must be
 // associative, gains must shrink monotonically under observe, and the
 // criterion name + config must round-trip through a Deliverable manifest.
@@ -291,7 +291,7 @@ TEST(CriterionAdapterTest, ParameterAndNeuronBitIdenticalToLegacyClasses) {
   }
 }
 
-TEST(CriterionAdapterTest, GreedyPickOrderMatchesLegacyOnZooModels) {
+TEST(CriterionAdapterTest, GreedyPickOrderMatchesDirectSelectorOnZooModels) {
   const auto zoo = tiny_options();
   struct Case {
     exp::TrainedModel trained;
@@ -318,17 +318,22 @@ TEST(CriterionAdapterTest, GreedyPickOrderMatchesLegacyOnZooModels) {
       config.max_tests = 12;
       config.coverage = c.trained.coverage;
 
-      // Legacy greedy over the same target model.
-      testgen::GreedySelector::Options legacy_options;
-      legacy_options.max_tests = config.max_tests;
-      legacy_options.coverage = c.trained.coverage;
-      cov::CoverageAccumulator legacy_accumulator(
+      // Algorithm 1 straight over the target model's parameter masks.
+      testgen::GreedySelector::Options direct_options;
+      direct_options.max_tests = config.max_tests;
+      cov::CoverageAccumulator direct_accumulator(
           static_cast<std::size_t>(target.param_count()));
-      const auto legacy = testgen::GreedySelector(legacy_options)
-                              .select(target, c.pool.images,
-                                      legacy_accumulator);
+      std::vector<bool> used(c.pool.images.size(), false);
+      const auto direct =
+          testgen::GreedySelector(direct_options)
+              .select_with_masks(
+                  c.pool.images,
+                  cov::make_parameter_criterion(target, c.trained.coverage)
+                      ->measure_pool(c.pool.images),
+                  direct_accumulator, used);
 
-      // Registry greedy selecting by "parameter" criterion gain.
+      // Registry greedy selecting by a "parameter" criterion bound through
+      // the context (the int8 artifact itself on the int8 axis).
       const auto criterion =
           cov::make_criterion("parameter", ctx, criterion_config);
       cov::CoverageAccumulator accumulator(criterion->total_points());
@@ -342,9 +347,9 @@ TEST(CriterionAdapterTest, GreedyPickOrderMatchesLegacyOnZooModels) {
       const auto via_criterion =
           testgen::make_generator("greedy", config)->generate(gen_ctx);
 
-      expect_identical(via_criterion, legacy);
+      expect_identical(via_criterion, direct);
       EXPECT_EQ(accumulator.covered_count(),
-                legacy_accumulator.covered_count())
+                direct_accumulator.covered_count())
           << c.trained.name << (int8 ? " int8" : " float");
     }
   }
@@ -369,57 +374,71 @@ TEST(CriterionAdapterTest, AllFiveGeneratorsBitIdenticalUnderMatchingCriterion) 
   cov::CriterionConfig criterion_config;
   criterion_config.parameter = trained.coverage;
 
-  for (const char* method : {"greedy", "gradient", "combined", "random"}) {
-    // Legacy path: no criterion in the context.
-    testgen::GenContext legacy_ctx;
-    legacy_ctx.model = &trained.model;
-    legacy_ctx.pool = &pool.images;
-    legacy_ctx.item_shape = trained.item_shape;
-    legacy_ctx.num_classes = trained.num_classes;
-    const auto legacy =
-        testgen::make_generator(method, config)->generate(legacy_ctx);
+  // Each method's default criterion is "parameter", except the "neuron"
+  // method's, which is "neuron".
+  for (const char* method :
+       {"greedy", "gradient", "combined", "random", "neuron"}) {
+    SCOPED_TRACE(method);
+    // Default criterion: none in the context.
+    testgen::GenContext default_ctx;
+    default_ctx.model = &trained.model;
+    default_ctx.pool = &pool.images;
+    default_ctx.item_shape = trained.item_shape;
+    default_ctx.num_classes = trained.num_classes;
+    const auto by_default =
+        testgen::make_generator(method, config)->generate(default_ctx);
 
-    // Same run selecting by the matching "parameter" criterion.
-    const auto criterion =
-        cov::make_criterion("parameter", ctx, criterion_config);
-    testgen::GenContext criterion_ctx = legacy_ctx;
+    // Same run selecting by the matching criterion, named explicitly.
+    const auto criterion = cov::make_criterion(
+        std::string(method) == "neuron" ? "neuron" : "parameter", ctx,
+        criterion_config);
+    testgen::GenContext criterion_ctx = default_ctx;
     criterion_ctx.criterion = criterion.get();
     const auto via_criterion =
         testgen::make_generator(method, config)->generate(criterion_ctx);
-    SCOPED_TRACE(method);
-    if (std::string(method) == "random") {
-      // Identical selection; the criterion additionally buys the random
-      // control its coverage trajectory (legacy had none without masks).
-      ASSERT_EQ(via_criterion.tests.size(), legacy.tests.size());
-      for (std::size_t i = 0; i < legacy.tests.size(); ++i) {
-        EXPECT_EQ(via_criterion.tests[i].pool_index, legacy.tests[i].pool_index);
-      }
-      EXPECT_TRUE(legacy.coverage_after.empty());
-      EXPECT_EQ(via_criterion.coverage_after.size(),
-                via_criterion.tests.size());
-      continue;
-    }
-    expect_identical(via_criterion, legacy);
+    EXPECT_EQ(via_criterion.coverage_after.size(), via_criterion.tests.size());
+    expect_identical(via_criterion, by_default);
   }
+}
 
-  // The "neuron" method's matching criterion is "neuron".
-  {
-    testgen::GenContext legacy_ctx;
-    legacy_ctx.model = &trained.model;
-    legacy_ctx.pool = &pool.images;
-    legacy_ctx.item_shape = trained.item_shape;
-    legacy_ctx.num_classes = trained.num_classes;
-    const auto legacy =
-        testgen::make_generator("neuron", config)->generate(legacy_ctx);
+// The neuron-coverage baseline of Tables II/III runs without a criterion;
+// its default must pick exactly what an explicit "neuron" criterion picks.
+TEST(CriterionAdapterTest, NeuronDefaultPicksLikeExplicitCriterionOnZooModels) {
+  const auto zoo = tiny_options();
+  struct Case {
+    exp::TrainedModel trained;
+    data::MaterializedData pool;
+  };
+  std::vector<Case> cases;
+  cases.push_back({exp::mnist_tanh(zoo), exp::digits_train(60)});
+  cases.push_back({exp::cifar_relu(zoo), exp::shapes_train(60)});
 
-    const auto criterion =
-        cov::make_criterion("neuron", ctx, criterion_config);
-    testgen::GenContext criterion_ctx = legacy_ctx;
-    criterion_ctx.criterion = criterion.get();
-    const auto via_criterion =
-        testgen::make_generator("neuron", config)->generate(criterion_ctx);
-    SCOPED_TRACE("neuron");
-    expect_identical(via_criterion, legacy);
+  testgen::GeneratorConfig config;
+  config.max_tests = 24;
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.trained.name);
+    testgen::GenContext gen_ctx;
+    gen_ctx.model = &c.trained.model;
+    gen_ctx.pool = &c.pool.images;
+    gen_ctx.item_shape = c.trained.item_shape;
+    gen_ctx.num_classes = c.trained.num_classes;
+    const auto by_default =
+        testgen::make_generator("neuron", config)->generate(gen_ctx);
+
+    cov::CriterionContext ctx;
+    ctx.model = &c.trained.model;
+    ctx.item_shape = c.trained.item_shape;
+    const auto criterion = cov::make_criterion("neuron", ctx);
+    gen_ctx.criterion = criterion.get();
+    const auto explicit_run =
+        testgen::make_generator("neuron", config)->generate(gen_ctx);
+
+    ASSERT_EQ(by_default.tests.size(), 24u);
+    ASSERT_EQ(explicit_run.tests.size(), by_default.tests.size());
+    for (std::size_t i = 0; i < by_default.tests.size(); ++i) {
+      EXPECT_EQ(explicit_run.tests[i].pool_index, by_default.tests[i].pool_index)
+          << "test " << i;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "coverage/accumulator.h"
+#include "coverage/criterion.h"
 #include "coverage/neuron_coverage.h"
 #include "coverage/parameter_coverage.h"
 #include "coverage/report.h"
@@ -160,7 +161,8 @@ TEST(ParameterCoverageTest, ParallelMasksMatchSequential) {
   for (int i = 0; i < 9; ++i) {
     inputs.push_back(Tensor::rand_uniform(Shape{5}, data_rng, -1.0f, 1.0f));
   }
-  const auto parallel = activation_masks(model, inputs, CoverageConfig{});
+  const auto parallel =
+      make_parameter_criterion(model, CoverageConfig{})->measure_pool(inputs);
   ParameterCoverage coverage(model, CoverageConfig{});
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     EXPECT_TRUE(parallel[i] == coverage.activation_mask(inputs[i])) << i;
@@ -207,9 +209,9 @@ TEST(ParameterCoverageTest, BatchedMasksBitIdenticalToPerItemOnZooModels) {
             << c.trained.name << " eps=" << epsilon << " item " << i;
       }
 
-      // ...and through the pool-level free function (chunked + threaded).
-      const auto pooled =
-          activation_masks(c.trained.model, c.pool.images, config);
+      // ...and through the criterion's pool sweep (chunked + threaded).
+      const auto pooled = make_parameter_criterion(c.trained.model, config)
+                              ->measure_pool(c.pool.images);
       for (std::size_t i = 0; i < expected.size(); ++i) {
         EXPECT_TRUE(pooled[i] == expected[i])
             << c.trained.name << " eps=" << epsilon << " pooled item " << i;
@@ -285,7 +287,10 @@ TEST(NeuronCoverageTest, ParallelMatchesSequential) {
   for (int i = 0; i < 6; ++i) {
     inputs.push_back(Tensor::rand_uniform(Shape{4}, data_rng, -1.0f, 1.0f));
   }
-  const auto parallel = neuron_masks(model, Shape{4}, inputs);
+  CriterionContext ctx;
+  ctx.model = &model;
+  ctx.item_shape = Shape{4};
+  const auto parallel = make_criterion("neuron", ctx)->measure_pool(inputs);
   NeuronCoverage coverage(model, Shape{4});
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     EXPECT_TRUE(parallel[i] == coverage.neuron_mask(inputs[i])) << i;

@@ -516,22 +516,15 @@ TEST(SimulatorTest, BatchedMatchesSequentialOnZooModels) {
     ASSERT_GT(noops, 0u) << "universe carries no no-op faults";
 
     fault::FaultSimulator sim(qmodel, suite);
-    for (const fault::SimBackend backend :
-         {fault::SimBackend::kInt8, fault::SimBackend::kFloat}) {
-      fault::SimOptions options;
-      options.backend = backend;
-      const std::string tag =
-          trained.name +
-          (backend == fault::SimBackend::kInt8 ? "/int8" : "/float");
-      const fault::SimResult seq = sim.run_sequential(universe, options);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
-                                        std::size_t{16}}) {
-        ThreadPool pool_override(threads);
-        options.pool = &pool_override;
-        const fault::SimResult batched = sim.run_batched(universe, options);
-        expect_same_result(seq, batched,
-                           tag + " x" + std::to_string(threads));
-      }
+    fault::SimOptions options;
+    const fault::SimResult seq = sim.run_sequential(universe, options);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
+                                      std::size_t{16}}) {
+      ThreadPool pool_override(threads);
+      options.pool = &pool_override;
+      const fault::SimResult batched = sim.run_batched(universe, options);
+      expect_same_result(seq, batched,
+                         trained.name + " x" + std::to_string(threads));
     }
   }
 }

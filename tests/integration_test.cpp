@@ -6,13 +6,11 @@
 
 #include "attack/gda.h"
 #include "attack/sba.h"
-#include "coverage/parameter_coverage.h"
 #include "exp/model_zoo.h"
 #include "ip/fault_injector.h"
 #include "ip/quantized_ip.h"
 #include "ip/reference_ip.h"
-#include "testgen/combined_generator.h"
-#include "testgen/neuron_selector.h"
+#include "testgen/generator.h"
 #include "validate/detection.h"
 #include "validate/test_suite.h"
 #include "validate/validator.h"
@@ -52,16 +50,17 @@ TEST(EndToEnd, VendorPackageUserDetectionFlow) {
   auto trained = exp::cifar_relu(tiny_options());
   const auto pool = exp::shapes_train(80);
 
-  cov::CoverageAccumulator acc(
-      static_cast<std::size_t>(trained.model.param_count()));
-  testgen::CombinedGenerator::Options gen_options;
-  gen_options.max_tests = 20;
-  gen_options.coverage = trained.coverage;
-  gen_options.gradient.coverage = trained.coverage;
-  gen_options.gradient.steps = 25;
-  const auto generated = testgen::CombinedGenerator(gen_options)
-                             .generate(trained.model, pool.images,
-                                       trained.item_shape, 10, acc);
+  testgen::GeneratorConfig gen_config;
+  gen_config.max_tests = 20;
+  gen_config.coverage = trained.coverage;
+  gen_config.gradient.steps = 25;
+  testgen::GenContext gen_ctx;
+  gen_ctx.model = &trained.model;
+  gen_ctx.pool = &pool.images;
+  gen_ctx.item_shape = trained.item_shape;
+  gen_ctx.num_classes = 10;
+  const auto generated =
+      testgen::make_generator("combined", gen_config)->generate(gen_ctx);
   ASSERT_EQ(generated.tests.size(), 20u);
   EXPECT_GT(generated.final_coverage, 0.10);
 
@@ -153,19 +152,21 @@ TEST(EndToEnd, DetectionHarnessComparesCoverageCriteria) {
   const auto pool = exp::shapes_train(60);
   auto model = trained.model.clone();
 
-  cov::CoverageAccumulator acc(static_cast<std::size_t>(model.param_count()));
-  testgen::GreedySelector::Options greedy_options;
-  greedy_options.max_tests = 10;
-  greedy_options.coverage = trained.coverage;
-  const auto greedy = testgen::GreedySelector(greedy_options)
-                          .select(model, pool.images, acc);
+  testgen::GeneratorConfig gen_config;
+  gen_config.max_tests = 10;
+  gen_config.coverage = trained.coverage;
+  testgen::GenContext gen_ctx;
+  gen_ctx.model = &model;
+  gen_ctx.pool = &pool.images;
+  gen_ctx.item_shape = trained.item_shape;
+  gen_ctx.num_classes = trained.num_classes;
+  const auto greedy =
+      testgen::make_generator("greedy", gen_config)->generate(gen_ctx);
   validate::TestSuite coverage_suite =
       validate::TestSuite::create(model, greedy.tests);
 
-  testgen::NeuronCoverageSelector::Options neuron_options;
-  neuron_options.max_tests = 10;
-  const auto neuron = testgen::NeuronCoverageSelector(neuron_options)
-                          .select(model, trained.item_shape, pool.images);
+  const auto neuron =
+      testgen::make_generator("neuron", gen_config)->generate(gen_ctx);
   validate::TestSuite neuron_suite =
       validate::TestSuite::create(model, neuron.tests);
 

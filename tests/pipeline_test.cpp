@@ -1,5 +1,5 @@
 // Pipeline/API-redesign tests: the generator registry must be bit-identical
-// to the pre-redesign entry points, every ExecutionBackend must run the one
+// to each method's own entry point, every ExecutionBackend must run the one
 // detection loop, the Deliverable must round-trip (and reject corruption,
 // including forged element counts), and the parallel BlackBoxIp::predict_all default must
 // match the serial loop.
@@ -122,19 +122,54 @@ TEST(GeneratorRegistryTest, MissingContextFieldsThrow) {
   EXPECT_THROW(testgen::make_generator("random")->generate(ctx), Error);
 }
 
+/// Pool masks under the "neuron" criterion over a 6-feature model.
+std::vector<DynamicBitset> neuron_masks(const Sequential& model,
+                                        const std::vector<Tensor>& pool) {
+  cov::CriterionContext ctx;
+  ctx.model = &model;
+  ctx.item_shape = Shape{6};
+  return cov::make_criterion("neuron", ctx)->measure_pool(pool);
+}
+
+TEST(GeneratorRegistryTest, MasksWithoutTheirCriterionThrow) {
+  const Sequential model = small_relu_net(25);
+  const auto pool = random_pool(10, 26);
+  const auto masks =
+      cov::make_parameter_criterion(model, {})->measure_pool(pool);
+  testgen::GenContext ctx;
+  ctx.model = &model;
+  ctx.pool = &pool;
+  ctx.masks = &masks;
+  ctx.item_shape = Shape{6};
+  ctx.num_classes = 4;
+  testgen::GeneratorConfig config;
+  config.max_tests = 4;
+  config.gradient.steps = 2;
+  for (const char* method :
+       {"greedy", "gradient", "combined", "neuron", "random"}) {
+    EXPECT_THROW(testgen::make_generator(method, config)->generate(ctx), Error)
+        << method;
+  }
+}
+
 TEST(GeneratorRegistryTest, GreedyMatchesDirectEntryPoint) {
   const Sequential model = small_relu_net(31);
   const auto pool = random_pool(30, 32);
   const auto universe = static_cast<std::size_t>(model.param_count());
+  testgen::GeneratorConfig config;
+  config.max_tests = 12;
+  const auto criterion = cov::make_parameter_criterion(model, config.coverage);
+  const auto masks = criterion->measure_pool(pool);
 
   testgen::GreedySelector::Options direct_options;
   direct_options.max_tests = 12;
   cov::CoverageAccumulator direct_acc(universe);
-  const auto direct =
-      testgen::GreedySelector(direct_options).select(model, pool, direct_acc);
+  std::vector<bool> used(pool.size(), false);
+  const auto direct = testgen::GreedySelector(direct_options)
+                          .select_with_masks(pool, masks, direct_acc, used);
 
-  testgen::GeneratorConfig config;
-  config.max_tests = 12;
+  // Without a criterion the adapter builds its default one and measures
+  // the pool itself.
   cov::CoverageAccumulator registry_acc(universe);
   testgen::GenContext ctx;
   ctx.model = &model;
@@ -142,14 +177,13 @@ TEST(GeneratorRegistryTest, GreedyMatchesDirectEntryPoint) {
   ctx.accumulator = &registry_acc;
   const auto via_registry =
       testgen::make_generator("greedy", config)->generate(ctx);
-
   expect_identical(direct, via_registry);
   EXPECT_EQ(direct_acc.covered_count(), registry_acc.covered_count());
 
-  // With precomputed masks the adapter must route to select_with_masks and
-  // still land on the same picks.
-  const auto masks = cov::activation_masks(model, pool, config.coverage);
+  // With the criterion and its precomputed masks it must land on the same
+  // picks.
   cov::CoverageAccumulator masked_acc(universe);
+  ctx.criterion = criterion.get();
   ctx.masks = &masks;
   ctx.accumulator = &masked_acc;
   expect_identical(direct,
@@ -164,8 +198,9 @@ TEST(GeneratorRegistryTest, GradientMatchesDirectEntryPoint) {
   direct_options.max_tests = 8;
   direct_options.steps = 15;
   cov::CoverageAccumulator direct_acc(universe);
+  const auto criterion = cov::make_parameter_criterion(model, {});
   const auto direct = testgen::GradientGenerator(direct_options)
-                          .generate(model, Shape{6}, 4, direct_acc);
+                          .generate(*criterion, model, Shape{6}, 4, direct_acc);
 
   testgen::GeneratorConfig config;
   config.max_tests = 8;
@@ -189,9 +224,11 @@ TEST(GeneratorRegistryTest, CombinedMatchesDirectEntryPoint) {
   direct_options.max_tests = 16;
   direct_options.gradient.steps = 20;
   cov::CoverageAccumulator direct_acc(universe);
+  const auto criterion = cov::make_parameter_criterion(model, {});
   const auto direct =
       testgen::CombinedGenerator(direct_options)
-          .generate(model, pool, Shape{6}, 4, direct_acc);
+          .generate(*criterion, model, pool, criterion->measure_pool(pool),
+                    Shape{6}, 4, direct_acc);
 
   testgen::GeneratorConfig config;
   config.max_tests = 16;
@@ -226,7 +263,7 @@ TEST(GeneratorRegistryTest, NeuronMatchesDirectEntryPoint) {
   testgen::NeuronCoverageSelector::Options direct_options;
   direct_options.max_tests = 10;
   const auto direct = testgen::NeuronCoverageSelector(direct_options)
-                          .select(model, Shape{6}, pool);
+                          .select_with_masks(pool, neuron_masks(model, pool));
 
   testgen::GeneratorConfig config;
   config.max_tests = 10;
@@ -244,6 +281,7 @@ TEST(GeneratorRegistryTest, RandomMatchesDirectEntryPoint) {
   const auto pool = random_pool(12, 72);
   const auto direct = testgen::RandomSelector(6, 17).select(pool);
 
+  // Without a model there is no criterion to measure by: selection only.
   testgen::GeneratorConfig config;
   config.max_tests = 6;
   config.random_seed = 17;
@@ -253,11 +291,14 @@ TEST(GeneratorRegistryTest, RandomMatchesDirectEntryPoint) {
       testgen::make_generator("random", config)->generate(ctx);
   expect_identical(direct, via_registry);
 
-  // With masks the control also reports the trajectory Fig 3 plots.
-  const auto masks = cov::activation_masks(model, pool, cov::CoverageConfig{});
+  // With a criterion and its masks the control also reports the trajectory
+  // Fig 3 plots; the default criterion over ctx.model reports the same one.
+  const auto criterion = cov::make_parameter_criterion(model, {});
+  const auto masks = criterion->measure_pool(pool);
   const auto universe = static_cast<std::size_t>(model.param_count());
   cov::CoverageAccumulator acc(universe);
   ctx.model = &model;
+  ctx.criterion = criterion.get();
   ctx.masks = &masks;
   ctx.accumulator = &acc;
   const auto traced = testgen::make_generator("random", config)->generate(ctx);
@@ -266,6 +307,12 @@ TEST(GeneratorRegistryTest, RandomMatchesDirectEntryPoint) {
   for (std::size_t i = 0; i < traced.tests.size(); ++i) {
     EXPECT_EQ(traced.tests[i].pool_index, direct.tests[i].pool_index);
   }
+  testgen::GenContext default_ctx;
+  default_ctx.model = &model;
+  default_ctx.pool = &pool;
+  expect_identical(traced,
+                   testgen::make_generator("random", config)->generate(
+                       default_ctx));
 }
 
 // ---------- ExecutionBackend ----------

@@ -8,9 +8,10 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 #include "attack/sba.h"
-#include "coverage/parameter_coverage.h"
+#include "coverage/criterion.h"
 #include "exp/model_zoo.h"
 #include "ip/quantized_ip.h"
 #include "nn/builder.h"
@@ -462,10 +463,15 @@ struct ConvRecord {
   std::int64_t pad = 1;
   std::uint64_t scales = 1;  ///< weight-scale entries written
   std::uint8_t kind = static_cast<std::uint8_t>(QLayerKind::kConv2d);
+  /// A max-pool record after the conv, when `pool` is set.
+  bool pool = false;
+  std::int64_t pool_kernel = 2;
+  std::int64_t pool_stride = 2;
 };
 
 /// A QuantModel stream of one conv layer, laid out field by field as
-/// QuantModel::save writes it, with 36 weight and 4 bias codes.
+/// QuantModel::save writes it, with 36 weight and 4 bias codes, and an
+/// optional max-pool record after it.
 ByteReader conv_stream(const ConvRecord& r) {
   ByteWriter w;
   w.write_u32(0x384D5144);  // "DQM8"
@@ -475,7 +481,7 @@ ByteReader conv_stream(const ConvRecord& r) {
   w.write_f64(99.99);
   w.write_i64(64);
   w.write_u8(0);  // no Normalize
-  w.write_u64(1);
+  w.write_u64(r.pool ? 2 : 1);
   w.write_u8(r.kind);
   w.write_string("conv2d0");
   w.write_f32(0.05f);  // in_scale
@@ -495,6 +501,14 @@ ByteReader conv_stream(const ConvRecord& r) {
   w.write_f32(0.02f);  // bias_scale
   w.write_u64(bias.size());
   w.write_bytes(bias.data(), bias.size());
+  if (r.pool) {
+    w.write_u8(static_cast<std::uint8_t>(QLayerKind::kMaxPool));
+    w.write_string("maxpool1");
+    w.write_f32(0.1f);  // in_scale
+    w.write_f32(0.1f);  // out_scale
+    w.write_i64(r.pool_kernel);
+    w.write_i64(r.pool_stride);
+  }
   return ByteReader(w.take());
 }
 
@@ -550,6 +564,25 @@ TEST(QuantModelTest, LoadRejectsUnboundedConvStrideAndPadding) {
   stride.stride = 4;  // past the 3-wide kernel
   ByteReader stride_reader = conv_stream(stride);
   EXPECT_THROW(QuantModel::load(stride_reader), Error);
+}
+
+// A max-pool kernel or stride below 1 is rejected by load itself, not only
+// by the verifier after it.
+TEST(QuantModelTest, LoadRejectsInvalidMaxPoolGeometry) {
+  ConvRecord pooled;
+  pooled.pool = true;
+  ByteReader reader = conv_stream(pooled);
+  EXPECT_EQ(QuantModel::load(reader).layers().size(), 2u);
+  for (const auto& [kernel, stride] :
+       {std::pair<std::int64_t, std::int64_t>{0, 2}, {2, 0}, {-3, 2},
+        {2, std::numeric_limits<std::int64_t>::min()}}) {
+    ConvRecord bad = pooled;
+    bad.pool_kernel = kernel;
+    bad.pool_stride = stride;
+    ByteReader bad_reader = conv_stream(bad);
+    EXPECT_THROW(QuantModel::load(bad_reader), Error)
+        << "k" << kernel << " s" << stride;
+  }
 }
 
 TEST(QuantModelTest, LogitErrorBoundHoldsOnZooModels) {
@@ -678,7 +711,7 @@ TEST(QuantDetectionTest, RunsEndToEndOnInt8Backend) {
 
   // Masks computed on the executed int8 model steer the suite order.
   Sequential ref = shipped.dequantized_reference();
-  const auto masks = cov::activation_masks(ref, pool);
+  const auto masks = cov::make_parameter_criterion(ref, {})->measure_pool(pool);
   std::vector<std::pair<std::size_t, std::size_t>> scored;  // (count, index)
   for (std::size_t i = 0; i < masks.size(); ++i) {
     scored.emplace_back(masks[i].count(), i);
@@ -714,25 +747,7 @@ TEST(QuantDetectionTest, RunsEndToEndOnInt8Backend) {
   EXPECT_EQ(rerun.successful_trials, outcome.successful_trials);
 }
 
-// ---------- QuantizedIp backend A/B ----------
-
-TEST(QuantizedIpBackendTest, Int8AndDequantFloatAgreeOnMostInputs) {
-  Sequential model = trained_mlp();
-  const auto pool = probe_pool(50, Shape{6});
-  ip::QuantizedIp quantized(model, Shape{6}, pool);
-  EXPECT_EQ(quantized.backend(), ip::QuantBackend::kInt8);
-
-  const auto int8_labels = quantized.predict_all(pool);
-  quantized.set_backend(ip::QuantBackend::kDequantFloat);
-  const auto float_labels = quantized.predict_all(pool);
-  int agree = 0;
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    agree += int8_labels[i] == float_labels[i];
-  }
-  // Both backends run the same dequantized weights; only activation
-  // quantization separates them.
-  EXPECT_GE(agree, 45);
-}
+// ---------- QuantizedIp ----------
 
 TEST(QuantizedIpBackendTest, FaultInjectionReachesInt8Engine) {
   Sequential model = trained_mlp();

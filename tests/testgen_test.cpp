@@ -4,7 +4,7 @@
 
 #include <cstring>
 
-#include "coverage/parameter_coverage.h"
+#include "coverage/criterion.h"
 #include "nn/activation_layer.h"
 #include "nn/builder.h"
 #include "nn/loss.h"
@@ -34,6 +34,31 @@ std::vector<Tensor> random_pool(int count, std::uint64_t seed = 22) {
     pool.push_back(Tensor::rand_uniform(Shape{6}, rng, -1.0f, 1.0f));
   }
   return pool;
+}
+
+// Pool masks under the default "parameter" criterion.
+std::vector<DynamicBitset> parameter_masks(const Sequential& model,
+                                           const std::vector<Tensor>& pool) {
+  return cov::make_parameter_criterion(model, {})->measure_pool(pool);
+}
+
+// Algorithm 1 over freshly measured pool masks.
+GenerationResult greedy_select(const GreedySelector::Options& options,
+                               const Sequential& model,
+                               const std::vector<Tensor>& pool,
+                               cov::CoverageAccumulator& acc) {
+  std::vector<bool> used(pool.size(), false);
+  return GreedySelector(options).select_with_masks(
+      pool, parameter_masks(model, pool), acc, used);
+}
+
+// Pool masks under the default "neuron" criterion.
+std::vector<DynamicBitset> neuron_masks(const Sequential& model,
+                                        const std::vector<Tensor>& pool) {
+  cov::CriterionContext ctx;
+  ctx.model = &model;
+  ctx.item_shape = Shape{6};
+  return cov::make_criterion("neuron", ctx)->measure_pool(pool);
 }
 
 // Naive Algorithm 1 exactly as printed in the paper (full rescan per round).
@@ -70,7 +95,7 @@ TEST(GreedySelectorTest, CoverageTrajectoryIsMonotone) {
   cov::CoverageAccumulator acc(static_cast<std::size_t>(model.param_count()));
   GreedySelector::Options options;
   options.max_tests = 10;
-  const auto result = GreedySelector(options).select(model, pool, acc);
+  const auto result = greedy_select(options, model, pool, acc);
   ASSERT_EQ(result.tests.size(), 10u);
   ASSERT_EQ(result.coverage_after.size(), 10u);
   for (std::size_t i = 1; i < result.coverage_after.size(); ++i) {
@@ -89,7 +114,7 @@ TEST(GreedySelectorTest, LazyGreedyCoverageMatchesNaive) {
   // Algorithm 1 (both are exact greedy maximisers of a submodular gain).
   Sequential model = small_relu_net(31);
   const auto pool = random_pool(40, 32);
-  const auto masks = cov::activation_masks(model, pool, cov::CoverageConfig{});
+  const auto masks = parameter_masks(model, pool);
   const auto universe = static_cast<std::size_t>(model.param_count());
 
   const auto naive = naive_greedy(masks, universe, 12);
@@ -116,7 +141,7 @@ TEST(GreedySelectorTest, LazyGreedyCoverageMatchesNaive) {
 TEST(GreedySelectorTest, FirstPickHasMaximalSingleCoverage) {
   Sequential model = small_relu_net(41);
   const auto pool = random_pool(25, 42);
-  const auto masks = cov::activation_masks(model, pool, cov::CoverageConfig{});
+  const auto masks = parameter_masks(model, pool);
   std::size_t best_count = 0;
   for (const auto& mask : masks) best_count = std::max(best_count, mask.count());
 
@@ -139,7 +164,7 @@ TEST(GreedySelectorTest, StopOnZeroGainTerminatesEarly) {
   GreedySelector::Options options;
   options.max_tests = 8;
   options.stop_on_zero_gain = true;
-  const auto result = GreedySelector(options).select(model, pool, acc);
+  const auto result = greedy_select(options, model, pool, acc);
   EXPECT_EQ(result.tests.size(), 1u);
 }
 
@@ -149,7 +174,7 @@ TEST(GreedySelectorTest, NeverSelectsSamePoolEntryTwice) {
   cov::CoverageAccumulator acc(static_cast<std::size_t>(model.param_count()));
   GreedySelector::Options options;
   options.max_tests = 10;  // more than the pool
-  const auto result = GreedySelector(options).select(model, pool, acc);
+  const auto result = greedy_select(options, model, pool, acc);
   EXPECT_EQ(result.tests.size(), 5u);
   std::set<std::int64_t> picked;
   for (const auto& test : result.tests) picked.insert(test.pool_index);
@@ -222,11 +247,13 @@ TEST(GradientGeneratorTest, GenerateFillsBudgetInClassBatches) {
   Sequential model = small_relu_net(74);
   GradientGenerator::Options options;
   options.steps = 20;
+  const auto criterion = cov::make_parameter_criterion(model, {});
   auto run = [&](int budget) {
     cov::CoverageAccumulator acc(
         static_cast<std::size_t>(model.param_count()));
     options.max_tests = budget;
-    return GradientGenerator(options).generate(model, Shape{6}, 4, acc);
+    return GradientGenerator(options).generate(*criterion, model, Shape{6}, 4,
+                                               acc);
   };
   // Budget 10 with k = 4: two whole batches, then the first 2 items of a
   // third.
@@ -354,8 +381,9 @@ TEST(CombinedGeneratorTest, FillsBudgetAndMixesSources) {
   options.max_tests = 16;
   options.gradient.steps = 20;
   options.gradient.seed = 5;
+  const auto criterion = cov::make_parameter_criterion(model, {});
   const auto result = CombinedGenerator(options).generate(
-      model, pool, Shape{6}, 4, acc);
+      *criterion, model, pool, criterion->measure_pool(pool), Shape{6}, 4, acc);
   EXPECT_EQ(result.tests.size(), 16u);
   for (std::size_t i = 1; i < result.coverage_after.size(); ++i) {
     EXPECT_GE(result.coverage_after[i], result.coverage_after[i - 1]);
@@ -369,7 +397,7 @@ TEST(CombinedGeneratorTest, AtLeastMatchesGreedyAloneOnFinalCoverage) {
   Sequential model = small_relu_net(91);
   const auto pool = random_pool(20, 92);
   const auto universe = static_cast<std::size_t>(model.param_count());
-  const auto masks = cov::activation_masks(model, pool, cov::CoverageConfig{});
+  const auto masks = parameter_masks(model, pool);
 
   cov::CoverageAccumulator greedy_acc(universe);
   GreedySelector::Options greedy_options;
@@ -382,8 +410,9 @@ TEST(CombinedGeneratorTest, AtLeastMatchesGreedyAloneOnFinalCoverage) {
   CombinedGenerator::Options options;
   options.max_tests = 16;
   options.gradient.steps = 30;
+  const auto criterion = cov::make_parameter_criterion(model, {});
   const auto combined = CombinedGenerator(options).generate(
-      model, pool, masks, Shape{6}, 4, combined_acc);
+      *criterion, model, pool, masks, Shape{6}, 4, combined_acc);
 
   EXPECT_GE(combined.final_coverage + 1e-9, greedy.final_coverage);
 }
@@ -396,8 +425,9 @@ TEST(CombinedGeneratorTest, SwitchesToSyntheticWhenPoolExhausted) {
   CombinedGenerator::Options options;
   options.max_tests = 9;  // 1 pool + 2 batches of 4
   options.gradient.steps = 10;
+  const auto criterion = cov::make_parameter_criterion(model, {});
   const auto result = CombinedGenerator(options).generate(
-      model, pool, Shape{6}, 4, acc);
+      *criterion, model, pool, criterion->measure_pool(pool), Shape{6}, 4, acc);
   ASSERT_EQ(result.tests.size(), 9u);
   int synthetic = 0;
   for (const auto& test : result.tests) {
@@ -418,15 +448,16 @@ TEST(CombinedGeneratorTest, DecisionTraceVerifiesSwitchRuleAndProbeStaleness) {
   // run provably ends in Algorithm 2 (organically or at pool exhaustion).
   const auto pool = random_pool(8, 102);
   const auto universe = static_cast<std::size_t>(model.param_count());
-  const auto masks = cov::activation_masks(model, pool, cov::CoverageConfig{});
+  const auto masks = parameter_masks(model, pool);
 
   cov::CoverageAccumulator acc(universe);
   CombinedGenerator::Options options;
   options.max_tests = 16;
   options.probe_refresh = 3;  // tight cadence so staleness logic is exercised
   options.gradient.steps = 15;
-  const auto result =
-      CombinedGenerator(options).generate(model, pool, masks, Shape{6}, 4, acc);
+  const auto criterion = cov::make_parameter_criterion(model, {});
+  const auto result = CombinedGenerator(options).generate(
+      *criterion, model, pool, masks, Shape{6}, 4, acc);
   ASSERT_FALSE(result.decisions.empty());
 
   // Replay state: the covered set and pool usage as of each decision.
@@ -506,7 +537,8 @@ TEST(NeuronSelectorTest, SelectsBudgetAndSaturates) {
   NeuronCoverageSelector::Options options;
   options.max_tests = 10;
   const auto result =
-      NeuronCoverageSelector(options).select(model, Shape{6}, pool);
+      NeuronCoverageSelector(options).select_with_masks(
+          pool, neuron_masks(model, pool));
   EXPECT_EQ(result.tests.size(), 10u);
   // Neuron coverage of an MLP saturates almost immediately; the trajectory
   // must be monotone and hit its ceiling early.
@@ -522,7 +554,8 @@ TEST(NeuronSelectorTest, NoDuplicatePicks) {
   NeuronCoverageSelector::Options options;
   options.max_tests = 12;
   const auto result =
-      NeuronCoverageSelector(options).select(model, Shape{6}, pool);
+      NeuronCoverageSelector(options).select_with_masks(
+          pool, neuron_masks(model, pool));
   std::set<std::int64_t> picked;
   for (const auto& test : result.tests) picked.insert(test.pool_index);
   EXPECT_EQ(picked.size(), result.tests.size());
