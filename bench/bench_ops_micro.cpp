@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: GEMM, conv
-// forward/backward, the direct conv passes, one Algorithm 2 synthesis step,
-// the two coverage passes, and bitset set algebra.
+// forward/backward, the direct conv and dense passes, max-pool, one
+// Algorithm 2 synthesis step, the two coverage passes, and bitset set
+// algebra.
 //
 // On top of google-benchmark's own flags (--benchmark_filter,
 // --benchmark_min_time, ...) this main speaks the repo's BENCH_*.json
@@ -10,6 +11,7 @@
 // snapshot with the same per-host family rules as every other bench.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iostream>
@@ -22,7 +24,9 @@
 #include "nn/activation_layer.h"
 #include "nn/builder.h"
 #include "nn/conv2d.h"
+#include "nn/dense.h"
 #include "nn/loss.h"
+#include "nn/maxpool2d.h"
 #include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "util/bitset.h"
@@ -207,6 +211,66 @@ void BM_Conv2dWeightGradient(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * b.macs);
 }
 BENCHMARK(BM_Conv2dWeightGradient)->Arg(0)->Arg(1)->ArgNames({"shape"});
+
+// cifar_relu_tiny's hidden dense layer (2048 -> 48) on a k = 10 batch, as
+// Algorithm 2's descent step runs it, and on a 16-item pool-sweep batch.
+// Items are multiply-accumulates.
+void BM_DenseForward(benchmark::State& state) {
+  const std::int64_t batch = state.range(0);
+  Rng rng(15);
+  nn::Dense dense(2048, 48, rng);
+  const Tensor input =
+      Tensor::rand_uniform(Shape{batch, 2048}, rng, 0.0f, 1.0f);
+  Tensor output(dense.output_shape(input.shape()));
+  nn::Workspace ws;
+  for (auto _ : state) {
+    dense.forward_into(0, input, output, ws);
+    benchmark::DoNotOptimize(output.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch * 2048 * 48);
+}
+BENCHMARK(BM_DenseForward)->Arg(10)->Arg(16)->ArgNames({"batch"});
+
+void BM_DenseInputGradient(benchmark::State& state) {
+  const std::int64_t batch = state.range(0);
+  Rng rng(16);
+  nn::Dense dense(2048, 48, rng);
+  const Tensor input =
+      Tensor::rand_uniform(Shape{batch, 2048}, rng, 0.0f, 1.0f);
+  Tensor output(dense.output_shape(input.shape()));
+  nn::Workspace ws;
+  dense.forward_into(0, input, output, ws);
+  const Tensor grad_output = Tensor::randn(output.shape(), rng);
+  Tensor grad_input(input.shape());
+  for (auto _ : state) {
+    dense.backward_into(0, grad_output, grad_input, ws);
+    benchmark::DoNotOptimize(grad_input.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch * 2048 * 48);
+}
+BENCHMARK(BM_DenseInputGradient)->Arg(10)->Arg(16)->ArgNames({"batch"});
+
+// cifar_relu_tiny's 2x2 stride-2 max-pool on a k = 10 batch of ReLU
+// outputs (about half the taps zero). Items are input values.
+void BM_MaxPoolForward(benchmark::State& state) {
+  Rng rng(17);
+  nn::MaxPool2d pool(2, 2);
+  Tensor input = Tensor::randn(Shape{10, 8, 32, 32}, rng);
+  for (std::int64_t e = 0; e < input.numel(); ++e) {
+    input[e] = std::max(0.0f, input[e]);
+  }
+  Tensor output(pool.output_shape(input.shape()));
+  nn::Workspace ws;
+  for (auto _ : state) {
+    pool.forward_into(0, input, output, ws);
+    benchmark::DoNotOptimize(output.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * input.numel());
+}
+BENCHMARK(BM_MaxPoolForward);
 
 void BM_CoverageMask(benchmark::State& state) {
   const bool exact = state.range(0) != 0;

@@ -13,6 +13,13 @@ ParameterCoverage::ParameterCoverage(nn::Sequential& model,
                                      CoverageConfig config)
     : model_(model), config_(config), param_count_(model.param_count()) {
   DNNV_CHECK(config_.epsilon >= 0.0, "epsilon must be nonnegative");
+  for (const nn::ParamView& view : model_.param_views()) {
+    grads_.push_back({view.grad, view.size});
+  }
+}
+
+void ParameterCoverage::zero_grads() {
+  for (const GradSpan& span : grads_) std::fill_n(span.grad, span.size, 0.0f);
 }
 
 void ParameterCoverage::mask_from_grads(DynamicBitset& mask) {
@@ -21,16 +28,20 @@ void ParameterCoverage::mask_from_grads(DynamicBitset& mask) {
   // against the whole mask pipeline. Two branch-free passes instead: a
   // vectorisable 0/1-byte predicate sweep, then 8-bytes-at-a-time packing
   // via the multiply trick ((chunk * 0x0102040810204080) >> 56 gathers eight
-  // 0/1 bytes into eight bits, low address -> low bit).
+  // 0/1 bytes into eight bits, low address -> low bit). The threshold and the
+  // buffer live in locals: a byte store may alias any member, and the
+  // compiler would reload them for every parameter and never vectorize.
   const std::size_t count = static_cast<std::size_t>(param_count_);
   hit_bytes_.resize((count + 63) & ~std::size_t{63});  // zero-padded tail
+  const double epsilon = config_.epsilon;
   std::size_t bit = 0;
-  for (const auto& view : model_.param_views()) {
+  for (const GradSpan span : grads_) {
+    const float* grad = span.grad;
     unsigned char* out = hit_bytes_.data() + bit;
-    for (std::int64_t i = 0; i < view.size; ++i) {
-      out[i] = std::fabs(view.grad[i]) > config_.epsilon ? 1 : 0;
+    for (std::int64_t i = 0; i < span.size; ++i) {
+      out[i] = std::fabs(grad[i]) > epsilon ? 1 : 0;
     }
-    bit += static_cast<std::size_t>(view.size);
+    bit += static_cast<std::size_t>(span.size);
   }
   std::fill(hit_bytes_.begin() + static_cast<std::ptrdiff_t>(bit),
             hit_bytes_.end(), static_cast<unsigned char>(0));
@@ -72,7 +83,7 @@ void ParameterCoverage::activation_mask(const Tensor& input,
   if (config_.engine == CoverageEngine::kAbsSensitivity) {
     Tensor seed(Shape{1, k});
     seed.fill(1.0f);
-    model_.zero_grads();
+    zero_grads();
     model_.sensitivity_backward(seed);
     mask_from_grads(mask);
   } else {
@@ -81,7 +92,7 @@ void ParameterCoverage::activation_mask(const Tensor& input,
     for (std::int64_t j = 0; j < k; ++j) {
       Tensor seed(Shape{1, k});
       seed[j] = 1.0f;
-      model_.zero_grads();
+      zero_grads();
       model_.backward(seed);
       mask_from_grads(mask);
     }
@@ -117,7 +128,7 @@ void ParameterCoverage::activation_masks_batched(
   Tensor seed(Shape{1, k});
   seed.fill(1.0f);
   for (std::int64_t i = 0; i < b; ++i) {
-    model_.zero_grads();
+    zero_grads();
     model_.sensitivity_backward_item(i, seed, workspace_);
     DynamicBitset& mask = masks[static_cast<std::size_t>(i)];
     prepare_mask(mask);

@@ -36,7 +36,9 @@ struct CoverageConfig {
 };
 
 /// Computes activation masks against one model instance (not thread-safe;
-/// clone the model per thread for parallel use).
+/// clone the model per thread for parallel use). The instance keeps the
+/// model's gradient buffers from construction on, so the model must keep its
+/// layers while the instance lives.
 class ParameterCoverage {
  public:
   explicit ParameterCoverage(nn::Sequential& model, CoverageConfig config = {});
@@ -76,9 +78,19 @@ class ParameterCoverage {
   /// Clears `mask` in place when already param_count bits, else resizes.
   void prepare_mask(DynamicBitset& mask) const;
 
+  /// Zeroes every parameter's gradient buffer (the model's zero_grads()).
+  void zero_grads();
+
+  /// One parameter tensor's gradient buffer.
+  struct GradSpan {
+    float* grad;
+    std::int64_t size;
+  };
+
   nn::Sequential& model_;
   CoverageConfig config_;
   std::int64_t param_count_;
+  std::vector<GradSpan> grads_;  ///< in global parameter order
   nn::Workspace workspace_;  ///< batched-pass buffers, reused across calls
   std::vector<unsigned char> hit_bytes_;     ///< mask_from_grads scratch
   std::vector<std::uint64_t> word_scratch_;  ///< mask_from_grads scratch

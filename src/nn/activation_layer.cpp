@@ -75,6 +75,7 @@ Shape ActivationLayer::output_shape(const Shape& input_shape) const {
 
 Tensor ActivationLayer::forward(const Tensor& input) {
   cached_input_ = input;
+  input_view_ = nullptr;
   cached_output_view_ = nullptr;
   Tensor output(input.shape());
   activate_all(activation_, input.data(), output.data(), input.numel());
@@ -83,7 +84,7 @@ Tensor ActivationLayer::forward(const Tensor& input) {
 
 void ActivationLayer::forward_into(std::size_t, const Tensor& input,
                                    Tensor& output, Workspace&) {
-  cached_input_ = input;
+  input_view_ = &input;
   activate_all(activation_, input.data(), output.data(), input.numel());
   cached_output_view_ = &output;
 }
@@ -96,13 +97,13 @@ void ActivationLayer::backward_into(std::size_t, const Tensor& grad_output,
     grad_input = backward(grad_output);
     return;
   }
-  DNNV_CHECK(grad_output.same_shape(cached_input_),
+  DNNV_CHECK(grad_output.same_shape(input()),
              "activation backward shape mismatch");
   const float leak = backward_leak_;
   const float* dy = grad_output.data();
   float* dx = grad_input.data();
   // Every gate is >= 0, so `gate < leak` never fires at leak 0.
-  for_each_gate(activation_, output_data(), cached_input_.data(),
+  for_each_gate(activation_, output_data(), input().data(),
                 grad_input.numel(), [&](std::int64_t i, float gate) {
                   if (gate < leak) gate = leak;
                   dx[i] = dy[i] * gate;
@@ -113,9 +114,9 @@ void ActivationLayer::sensitivity_backward_into(std::size_t,
                                                 const Tensor& sens_output,
                                                 Tensor& sens_input,
                                                 Workspace&) {
-  DNNV_CHECK(sens_output.same_shape(cached_input_),
+  DNNV_CHECK(sens_output.same_shape(input()),
              "activation sensitivity shape mismatch");
-  gate_sensitivity(activation_, output_data(), cached_input_.data(),
+  gate_sensitivity(activation_, output_data(), input().data(),
                    sens_output.data(), sens_input.data(), sens_input.numel());
 }
 
@@ -123,33 +124,34 @@ void ActivationLayer::sensitivity_backward_item(std::size_t, std::int64_t item,
                                                 const Tensor& sens_output,
                                                 Tensor& sens_input,
                                                 Workspace&) {
-  const std::int64_t n = cached_input_.shape()[0];
+  const std::int64_t n = input().shape()[0];
   DNNV_CHECK(item >= 0 && item < n, "item " << item << " outside cached batch");
-  const std::int64_t item_numel = cached_input_.numel() / n;
+  const std::int64_t item_numel = input().numel() / n;
   DNNV_CHECK(sens_output.numel() == item_numel,
              "per-item activation sensitivity size mismatch");
   const std::int64_t offset = item * item_numel;
   const float* y = output_data();
   gate_sensitivity(activation_, y != nullptr ? y + offset : nullptr,
-                   cached_input_.data() + offset, sens_output.data(),
+                   input().data() + offset, sens_output.data(),
                    sens_input.data(), item_numel);
 }
 
 Tensor ActivationLayer::backward(const Tensor& grad_output) {
-  DNNV_CHECK(grad_output.same_shape(cached_input_),
+  const Tensor& x = input();
+  DNNV_CHECK(grad_output.same_shape(x),
              "activation backward shape mismatch");
-  Tensor grad_input(cached_input_.shape());
+  Tensor grad_input(x.shape());
   for (std::int64_t i = 0; i < grad_input.numel(); ++i) {
     float upstream = grad_output[i];
     if (sparsity_lambda_ != 0.0f) {
-      const float out = activate(activation_, cached_input_[i]);
+      const float out = activate(activation_, x[i]);
       if (out > 0.0f) {
         upstream += sparsity_lambda_;
       } else if (out < 0.0f) {
         upstream -= sparsity_lambda_;
       }
     }
-    float gate = activate_grad(activation_, cached_input_[i]);
+    float gate = activate_grad(activation_, x[i]);
     if (backward_leak_ != 0.0f && gate < backward_leak_) gate = backward_leak_;
     grad_input[i] = upstream * gate;
   }
@@ -157,14 +159,14 @@ Tensor ActivationLayer::backward(const Tensor& grad_output) {
     // Per-unit (dense) / per-channel (conv) batch-mean activation; units
     // below the liveness target get a direct upward pre-activation push
     // (bypassing the gate so dead ReLU units can recover).
-    const Shape& shape = cached_input_.shape();
+    const Shape& shape = x.shape();
     if (shape.ndim() == 2) {
       const std::int64_t n = shape[0];
       const std::int64_t f = shape[1];
       for (std::int64_t j = 0; j < f; ++j) {
         double mean_act = 0.0;
         for (std::int64_t i = 0; i < n; ++i) {
-          mean_act += activate(activation_, cached_input_[i * f + j]);
+          mean_act += activate(activation_, x[i * f + j]);
         }
         mean_act /= static_cast<double>(n);
         if (mean_act < liveness_target_) {
@@ -180,7 +182,7 @@ Tensor ActivationLayer::backward(const Tensor& grad_output) {
       for (std::int64_t ch = 0; ch < c; ++ch) {
         double mean_act = 0.0;
         for (std::int64_t i = 0; i < n; ++i) {
-          const float* p = cached_input_.data() + (i * c + ch) * plane;
+          const float* p = x.data() + (i * c + ch) * plane;
           for (std::int64_t q = 0; q < plane; ++q) {
             mean_act += activate(activation_, p[q]);
           }
@@ -199,13 +201,13 @@ Tensor ActivationLayer::backward(const Tensor& grad_output) {
 }
 
 Tensor ActivationLayer::sensitivity_backward(const Tensor& sens_output) {
-  DNNV_CHECK(sens_output.same_shape(cached_input_),
+  DNNV_CHECK(sens_output.same_shape(input()),
              "activation sensitivity shape mismatch");
   // Gate by |f'(pre-activation)|: for ReLU this is the exact 0/1 propagation
   // mask; for saturating activations it attenuates sensitivity so saturated
   // units fall below the coverage epsilon (paper §IV-A).
-  Tensor sens_input(cached_input_.shape());
-  gate_sensitivity(activation_, nullptr, cached_input_.data(),
+  Tensor sens_input(input().shape());
+  gate_sensitivity(activation_, nullptr, input().data(),
                    sens_output.data(), sens_input.data(), sens_input.numel());
   return sens_input;
 }

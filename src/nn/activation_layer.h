@@ -67,12 +67,22 @@ class ActivationLayer : public Layer {
   float backward_leak_ = 0.0f;
   float liveness_lambda_ = 0.0f;
   float liveness_target_ = 0.0f;
+  /// The value forward()'s copy of its input.
   Tensor cached_input_;
+  /// Input of the last forward_into (the workspace forward's input itself,
+  /// valid until the next forward on that workspace). Null after a
+  /// value-path forward().
+  const Tensor* input_view_ = nullptr;
   /// Forward output of the last forward_into (aliases the workspace output
   /// buffer; valid until the workspace is reused). Lets the backward gates
   /// run activate_grad_from_output and skip the transcendental recompute.
   /// Null after a value-path forward().
   const Tensor* cached_output_view_ = nullptr;
+
+  /// The last forward's input.
+  const Tensor& input() const {
+    return input_view_ != nullptr ? *input_view_ : cached_input_;
+  }
 
   /// The cached forward output's data, or null after a value-path forward().
   const float* output_data() const {

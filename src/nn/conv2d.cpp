@@ -20,8 +20,10 @@ namespace {
 // branches on the border. Columns x >= width of the wide plane are junk,
 // computed and dropped by store_tile.
 //
-// A tile is kRows rows by kNR positions. The forward pass uses the float
-// GEMM's micro-tile, kMR output channels by kNR positions. The input
+// A tile is kRows rows by kNR positions. The forward pass's tile is kMR
+// output channels by kNR positions, whose accumulators fit the vector
+// registers with room to spare: with twice the rows they do not, and how
+// many the compiler then spills changes with the surrounding code. The input
 // gradient adds one short dot product per tap into each pixel, so its tile
 // is kGradRows input channels by kNR positions: the dot products and the
 // pixel sums both stay in registers, and the first conv's one or three
@@ -32,7 +34,7 @@ namespace {
 // channels: a tile is kTapTile taps by kLanes output channels, and each
 // position adds one tap value times that position's kLanes output-gradient
 // values, read from a copy transposed to [position][channel].
-constexpr std::int64_t kMR = 8;
+constexpr std::int64_t kMR = 4;
 constexpr std::int64_t kNR = 32;
 constexpr std::int64_t kGradRows = 2;
 constexpr std::int64_t kLanes = 8;
@@ -105,19 +107,6 @@ void store_tile(std::int64_t q0, std::int64_t wide, std::int64_t height,
     if (x < width) store(lane, y * width + x, std::min(run, width - x));
     lane += run;
   }
-}
-
-/// acc + a * b as gemm()'s micro-kernel forms it: one fused multiply-add
-/// where the target has one (there the compiler contracts the GEMM's update),
-/// a product and a sum elsewhere. Spelled out because GCC's tuning for some
-/// cores (Sapphire Rapids among them) declines to contract a loop-carried
-/// chain held in registers, as reduce_chain's accumulators are.
-inline float mul_add(float a, float b, float acc) {
-#ifdef __FP_FAST_FMAF
-  return std::fma(a, b, acc);
-#else
-  return acc + a * b;
-#endif
 }
 
 /// acc[t][r] += src[off[t] + q] * g[p][r] over the dense output positions p
@@ -232,6 +221,8 @@ Shape Conv2d::output_shape(const Shape& input_shape) const {
 Tensor Conv2d::forward(const Tensor& input) {
   Tensor output(output_shape(input.shape()));
   forward_into(0, input, output, scratch_ws_);
+  cached_input_ = input;
+  input_view_ = nullptr;
   return output;
 }
 
@@ -247,7 +238,6 @@ void Conv2d::forward_into(std::size_t index, const Tensor& input,
   const std::int64_t out_w = out_shape[3];
   cached_out_h_ = out_h;
   cached_out_w_ = out_w;
-  cached_input_ = input;
 
   const PaddedItem layout(h, w, config_);
   Tensor& padded = ws.zeroed(index, kSlotScratch0, Shape{layout.size});
@@ -291,6 +281,7 @@ void Conv2d::forward_into(std::size_t index, const Tensor& input,
       }
     }
   }
+  input_view_ = &input;
 }
 
 // The weight reduction: weight_grad_[oc][t] += S_0 + S_1 + ..., added in
@@ -303,15 +294,15 @@ void Conv2d::forward_into(std::size_t index, const Tensor& input,
 void Conv2d::reduce_params(std::size_t index, std::int64_t item,
                            const float* g, bool abs_input, Workspace& ws) {
   const std::int64_t channels = config_.in_channels;
-  const std::int64_t h = cached_input_.shape()[2];
-  const std::int64_t w = cached_input_.shape()[3];
+  const std::int64_t h = input().shape()[2];
+  const std::int64_t w = input().shape()[3];
   const std::int64_t k = config_.kernel;
   const std::int64_t out_c = config_.out_channels;
   const std::int64_t taps = col_rows();
   const std::int64_t positions = cached_out_h_ * cached_out_w_;
   const PaddedItem layout(h, w, config_);
   Tensor& padded = ws.zeroed(index, kSlotScratch0, Shape{layout.size});
-  layout.fill(cached_input_.data() + item * channels * h * w, abs_input,
+  layout.fill(input().data() + item * channels * h * w, abs_input,
               padded.data());
 
   // g transposed to [group][p][lane], lane r of group b being channel
@@ -365,7 +356,7 @@ void Conv2d::reduce_params(std::size_t index, std::int64_t item,
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
-  const std::int64_t n = cached_input_.shape()[0];
+  const std::int64_t n = input().shape()[0];
   DNNV_CHECK(grad_output.shape() ==
                  Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
              "grad_output shape " << grad_output.shape() << " unexpected");
@@ -375,14 +366,14 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     reduce_params(0, i, grad_output.data() + i * out_stride,
                   /*abs_input=*/false, scratch_ws_);
   }
-  Tensor grad_input(cached_input_.shape());
+  Tensor grad_input(input().shape());
   backward_into(0, grad_output, grad_input, scratch_ws_);
   return grad_input;
 }
 
 void Conv2d::backward_into(std::size_t index, const Tensor& grad_output,
                            Tensor& grad_input, Workspace& ws) {
-  const std::int64_t n = cached_input_.shape()[0];
+  const std::int64_t n = input().shape()[0];
   DNNV_CHECK(grad_output.shape() ==
                  Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
              "grad_output shape " << grad_output.shape() << " unexpected");
@@ -394,8 +385,8 @@ void Conv2d::input_gradient(std::size_t index, const float* weights,
                             const float* dy, std::int64_t items, float* grad,
                             Workspace& ws) {
   const std::int64_t channels = config_.in_channels;
-  const std::int64_t h = cached_input_.shape()[2];
-  const std::int64_t w = cached_input_.shape()[3];
+  const std::int64_t h = input().shape()[2];
+  const std::int64_t w = input().shape()[3];
   const std::int64_t k = config_.kernel;
   const std::int64_t s = config_.stride;
   const std::int64_t out_c = config_.out_channels;
@@ -472,7 +463,7 @@ void Conv2d::input_gradient(std::size_t index, const float* weights,
 }
 
 Tensor Conv2d::sensitivity_backward(const Tensor& sens_output) {
-  Tensor sens_input(cached_input_.shape());
+  Tensor sens_input(input().shape());
   sensitivity_backward_into(0, sens_output, sens_input, scratch_ws_);
   return sens_input;
 }
@@ -480,13 +471,13 @@ Tensor Conv2d::sensitivity_backward(const Tensor& sens_output) {
 void Conv2d::sensitivity_backward_into(std::size_t index,
                                        const Tensor& sens_output,
                                        Tensor& sens_input, Workspace& ws) {
-  const std::int64_t n = cached_input_.shape()[0];
+  const std::int64_t n = input().shape()[0];
   DNNV_CHECK(sens_output.shape() ==
                  Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
              "sens_output shape " << sens_output.shape() << " unexpected");
   const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
   const std::int64_t in_stride =
-      config_.in_channels * cached_input_.shape()[2] * cached_input_.shape()[3];
+      config_.in_channels * input().shape()[2] * input().shape()[3];
   const std::int64_t out_stride = config_.out_channels * out_plane;
   for (std::int64_t i = 0; i < n; ++i) {
     sensitivity_item(index, i, sens_output.data() + i * out_stride,
@@ -495,7 +486,7 @@ void Conv2d::sensitivity_backward_into(std::size_t index,
 }
 
 void Conv2d::check_item(std::int64_t item, const Tensor& sens_output) const {
-  DNNV_CHECK(item >= 0 && item < cached_input_.shape()[0],
+  DNNV_CHECK(item >= 0 && item < input().shape()[0],
              "item " << item << " outside cached batch");
   DNNV_CHECK(sens_output.shape() ==
                  Shape({1, config_.out_channels, cached_out_h_, cached_out_w_}),

@@ -105,8 +105,17 @@ class Conv2d : public Layer {
   Tensor weight_grad_;  // [out_c, in_c*k*k]
   Tensor bias_grad_;    // [out_c]
 
-  // Caches from the last forward: a copy of the input and the output size.
-  Tensor cached_input_;  // [N, C, H, W]
+  /// The last forward's input [N, C, H, W]: the workspace forward's input
+  /// itself, valid until the next forward on that workspace, or the value
+  /// forward's own copy.
+  const Tensor& input() const {
+    return input_view_ != nullptr ? *input_view_ : cached_input_;
+  }
+
+  // Caches from the last forward: its input (the value forward()'s copy, or
+  // forward_into's input, null after forward()) and the output size.
+  Tensor cached_input_;
+  const Tensor* input_view_ = nullptr;
   std::int64_t cached_out_h_ = 0;
   std::int64_t cached_out_w_ = 0;
 
@@ -115,7 +124,7 @@ class Conv2d : public Layer {
   std::vector<std::int64_t> offsets_;
 
   // Scratch arena for the standalone forward()/backward()/
-  // sensitivity_backward() entry points (the calibration loop's path), so
+  // sensitivity_backward() entry points (the training loop's path), so
   // repeated calls reuse their padded and spread buffers instead of
   // allocating a fresh Workspace per call. Never cloned — each copy warms
   // its own.

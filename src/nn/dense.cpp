@@ -1,12 +1,59 @@
 #include "nn/dense.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "nn/workspace.h"
 #include "tensor/gemm.h"
 #include "util/error.h"
 
 namespace dnnv::nn {
+namespace {
+
+// The direct kernels form each output as gemm() forms one C element:
+// 0 + S_0 + S_1 + ..., S_b a mul_add chain from +0 over the terms of the
+// kGemmKBlock slice b, in ascending order. A tile is kRows chains by kLanes
+// lanes over contiguous floats: output units by items in the forward pass
+// (the lanes read a transposed copy of the batch), items by input features
+// in the input gradient (the lanes read W's rows in place).
+constexpr std::int64_t kRows = 8;
+constexpr std::int64_t kLanes = 16;
+
+/// tile[r][l] = the sum over t in [0, terms) of a[r][t] * b[t * ldb + l], in
+/// gemm()'s order. Rows a caller does not need repeat one it does, which
+/// keeps the bounds fixed.
+void dot_tile(const float* const* a, const float* __restrict b,
+              std::int64_t ldb, std::int64_t terms, float* __restrict tile) {
+  std::fill(tile, tile + kRows * kLanes, 0.0f);
+  for (std::int64_t t0 = 0; t0 < terms; t0 += kGemmKBlock) {
+    const std::int64_t t1 = std::min(terms, t0 + kGemmKBlock);
+    alignas(64) float slice[kRows * kLanes] = {};
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const float* bt = b + t * ldb;
+#pragma GCC unroll 8
+      for (std::int64_t r = 0; r < kRows; ++r) {
+        const float ar = a[r][t];
+        float* acc = slice + r * kLanes;
+        for (std::int64_t l = 0; l < kLanes; ++l) {
+          acc[l] = mul_add(ar, bt[l], acc[l]);
+        }
+      }
+    }
+    for (std::int64_t e = 0; e < kRows * kLanes; ++e) tile[e] += slice[e];
+  }
+}
+
+/// The kRows row pointers of a tile starting at row `first` of a row-major
+/// matrix with `count` rows of `stride` floats.
+void tile_rows(const float* matrix, std::int64_t first, std::int64_t count,
+               std::int64_t stride, const float** rows) {
+  for (std::int64_t r = 0; r < kRows; ++r) {
+    rows[r] = matrix + (first + std::min(r, count - first - 1)) * stride;
+  }
+}
+
+}  // namespace
 
 Dense::Dense(std::int64_t in_features, std::int64_t out_features, Rng& rng,
              InitKind init)
@@ -32,53 +79,111 @@ Tensor Dense::forward(const Tensor& input) {
   Tensor output(output_shape(input.shape()));
   Workspace scratch;
   forward_into(0, input, output, scratch);
+  cached_input_ = input;
+  input_view_ = nullptr;
   return output;
 }
 
-void Dense::forward_into(std::size_t, const Tensor& input, Tensor& output,
-                         Workspace&) {
-  const std::int64_t n = input.shape()[0];
+// y[i][j] = (0 + S_0 + S_1 + ...) + b[j], the S_b chaining x[i][p] * W[j][p]:
+// gemm(x, Wᵀ) followed by the bias.
+void Dense::forward_into(std::size_t index, const Tensor& input, Tensor& output,
+                         Workspace& ws) {
   DNNV_CHECK(input.shape().ndim() == 2 && input.shape()[1] == in_features_,
              "dense expects [N, " << in_features_ << "], got " << input.shape());
-  cached_input_ = input;
-  // y[N,out] = x[N,in] * W^T  (W stored [out,in] -> trans_b)
-  gemm(false, true, n, out_features_, in_features_, 1.0f, input.data(),
-       weights_.data(), 0.0f, output.data());
-  for (std::int64_t i = 0; i < n; ++i) {
-    float* row = output.data() + i * out_features_;
-    for (std::int64_t j = 0; j < out_features_; ++j) row[j] += bias_[j];
+  input_view_ = &input;
+  const std::int64_t n = input.shape()[0];
+  const std::int64_t k = in_features_;
+  const std::int64_t units = out_features_;
+  // The batch as [k][ld], each feature's items side by side, zero-padded to
+  // whole tiles.
+  const std::int64_t ld = (n + kLanes - 1) / kLanes * kLanes;
+  float* xt = ws.buffer(index, kSlotScratch0, Shape{k * ld}).data();
+  const float* x = input.data();
+  for (std::int64_t p = 0; p < k; ++p) {
+    float* row = xt + p * ld;
+    for (std::int64_t i = 0; i < n; ++i) row[i] = x[i * k + p];
+    std::fill(row + n, row + ld, 0.0f);
+  }
+  float* y = output.data();
+  for (std::int64_t j0 = 0; j0 < units; j0 += kRows) {
+    const float* a[kRows];
+    tile_rows(weights_.data(), j0, units, k, a);
+    const std::int64_t rows = std::min(kRows, units - j0);
+    for (std::int64_t i0 = 0; i0 < n; i0 += kLanes) {
+      alignas(64) float tile[kRows * kLanes];
+      dot_tile(a, xt + i0, ld, k, tile);
+      for (std::int64_t l = 0; l < std::min(kLanes, n - i0); ++l) {
+        float* y_row = y + (i0 + l) * units + j0;
+        for (std::int64_t r = 0; r < rows; ++r) {
+          y_row[r] = tile[r * kLanes + l] + bias_[j0 + r];
+        }
+      }
+    }
   }
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
-  const std::int64_t n = cached_input_.shape()[0];
+  const Tensor& x = input();
+  const std::int64_t n = x.shape()[0];
   DNNV_CHECK(grad_output.shape() == Shape({n, out_features_}),
              "grad_output shape " << grad_output.shape() << " unexpected");
   // dW[out,in] += dy^T[out,N] * x[N,in]
   gemm(true, false, out_features_, in_features_, n, 1.0f, grad_output.data(),
-       cached_input_.data(), 1.0f, weight_grad_.data());
+       x.data(), 1.0f, weight_grad_.data());
   for (std::int64_t i = 0; i < n; ++i) {
     const float* row = grad_output.data() + i * out_features_;
     for (std::int64_t j = 0; j < out_features_; ++j) bias_grad_[j] += row[j];
   }
-  Tensor grad_input(cached_input_.shape());
+  Tensor grad_input(x.shape());
   Workspace scratch;
   backward_into(0, grad_output, grad_input, scratch);
   return grad_input;
 }
 
-void Dense::backward_into(std::size_t, const Tensor& grad_output,
-                          Tensor& grad_input, Workspace&) {
-  const std::int64_t n = cached_input_.shape()[0];
+// dx[i][p] = 0 + S_0 + S_1 + ..., the S_b chaining dy[i][j] * W[j][p]:
+// gemm(dy, W).
+void Dense::backward_into(std::size_t index, const Tensor& grad_output,
+                          Tensor& grad_input, Workspace& ws) {
+  const std::int64_t n = input().shape()[0];
   DNNV_CHECK(grad_output.shape() == Shape({n, out_features_}),
              "grad_output shape " << grad_output.shape() << " unexpected");
-  // dx[N,in] = dy[N,out] * W[out,in]
-  gemm(false, false, n, in_features_, out_features_, 1.0f, grad_output.data(),
-       weights_.data(), 0.0f, grad_input.data());
+  const std::int64_t k = in_features_;
+  const std::int64_t units = out_features_;
+  const float* w = weights_.data();
+  // A last lane group that would run past W's rows reads a zero-padded copy
+  // of those columns instead.
+  const std::int64_t whole = k / kLanes * kLanes;
+  const float* tail = nullptr;
+  if (whole < k) {
+    float* copy = ws.zeroed(index, kSlotScratch1, Shape{units * kLanes}).data();
+    for (std::int64_t j = 0; j < units; ++j) {
+      std::copy(w + j * k + whole, w + (j + 1) * k, copy + j * kLanes);
+    }
+    tail = copy;
+  }
+  // Item tiles run inside column groups, so each group of W's columns is
+  // read from memory once.
+  for (std::int64_t p0 = 0; p0 < k; p0 += kLanes) {
+    const auto lanes = static_cast<std::size_t>(std::min(kLanes, k - p0));
+    for (std::int64_t i0 = 0; i0 < n; i0 += kRows) {
+      const float* a[kRows];
+      tile_rows(grad_output.data(), i0, n, units, a);
+      alignas(64) float tile[kRows * kLanes];
+      if (p0 < whole) {
+        dot_tile(a, w + p0, k, units, tile);
+      } else {
+        dot_tile(a, tail, kLanes, units, tile);
+      }
+      for (std::int64_t r = 0; r < std::min(kRows, n - i0); ++r) {
+        std::memcpy(grad_input.data() + (i0 + r) * k + p0, tile + r * kLanes,
+                    lanes * sizeof(float));
+      }
+    }
+  }
 }
 
 Tensor Dense::sensitivity_backward(const Tensor& sens_output) {
-  Tensor sens_input(cached_input_.shape());
+  Tensor sens_input(input().shape());
   Workspace scratch;
   sensitivity_backward_into(0, sens_output, sens_input, scratch);
   return sens_input;
@@ -86,7 +191,7 @@ Tensor Dense::sensitivity_backward(const Tensor& sens_output) {
 
 void Dense::sensitivity_backward_into(std::size_t, const Tensor& sens_output,
                                       Tensor& sens_input, Workspace&) {
-  const std::int64_t n = cached_input_.shape()[0];
+  const std::int64_t n = input().shape()[0];
   DNNV_CHECK(sens_output.shape() == Shape({n, out_features_}),
              "sens_output shape " << sens_output.shape() << " unexpected");
   sens_input.fill(0.0f);
@@ -97,7 +202,7 @@ void Dense::sensitivity_backward_into(std::size_t, const Tensor& sens_output,
 }
 
 void Dense::check_item(std::int64_t item, const Tensor& sens_output) const {
-  DNNV_CHECK(item >= 0 && item < cached_input_.shape()[0],
+  DNNV_CHECK(item >= 0 && item < input().shape()[0],
              "item " << item << " outside cached batch");
   DNNV_CHECK(sens_output.shape() == Shape({1, out_features_}),
              "per-item sens_output shape " << sens_output.shape()
@@ -127,7 +232,7 @@ void Dense::sensitivity_item(std::int64_t item, const float* s_row,
   // perturbation iff its input x_i is non-zero AND the output j is sensitive;
   // summing |s_j|·|x_i| (instead of the signed product) cannot cancel, so a
   // zero sensitivity means "no propagation path" exactly.
-  const float* x_row = cached_input_.data() + item * in_features_;
+  const float* x_row = input().data() + item * in_features_;
   for (std::int64_t j = 0; j < out_features_; ++j) {
     const float s = s_row[j];
     if (s == 0.0f) continue;

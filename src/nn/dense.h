@@ -9,6 +9,11 @@ namespace dnnv::nn {
 
 /// y = x · Wᵀ + b with W stored [out_features, in_features] (one row per
 /// output unit) and x batched [N, in_features].
+///
+/// forward_into and backward_into are direct register-tiled kernels that
+/// read W in place and sum in gemm()'s order (tensor/gemm.h), so every float
+/// is the one gemm() forms; the value backward()'s weight gradient runs
+/// gemm() itself.
 class Dense : public Layer {
  public:
   /// Constructs with initialised weights; bias starts at zero.
@@ -54,13 +59,21 @@ class Dense : public Layer {
   /// skips the input sensitivity.
   void sensitivity_item(std::int64_t item, const float* s_row, float* out_row);
 
+  /// The last forward's input [N, in]: the workspace forward's input itself,
+  /// valid until the next forward on that workspace, or the value forward's
+  /// own copy.
+  const Tensor& input() const {
+    return input_view_ != nullptr ? *input_view_ : cached_input_;
+  }
+
   std::int64_t in_features_ = 0;
   std::int64_t out_features_ = 0;
   Tensor weights_;      // [out, in]
   Tensor bias_;         // [out]
   Tensor weight_grad_;  // [out, in]
   Tensor bias_grad_;    // [out]
-  Tensor cached_input_;  // [N, in] from the last forward
+  Tensor cached_input_;                 // the value forward()'s copy
+  const Tensor* input_view_ = nullptr;  // forward_into's input, or null
 };
 
 }  // namespace dnnv::nn

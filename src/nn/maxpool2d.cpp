@@ -29,45 +29,59 @@ void MaxPool2d::forward_into(std::size_t, const Tensor& input, Tensor& output,
   fill_forward(input, output);
 }
 
+namespace {
+
+// Every window lies inside its plane (no padding). Each output visits its
+// taps in (ky, kx) order, and a tap replaces the running maximum only when
+// strictly greater, so ties keep the first maximum, a NaN never wins against
+// a number and a NaN first tap is never replaced. The value select is the
+// target's max instruction and the index select a bit mask, so no tap
+// branches. `window` is the row's first window corner, the flat input index
+// `top`; kKernel and kStride are the geometry when known at compile time (the
+// zoo's 2x2 stride-2 pools, whose taps then unroll), 0 otherwise.
+template <std::int64_t kKernel, std::int64_t kStride>
+void pool_row(const float* window, std::int64_t top, std::int64_t w,
+              std::int64_t kernel, std::int64_t stride, std::int64_t out_w,
+              float* __restrict best, std::int64_t* __restrict arg) {
+  const std::int64_t k = kKernel != 0 ? kKernel : kernel;
+  const std::int64_t s = kStride != 0 ? kStride : stride;
+  for (std::int64_t ox = 0; ox < out_w; ++ox) {
+    const float* corner = window + ox * s;
+    float b = corner[0];
+    std::int64_t a = 0;
+    for (std::int64_t ky = 0; ky < k; ++ky) {
+      for (std::int64_t kx = 0; kx < k; ++kx) {
+        const float v = corner[ky * w + kx];
+        const std::int64_t wins = -static_cast<std::int64_t>(v > b);
+        b = v > b ? v : b;
+        a ^= (a ^ (ky * w + kx)) & wins;
+      }
+    }
+    best[ox] = b;
+    arg[ox] = top + ox * s + a;
+  }
+}
+
+}  // namespace
+
 void MaxPool2d::fill_forward(const Tensor& input, Tensor& output) {
   const Shape out_shape = output_shape(input.shape());
   cached_input_shape_ = input.shape();
-  const std::int64_t n = input.shape()[0];
-  const std::int64_t c = input.shape()[1];
+  const std::int64_t planes = input.shape()[0] * input.shape()[1];
   const std::int64_t h = input.shape()[2];
   const std::int64_t w = input.shape()[3];
   const std::int64_t out_h = out_shape[2];
   const std::int64_t out_w = out_shape[3];
+  const auto row_of = kernel_ == 2 && stride_ == 2 ? pool_row<2, 2>
+                                                   : pool_row<0, 0>;
 
-  argmax_.assign(static_cast<std::size_t>(output.numel()), 0);
-  std::int64_t out_idx = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = input.data() + (i * c + ch) * h * w;
-      const std::int64_t plane_base = (i * c + ch) * h * w;
-      for (std::int64_t oy = 0; oy < out_h; ++oy) {
-        for (std::int64_t ox = 0; ox < out_w; ++ox, ++out_idx) {
-          const std::int64_t y0 = oy * stride_;
-          const std::int64_t x0 = ox * stride_;
-          float best = plane[y0 * w + x0];
-          std::int64_t best_idx = y0 * w + x0;
-          for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-            const std::int64_t y = y0 + ky;
-            if (y >= h) break;
-            for (std::int64_t kx = 0; kx < kernel_; ++kx) {
-              const std::int64_t x = x0 + kx;
-              if (x >= w) break;
-              const float v = plane[y * w + x];
-              if (v > best) {
-                best = v;
-                best_idx = y * w + x;
-              }
-            }
-          }
-          output[out_idx] = best;
-          argmax_[static_cast<std::size_t>(out_idx)] = plane_base + best_idx;
-        }
-      }
+  argmax_.resize(static_cast<std::size_t>(output.numel()));
+  for (std::int64_t p = 0; p < planes; ++p) {
+    for (std::int64_t oy = 0; oy < out_h; ++oy) {
+      const std::int64_t top = (p * h + oy * stride_) * w;
+      const std::int64_t row = (p * out_h + oy) * out_w;
+      row_of(input.data() + top, top, w, kernel_, stride_, out_w,
+             output.data() + row, argmax_.data() + row);
     }
   }
 }
@@ -82,9 +96,10 @@ void MaxPool2d::route_back_into(const Tensor& upstream,
                                 Tensor& downstream) const {
   DNNV_CHECK(static_cast<std::size_t>(upstream.numel()) == argmax_.size(),
              "pool upstream size mismatch — forward not called?");
-  for (std::int64_t i = 0; i < upstream.numel(); ++i) {
-    downstream[argmax_[static_cast<std::size_t>(i)]] += upstream[i];
-  }
+  const std::int64_t* arg = argmax_.data();
+  const float* up = upstream.data();
+  float* down = downstream.data();
+  for (std::int64_t i = 0; i < upstream.numel(); ++i) down[arg[i]] += up[i];
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
@@ -121,13 +136,12 @@ void MaxPool2d::sensitivity_backward_item(std::size_t, std::int64_t item,
   DNNV_CHECK(sens_output.numel() == out_item,
              "per-item pool sensitivity size mismatch");
   // argmax_ holds batch-absolute input indices; rebase onto this item.
+  const std::int64_t* arg = argmax_.data() + item * out_item;
   const std::int64_t base = item * in_item;
+  const float* up = sens_output.data();
+  float* down = sens_input.data();
   sens_input.fill(0.0f);
-  for (std::int64_t i = 0; i < out_item; ++i) {
-    const std::int64_t target =
-        argmax_[static_cast<std::size_t>(item * out_item + i)] - base;
-    sens_input[target] += sens_output[i];
-  }
+  for (std::int64_t i = 0; i < out_item; ++i) down[arg[i] - base] += up[i];
 }
 
 std::unique_ptr<Layer> MaxPool2d::clone() const {

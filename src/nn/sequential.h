@@ -59,10 +59,13 @@ class Sequential {
   //
   // Every intermediate activation lives in `ws`, so a warmed-up pass
   // performs no allocations. The returned references point into `ws` and
-  // stay valid until its next use. One Workspace serves one model instance
-  // on one thread. The forward and sensitivity passes compute the same
-  // floats as the value-returning methods above. The only reverse pass is
-  // input_gradient: parameter gradients come from the value path alone.
+  // stay valid until its next use. Layers keep pointers to their forward
+  // inputs instead of copies, so the reverse passes read the caller's
+  // `input` of the latest forward: it must stay alive and unchanged until
+  // they have run. One Workspace serves one model instance on one thread.
+  // The forward and sensitivity passes compute the same floats as the
+  // value-returning methods above. The only reverse pass is input_gradient:
+  // parameter gradients come from the value path alone.
 
   /// Batched forward; returns the logits buffer.
   const Tensor& forward(const Tensor& input, Workspace& ws);

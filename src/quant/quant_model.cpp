@@ -138,17 +138,23 @@ QuantModel QuantModel::quantize(const nn::Sequential& model,
       config.max_calibration_items,
       static_cast<std::int64_t>(calibration.size()));
   DNNV_CHECK(total > 0, "max_calibration_items must be positive");
+  // The workspace forward computes the value forward's floats without its
+  // allocations and input copies.
   constexpr std::int64_t kChunk = 32;
+  nn::Workspace ws;
+  Tensor batch;
   for (std::int64_t begin = 0; begin < total; begin += kChunk) {
     const std::int64_t end = std::min(total, begin + kChunk);
-    const std::vector<Tensor> chunk(
-        calibration.begin() + static_cast<std::ptrdiff_t>(begin),
-        calibration.begin() + static_cast<std::ptrdiff_t>(end));
-    Tensor x = stack_batch(chunk);
-    if (input_obs) input_obs->observe(x.data(), x.numel());
+    stack_batch_range(calibration, static_cast<std::size_t>(begin),
+                      static_cast<std::size_t>(end), batch);
+    if (input_obs) input_obs->observe(batch.data(), batch.numel());
+    const Tensor* x = &batch;
     for (std::size_t i = 0; i < num_layers; ++i) {
-      x = m.layer(i).forward(x);
-      if (obs[i]) obs[i]->observe(x.data(), x.numel());
+      Tensor& out =
+          ws.buffer(i, nn::kSlotOutput, m.layer(i).output_shape(x->shape()));
+      m.layer(i).forward_into(i, *x, out, ws);
+      if (obs[i]) obs[i]->observe(out.data(), out.numel());
+      x = &out;
     }
   }
 

@@ -56,10 +56,20 @@ std::int8_t requantize(std::int32_t acc, const Requant& rq) {
 }
 
 float amax_of(const float* values, std::int64_t count) {
-  float amax = 0.0f;
-  for (std::int64_t i = 0; i < count; ++i) {
-    amax = std::max(amax, std::fabs(values[i]));
+  // Every |v| is at least +0 and a NaN never replaces a maximum, so the
+  // result does not depend on the order of the values: independent lanes
+  // give the serial loop's float, without its dependency chain.
+  constexpr std::int64_t kLanes = 16;
+  float lanes[kLanes] = {};
+  std::int64_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    for (std::int64_t l = 0; l < kLanes; ++l) {
+      lanes[l] = std::max(lanes[l], std::fabs(values[i + l]));
+    }
   }
+  float amax = 0.0f;
+  for (; i < count; ++i) amax = std::max(amax, std::fabs(values[i]));
+  for (const float lane : lanes) amax = std::max(amax, lane);
   return amax;
 }
 

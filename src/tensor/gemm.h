@@ -1,8 +1,10 @@
-// Single-precision GEMM used by the Dense kernels; its K slices also fix the
-// summation order of the direct Conv2d kernels.
+// Single-precision GEMM behind Dense's value weight gradient; its K slices
+// and its multiply-add also fix the summation order of the direct Conv2d and
+// Dense kernels.
 #ifndef DNNV_TENSOR_GEMM_H_
 #define DNNV_TENSOR_GEMM_H_
 
+#include <cmath>
 #include <cstdint>
 
 namespace dnnv {
@@ -12,6 +14,19 @@ namespace dnnv {
 /// chain from +0 in ascending k, so a kernel that splits its sums at the
 /// same points (nn::Conv2d's direct kernels) reproduces gemm() bit for bit.
 inline constexpr std::int64_t kGemmKBlock = 256;
+
+/// acc + a * b as gemm()'s micro-kernel forms it: one fused multiply-add
+/// where the target has one (there the compiler contracts the GEMM's update),
+/// a product and a sum elsewhere. Direct kernels spell it out because GCC's
+/// tuning for some cores (Sapphire Rapids among them) declines to contract a
+/// loop-carried chain held in registers.
+inline float mul_add(float a, float b, float acc) {
+#ifdef __FP_FAST_FMAF
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
 
 /// C[M,N] = alpha * op(A) * op(B) + beta * C, row-major.
 /// op(A) is A[M,K] (trans_a=false) or Aᵀ with A stored [K,M] (trans_a=true);

@@ -56,7 +56,7 @@ void ByteReader::require_entries(std::uint64_t n,
                                       << ", have " << bytes_.size());
 }
 
-std::size_t ByteReader::geometry_count(std::initializer_list<std::int64_t> dims,
+std::size_t ByteReader::geometry_count(std::span<const std::int64_t> dims,
                                        std::size_t entry_bytes) const {
   DNNV_CHECK(entry_bytes > 0, "zero-byte entries");
   const std::uint64_t limit = remaining() / entry_bytes;

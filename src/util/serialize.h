@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -69,6 +70,13 @@ class ByteReader {
   /// forged geometry can neither wrap the count nor size a read beyond the
   /// input.
   std::size_t geometry_count(std::initializer_list<std::int64_t> dims,
+                             std::size_t entry_bytes) const {
+    return geometry_count(
+        std::span<const std::int64_t>(dims.begin(), dims.size()), entry_bytes);
+  }
+
+  /// geometry_count over dims read from the stream (a stored rank).
+  std::size_t geometry_count(std::span<const std::int64_t> dims,
                              std::size_t entry_bytes) const;
 
   std::size_t remaining() const { return bytes_.size() - pos_; }

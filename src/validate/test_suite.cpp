@@ -70,20 +70,24 @@ void TestSuite::save(ByteWriter& writer) const {
 }
 
 TestSuite TestSuite::load(ByteReader& reader) {
-  const std::uint64_t count = reader.read_u64();
-  const std::uint64_t ndim = reader.read_u64();
-  DNNV_CHECK(count > 0 && count < (1u << 20), "implausible test count");
-  DNNV_CHECK(ndim > 0 && ndim <= 8, "implausible tensor rank");
+  // Each test stores at least one float and its label, each dimension one
+  // i64, and the dims' product must fit the bytes that follow, so no forged
+  // count or geometry can wrap Shape::numel or size a read beyond the input.
+  const std::size_t count =
+      reader.read_count(sizeof(float) + sizeof(std::int64_t));
+  DNNV_CHECK(count > 0, "empty test suite");
+  const std::size_t ndim = reader.read_count(sizeof(std::int64_t));
+  DNNV_CHECK(ndim > 0, "test input of rank 0");
   std::vector<std::int64_t> dims;
-  for (std::uint64_t d = 0; d < ndim; ++d) {
+  for (std::size_t d = 0; d < ndim; ++d) {
     dims.push_back(reader.read_i64());
-    DNNV_CHECK(dims.back() > 0 && dims.back() < (1 << 20),
-               "implausible dimension");
+    DNNV_CHECK(dims.back() > 0, "non-positive dimension " << dims.back());
   }
+  const std::size_t numel = reader.geometry_count(dims, sizeof(float));
   const Shape shape{dims};
   TestSuite suite;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    auto values = reader.read_f32_array(static_cast<std::size_t>(shape.numel()));
+  for (std::size_t i = 0; i < count; ++i) {
+    auto values = reader.read_f32_array(numel);
     suite.inputs_.emplace_back(shape, std::move(values));
     suite.golden_labels_.push_back(static_cast<int>(reader.read_i64()));
   }

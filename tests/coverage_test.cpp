@@ -2,6 +2,7 @@
 // equivalence of the two engines, accumulator algebra and neuron coverage.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 
 #include "coverage/accumulator.h"
@@ -14,6 +15,7 @@
 #include "nn/builder.h"
 #include "nn/dense.h"
 #include "nn/sequential.h"
+#include "nn/workspace.h"
 #include "tensor/batch.h"
 #include "util/error.h"
 
@@ -216,6 +218,58 @@ TEST(ParameterCoverageTest, BatchedMasksBitIdenticalToPerItemOnZooModels) {
         EXPECT_TRUE(pooled[i] == expected[i])
             << c.trained.name << " eps=" << epsilon << " pooled item " << i;
       }
+    }
+  }
+}
+
+// The mask threshold |g| > epsilon compares each float gradient as a double.
+// At every epsilon the batched masks must equal that scalar rule applied to
+// the grad buffers one item's sensitivity pass leaves behind.
+TEST(ParameterCoverageTest, MasksEqualScalarDoubleThresholdOnZooModels) {
+  exp::ZooOptions zoo;
+  zoo.tiny = true;
+  zoo.cache_dir =
+      (std::filesystem::temp_directory_path() / "dnnv_cov_test_zoo").string();
+  struct Case {
+    exp::TrainedModel trained;
+    data::MaterializedData pool;
+  };
+  std::vector<Case> cases;
+  cases.push_back({exp::mnist_tanh(zoo), exp::digits_test(12)});
+  cases.push_back({exp::cifar_relu(zoo), exp::shapes_test(12)});
+  for (auto& c : cases) {
+    const Tensor batch = stack_batch(c.pool.images);
+    for (const double epsilon : {0.1, 1e-3, 0.0}) {
+      CoverageConfig config;
+      config.epsilon = epsilon;
+      nn::Sequential model = c.trained.model.clone();
+      ParameterCoverage coverage(model, config);
+      const std::vector<DynamicBitset> masks =
+          coverage.activation_masks_batched(batch);
+
+      nn::Sequential ref = c.trained.model.clone();
+      nn::Workspace ws;
+      const Tensor& logits = ref.forward(batch, ws);
+      Tensor seed(Shape{1, logits.shape()[1]});
+      seed.fill(1.0f);
+      std::size_t set_bits = 0;
+      for (std::int64_t i = 0; i < batch.shape()[0]; ++i) {
+        ref.zero_grads();
+        ref.sensitivity_backward_item(i, seed, ws);
+        DynamicBitset want(static_cast<std::size_t>(ref.param_count()));
+        std::size_t bit = 0;
+        for (const nn::ParamView& view : ref.param_views()) {
+          for (std::int64_t e = 0; e < view.size; ++e, ++bit) {
+            if (std::fabs(static_cast<double>(view.grad[e])) > epsilon) {
+              want.set(bit);
+            }
+          }
+        }
+        set_bits += want.count();
+        EXPECT_TRUE(masks[static_cast<std::size_t>(i)] == want)
+            << c.trained.name << " eps=" << epsilon << " item " << i;
+      }
+      EXPECT_GT(set_bits, 0u) << c.trained.name << " eps=" << epsilon;
     }
   }
 }

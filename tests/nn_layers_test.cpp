@@ -3,6 +3,7 @@
 // reverse-pass contract (input_gradient vs the value-path backward).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -19,6 +20,7 @@
 #include "nn/sequential.h"
 #include "nn/workspace.h"
 #include "tensor/batch.h"
+#include "tests/nn_reference.h"
 #include "tests/test_nets.h"
 #include "util/error.h"
 
@@ -465,6 +467,183 @@ TEST(ReversePassTest, PerKindActivationLoopsMatchScalarFunctions) {
       }
       EXPECT_TRUE(same_bits(s_in, expected_s)) << "item " << item;
     }
+  }
+}
+
+
+// Every reverse pass reads the input of the latest forward: the workspace
+// forward keeps a pointer to its input rather than a copy, so after a
+// forward of A and then of B on one workspace, with A overwritten, each pass
+// must equal that of a clone that has only ever seen B. The nets run a conv
+// straight on the caller's tensor, then activations, a pool and the dense
+// layers on the workspace's buffers.
+TEST(ReversePassTest, EveryPassReadsTheLatestWorkspaceForward) {
+  for (const auto& c : test_nets::random_conv_cases()) {
+    SCOPED_TRACE(c.name);
+    const std::vector<Tensor> probes = c.probes();
+    Tensor batch_a = stack_batch({probes[0], probes[1], probes[2]});
+    const Tensor batch_b = stack_batch({probes[3], probes[4], probes[5]});
+    Sequential model = c.model();
+    Sequential fresh = model.clone();
+    const Shape logits = model.output_shape(batch_b.shape());
+    Rng rng(9);
+    const Tensor grad_logits = Tensor::randn(logits, rng);
+    Tensor seed(logits);
+    seed.fill(1.0f);
+    Tensor item_seed(Shape{1, logits[1]});
+    item_seed.fill(1.0f);
+
+    // Every parameter's grad buffer of `model` equals `fresh`'s bit for bit.
+    const auto same_grads = [&] {
+      const std::vector<ParamView> got = model.param_views();
+      const std::vector<ParamView> want = fresh.param_views();
+      for (std::size_t v = 0; v < got.size(); ++v) {
+        const auto bytes =
+            sizeof(float) * static_cast<std::size_t>(got[v].size);
+        if (std::memcmp(got[v].grad, want[v].grad, bytes) != 0) return false;
+      }
+      return true;
+    };
+
+    Workspace ws;
+    model.forward(batch_a, ws);
+    model.forward(batch_b, ws);
+    batch_a.fill(std::numeric_limits<float>::quiet_NaN());
+    Workspace fresh_ws;
+    fresh.forward(batch_b, fresh_ws);
+
+    EXPECT_TRUE(same_bits(model.input_gradient(grad_logits, ws),
+                          fresh.input_gradient(grad_logits, fresh_ws)));
+    model.zero_grads();
+    fresh.zero_grads();
+    EXPECT_TRUE(same_bits(model.sensitivity_backward(seed, ws),
+                          fresh.sensitivity_backward(seed, fresh_ws)));
+    EXPECT_TRUE(same_grads());
+    for (std::int64_t i = 0; i < batch_b.shape()[0]; ++i) {
+      model.zero_grads();
+      fresh.zero_grads();
+      model.sensitivity_backward_item(i, item_seed, ws);
+      fresh.sensitivity_backward_item(i, item_seed, fresh_ws);
+      EXPECT_TRUE(same_grads()) << "item " << i;
+    }
+  }
+}
+
+// ---------- Dense and max-pool against the reference ----------
+
+// Dense's direct kernels (forward_into, backward_into) and its value passes
+// against tests/nn_reference.h: batches across and off the 8-row and
+// 16-lane tiles, feature counts with and without a partial lane group
+// (48, 300, 2048: up to 8 blocks of 256), unit counts not a multiple of 8,
+// and one 260-unit layer whose input gradient sums over two blocks.
+TEST(DenseReferenceTest, DirectAndValuePassesMatchReferenceBitForBit) {
+  struct Geometry {
+    std::int64_t batch, in, out;
+  };
+  std::vector<Geometry> cases;
+  for (const std::int64_t batch : {1, 10, 16, 17, 33}) {
+    for (const std::int64_t in : {48, 300, 2048}) {
+      for (const std::int64_t out : {10, 13, 48}) {
+        cases.push_back({batch, in, out});
+      }
+    }
+  }
+  cases.push_back({3, 20, 260});
+  for (const Geometry& g : cases) {
+    SCOPED_TRACE(testing::Message() << g.batch << "x" << g.in << "->" << g.out);
+    Rng rng(static_cast<std::uint64_t>(g.batch * 7919 + g.in * 31 + g.out));
+    Dense dense(g.in, g.out, rng);
+    for (std::int64_t j = 0; j < g.out; ++j) {
+      dense.bias()[j] = static_cast<float>(rng.uniform(-0.5, 0.5));
+    }
+    // Half the features zero, as after a ReLU.
+    Tensor x = Tensor::randn(Shape{g.batch, g.in}, rng);
+    for (std::int64_t e = 0; e < x.numel(); ++e) {
+      if (x[e] < 0.0f) x[e] = 0.0f;
+    }
+    const Tensor dy = Tensor::randn(Shape{g.batch, g.out}, rng);
+    const Tensor want_y = reference::dense_forward(
+        dense.weights().data(), dense.bias().data(), g.out, x);
+    const Tensor want_dx =
+        reference::dense_input_gradient(dense.weights().data(), g.in, dy);
+
+    Workspace ws;
+    Tensor y(dense.output_shape(x.shape()));
+    dense.forward_into(0, x, y, ws);
+    EXPECT_TRUE(same_bits(y, want_y));
+    Tensor dx(x.shape());
+    dense.backward_into(0, dy, dx, ws);
+    EXPECT_TRUE(same_bits(dx, want_dx));
+
+    EXPECT_TRUE(same_bits(dense.forward(x), want_y));
+    EXPECT_TRUE(same_bits(dense.backward(dy), want_dx));
+  }
+}
+
+// MaxPool2d's forward and its gradient routes against the reference:
+// ReLU plateaus (whole windows of zeros), windows mixing -0.0, +0.0, NaN
+// and repeated values, odd planes that drop a row and a column, and
+// overlapping windows (stride < kernel), through the workspace, value and
+// per-item passes.
+TEST(MaxPoolReferenceTest, ForwardAndRoutesMatchReferenceBitForBit) {
+  enum class Fill { kRelu, kSpecial };
+  struct PoolCase {
+    const char* name;
+    std::int64_t kernel, stride;
+    Shape shape;
+    Fill fill;
+  };
+  const PoolCase cases[] = {
+      {"relu 2x2 s2", 2, 2, Shape{10, 8, 32, 32}, Fill::kRelu},
+      {"special 2x2 s2 odd", 2, 2, Shape{3, 2, 9, 7}, Fill::kSpecial},
+      {"special 3x3 s2", 3, 2, Shape{2, 3, 11, 9}, Fill::kSpecial},
+      {"relu 3x3 s1", 3, 1, Shape{1, 2, 6, 5}, Fill::kRelu},
+      {"special 2x2 s1", 2, 1, Shape{2, 2, 5, 5}, Fill::kSpecial},
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {-0.0f, 0.0f, nan, 1.0f, -1.0f, 0.5f, 1.0f};
+  for (const PoolCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(static_cast<std::uint64_t>(c.shape.numel()));
+    Tensor x = Tensor::randn(c.shape, rng);
+    for (std::int64_t e = 0; e < x.numel(); ++e) {
+      if (c.fill == Fill::kRelu) {
+        // Mostly negative pre-activations: many windows are all zeros.
+        x[e] = std::max(0.0f, x[e] - 1.0f);
+      } else {
+        x[e] = specials[rng.uniform_int(0, 6)];
+      }
+    }
+    MaxPool2d pool(c.kernel, c.stride);
+    std::vector<std::int64_t> argmax;
+    const Tensor want_y = reference::maxpool_forward(c.kernel, c.stride, x,
+                                                     argmax);
+    const Tensor dy = Tensor::randn(want_y.shape(), rng);
+    const Tensor want_dx =
+        reference::maxpool_gradient(c.kernel, c.stride, x, dy);
+
+    Workspace ws;
+    Tensor y(pool.output_shape(x.shape()));
+    pool.forward_into(0, x, y, ws);
+    EXPECT_TRUE(same_bits(y, want_y));
+    Tensor dx(x.shape());
+    pool.backward_into(0, dy, dx, ws);
+    EXPECT_TRUE(same_bits(dx, want_dx));
+    Tensor sx(x.shape());
+    pool.sensitivity_backward_into(0, dy, sx, ws);
+    EXPECT_TRUE(same_bits(sx, want_dx));
+    for (std::int64_t i = 0; i < x.shape()[0]; ++i) {
+      const Tensor item = stack_batch({slice_batch(x, i)});
+      const Tensor item_dy = stack_batch({slice_batch(dy, i)});
+      Tensor item_sx(item.shape());
+      pool.sensitivity_backward_item(0, i, item_dy, item_sx, ws);
+      EXPECT_TRUE(same_bits(item_sx, reference::maxpool_gradient(
+                                         c.kernel, c.stride, item, item_dy)))
+          << "item " << i;
+    }
+
+    EXPECT_TRUE(same_bits(pool.forward(x), want_y));
+    EXPECT_TRUE(same_bits(pool.backward(dy), want_dx));
   }
 }
 

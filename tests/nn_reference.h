@@ -1,5 +1,6 @@
-// Reference float convolution (the oracle for nn::Conv2d). Only tests use
-// it; nothing under src/ does.
+// Reference float convolution, dense layer and max-pool (the oracles for
+// nn::Conv2d, nn::Dense and nn::MaxPool2d). Only tests use it; nothing under
+// src/ does.
 //
 // Every pass is a scalar loop nest written from the definition of a
 // cross-correlation over NCHW tensors: no gemm, no im2col or col2im, no
@@ -27,6 +28,18 @@
 // and s. The 256 is the float GEMM's K slice (kGemmKBlock), the order in
 // which the im2col + GEMM formulation of the same layer adds its products.
 // Every Conv2d path must match these loops bit for bit.
+//
+// The dense layer sums as the float GEMM does, each product chain link a
+// mul_add (tensor/gemm.h: fused where the target has an FMA):
+//   forward   y[i][j] = (0 + S_0 + S_1 + ...) + b[j], S_b chaining
+//             x[i][p] * W[j][p] from +0 over features [256 b, 256 b + 256);
+//   gradient  dx[i][p] = 0 + T_0 + T_1 + ..., T_b chaining dy[i][j] * W[j][p]
+//             from +0 over output units [256 b, 256 b + 256).
+// Max-pool takes each window's first maximum in (ky, kx) order: a tap
+// replaces the running maximum only when strictly greater, so ties keep the
+// earlier tap, a NaN never wins against a number and a NaN first tap stays.
+// Its gradient adds each output's gradient into its winning tap, outputs in
+// order.
 #ifndef DNNV_TESTS_NN_REFERENCE_H_
 #define DNNV_TESTS_NN_REFERENCE_H_
 
@@ -36,6 +49,7 @@
 #include <vector>
 
 #include "nn/conv2d.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor.h"
 
 namespace dnnv::nn::reference {
@@ -207,6 +221,94 @@ inline Tensor conv_input_sensitivity(const Conv2d::Config& cfg,
   }
   return conv_input_gradient(cfg, abs_weights.data(), input_shape,
                              sens_output);
+}
+
+/// Dense forward of a batch: input [N, in] -> [N, out], weights [out, in].
+inline Tensor dense_forward(const float* weights, const float* bias,
+                            std::int64_t out, const Tensor& input) {
+  const std::int64_t n = input.shape()[0], in = input.shape()[1];
+  Tensor y(Shape{n, out});
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < out; ++j) {
+      float acc = 0.0f;
+      for (std::int64_t p0 = 0; p0 < in; p0 += kBlock) {
+        float sum = 0.0f;
+        for (std::int64_t p = p0; p < std::min(in, p0 + kBlock); ++p) {
+          sum = mul_add(input.data()[i * in + p], weights[j * in + p], sum);
+        }
+        acc += sum;
+      }
+      y.data()[i * out + j] = acc + bias[j];
+    }
+  }
+  return y;
+}
+
+/// Dense input gradient of a batch: grad_output [N, out] -> [N, in].
+inline Tensor dense_input_gradient(const float* weights, std::int64_t in,
+                                   const Tensor& grad_output) {
+  const std::int64_t n = grad_output.shape()[0];
+  const std::int64_t out = grad_output.shape()[1];
+  Tensor dx(Shape{n, in});
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t p = 0; p < in; ++p) {
+      float acc = 0.0f;
+      for (std::int64_t j0 = 0; j0 < out; j0 += kBlock) {
+        float sum = 0.0f;
+        for (std::int64_t j = j0; j < std::min(out, j0 + kBlock); ++j) {
+          sum = mul_add(grad_output.data()[i * out + j], weights[j * in + p],
+                        sum);
+        }
+        acc += sum;
+      }
+      dx.data()[i * in + p] = acc;
+    }
+  }
+  return dx;
+}
+
+/// Max-pool of a batch [N, C, H, W] with no padding; `argmax` receives each
+/// output's winning flat input index.
+inline Tensor maxpool_forward(std::int64_t kernel, std::int64_t stride,
+                              const Tensor& input,
+                              std::vector<std::int64_t>& argmax) {
+  const std::int64_t n = input.shape()[0], c = input.shape()[1];
+  const std::int64_t h = input.shape()[2], w = input.shape()[3];
+  const std::int64_t out_h = (h - kernel) / stride + 1;
+  const std::int64_t out_w = (w - kernel) / stride + 1;
+  Tensor y(Shape{n, c, out_h, out_w});
+  argmax.assign(static_cast<std::size_t>(y.numel()), 0);
+  std::int64_t o = 0;
+  for (std::int64_t plane = 0; plane < n * c; ++plane) {
+    for (std::int64_t oy = 0; oy < out_h; ++oy) {
+      for (std::int64_t ox = 0; ox < out_w; ++ox, ++o) {
+        std::int64_t best = (plane * h + oy * stride) * w + ox * stride;
+        for (std::int64_t ky = 0; ky < kernel; ++ky) {
+          for (std::int64_t kx = 0; kx < kernel; ++kx) {
+            const std::int64_t at =
+                (plane * h + oy * stride + ky) * w + ox * stride + kx;
+            if (input.data()[at] > input.data()[best]) best = at;
+          }
+        }
+        y.data()[o] = input.data()[best];
+        argmax[static_cast<std::size_t>(o)] = best;
+      }
+    }
+  }
+  return y;
+}
+
+/// Max-pool gradient: grad_output routed to the winners of `input`.
+inline Tensor maxpool_gradient(std::int64_t kernel, std::int64_t stride,
+                               const Tensor& input,
+                               const Tensor& grad_output) {
+  std::vector<std::int64_t> argmax;
+  maxpool_forward(kernel, stride, input, argmax);
+  Tensor dx(input.shape());
+  for (std::size_t o = 0; o < argmax.size(); ++o) {
+    dx.data()[argmax[o]] += grad_output.data()[o];
+  }
+  return dx;
 }
 
 }  // namespace dnnv::nn::reference

@@ -5,8 +5,10 @@
 // models and the quantized detection harness end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -37,6 +39,37 @@ using nn::Sequential;
 using test_nets::probe_pool;
 
 // ---------- Fixed-point requantization ----------
+
+// amax_of reduces over independent lanes; max |v| ignores NaNs and every
+// |v| is at least +0, so it must return the serial loop's float for any
+// length, with NaNs, signed zeros and denormals anywhere.
+TEST(QuantizeMathTest, LaneSplitAmaxEqualsSerialLoop) {
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -0.0f,
+                            0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min() * 3.0f,
+                            0.75f,
+                            -2.5f};
+  Rng rng(12);
+  for (const std::int64_t count : {0, 1, 7, 15, 16, 17, 31, 33, 100, 1000}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<float> values(static_cast<std::size_t>(count));
+      for (float& v : values) {
+        v = rng.flip(0.5) ? specials[rng.uniform_int(0, 6)]
+                          : static_cast<float>(rng.normal(0.0, 1.0));
+      }
+      if (trial == 3) {
+        for (float& v : values) v = specials[rng.uniform_int(0, 4)];
+      }
+      float serial = 0.0f;
+      for (const float v : values) serial = std::max(serial, std::fabs(v));
+      const float lanes = amax_of(values.data(), count);
+      EXPECT_EQ(std::memcmp(&lanes, &serial, sizeof(float)), 0)
+          << "count " << count << " trial " << trial;
+    }
+  }
+}
 
 TEST(RequantizeTest, TiesRoundHalfAwayFromZero) {
   // ratio 1/2: acc=1 -> 0.5 -> 1, acc=3 -> 1.5 -> 2 (and mirrored).

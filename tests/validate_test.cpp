@@ -130,6 +130,35 @@ TEST(TestSuiteTest, PackageIsObfuscated) {
   EXPECT_LT(longest, 16);  // 24 zero floats would be 96 zero bytes in the clear
 }
 
+// A geometry whose dims product wraps 2^64 (2^19 * 2^19 * 2^19 * 2^19 * 256
+// = 2^84) once loaded as a one-test suite of zero-element inputs; a count the
+// stream cannot hold must fail before any test is read.
+TEST(TestSuiteTest, LoadRejectsForgedCountAndGeometry) {
+  const auto stream = [](std::uint64_t count,
+                         const std::vector<std::int64_t>& dims) {
+    ByteWriter writer;
+    writer.write_u64(count);
+    writer.write_u64(dims.size());
+    for (const std::int64_t d : dims) writer.write_i64(d);
+    writer.write_f32(1.0f);
+    writer.write_i64(3);  // label
+    return ByteReader(writer.take());
+  };
+  const std::int64_t big = std::int64_t{1} << 19;
+  ByteReader wrapping = stream(1, {big, big, big, big, 256});
+  EXPECT_THROW(TestSuite::load(wrapping), Error);
+  ByteReader too_many = stream(std::uint64_t{1} << 40, {1});
+  EXPECT_THROW(TestSuite::load(too_many), Error);
+  ByteReader zero_dim = stream(1, {1, 0});
+  EXPECT_THROW(TestSuite::load(zero_dim), Error);
+
+  ByteReader valid = stream(1, {1});
+  const TestSuite suite = TestSuite::load(valid);
+  ASSERT_EQ(suite.size(), 1u);
+  EXPECT_EQ(suite.inputs()[0].shape(), Shape({1}));
+  EXPECT_EQ(suite.golden_labels()[0], 3);
+}
+
 // ---------- Validator ----------
 
 TEST(ValidatorTest, IntactIpPasses) {
