@@ -51,8 +51,9 @@
 // code hulls — with the affine domain's hull width as a percentage of the
 // interval baseline — dead and overflow-capable channels), the IR-verifier
 // findings, the static fault-testability + dominance summaries for the
-// chosen universe preset, and (--calibrated) the conditionally-masked
-// in-distribution faults with their excitation targets:
+// chosen universe preset, and (--calibrated) whether the calibrated input
+// domains narrow the int8 grid (the conditioned pass runs only then) and the
+// conditionally-masked in-distribution faults with their excitation targets:
 //
 //   dnnv_pipeline --analyze [--model mnist|cifar] [--tiny]
 //                 [--domain interval|affine] [--calibrated]
@@ -297,15 +298,27 @@ int run_analyze(const CliArgs& args) {
   if (calibrated) {
     // Conditioned pass: same domain, input hull tightened to the calibrated
     // per-channel code domains. Conditionally masked faults are reported
-    // with excitation targets — never pruned.
+    // with excitation targets — never pruned. As in fault::qualify_suite,
+    // the pass runs only when a domain narrows the code grid; otherwise it
+    // would reproduce `range` and no fault could be conditional.
     analysis::RangeOptions copts = ropts;
     copts.input_domains =
         analysis::calibrated_input_domains(qmodel, pool.images);
-    const auto cal_range = analysis::analyze_ranges_with(domain, qmodel, copts);
-    const auto cond =
-        analysis::classify_conditional(qmodel, range, report, cal_range,
-                                       universe);
-    std::cout << "calibrated (" << copts.input_domains.size()
+    const std::size_t channels = copts.input_domains.size();
+    analysis::ConditionalReport cond;
+    if (analysis::input_domains_narrow(copts.input_domains)) {
+      std::cout << "calibrated: an input-channel domain (of " << channels
+                << ") narrows [-127, 127]; conditioned range pass runs\n";
+      const auto cal_range =
+          analysis::analyze_ranges_with(domain, qmodel, copts);
+      cond = analysis::classify_conditional(qmodel, range, report, cal_range,
+                                            universe);
+    } else {
+      std::cout << "calibrated: all input-channel domains (" << channels
+                << ") are [-127, 127]; unconditional ranges reused, "
+                   "conditioned pass skipped\n";
+    }
+    std::cout << "calibrated (" << channels
               << " input-channel domains): " << cond.summary(universe.size())
               << "\n";
     const std::size_t show = std::min<std::size_t>(cond.excitations.size(), 5);

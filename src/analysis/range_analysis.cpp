@@ -38,6 +38,15 @@ Interval quantize_interval(const quant::QLayer& q,
   return Interval{ca, cb};
 }
 
+/// An input_domains entry as the quantize layer sees it: the engine
+/// saturates into [kQmin, kQmax], and lo > hi reads as the singleton {lo}.
+Interval clamp_domain(const Interval& d) {
+  return Interval{
+      std::clamp<std::int64_t>(d.lo, quant::kQmin, quant::kQmax),
+      std::clamp<std::int64_t>(std::max(d.lo, d.hi), quant::kQmin,
+                               quant::kQmax)};
+}
+
 }  // namespace
 
 const char* to_string(RangeDomain domain) {
@@ -120,11 +129,7 @@ ModelRange analyze_ranges(const quant::QuantModel& model,
           // saturates into [kQmin, kQmax], so clamp each entry there.
           cur.resize(options.input_domains.size());
           for (std::size_t c = 0; c < cur.size(); ++c) {
-            const Interval& d = options.input_domains[c];
-            cur[c].lo = std::clamp<std::int64_t>(d.lo, quant::kQmin,
-                                                 quant::kQmax);
-            cur[c].hi = std::clamp<std::int64_t>(
-                std::max(d.lo, d.hi), quant::kQmin, quant::kQmax);
+            cur[c] = clamp_domain(options.input_domains[c]);
           }
         } else {
           cur.assign(1, quantize_interval(q, options));
@@ -205,6 +210,13 @@ ModelRange analyze_ranges(const quant::QuantModel& model,
     }
   }
   return mr;
+}
+
+bool input_domains_narrow(const std::vector<Interval>& domains) {
+  const Interval grid{quant::kQmin, quant::kQmax};
+  return std::any_of(domains.begin(), domains.end(), [&](const Interval& d) {
+    return clamp_domain(d) != grid;
+  });
 }
 
 std::vector<Interval> calibrated_input_domains(

@@ -91,8 +91,12 @@ struct RangeOptions {
   /// [kQmin, kQmax] by the pass). Non-empty overrides assume_input_domain.
   /// The resulting ModelRange is conditional — sound only for inputs whose
   /// quantized codes stay inside these domains (e.g. in-distribution data
-  /// the domains were calibrated on), NOT for adversarial inputs. Producers:
-  /// calibrated_input_domains().
+  /// the domains were calibrated on), NOT for adversarial inputs. Domains
+  /// that all span the code grid condition nothing: the pass then bounds
+  /// every accumulator and output as the unconditional one does, so callers
+  /// run it only when input_domains_narrow() holds. On all four zoo models
+  /// calibrated_input_domains() returns the whole grid for every channel.
+  /// Producers: calibrated_input_domains().
   std::vector<Interval> input_domains;
 
   /// Dims of one model input item (e.g. {C, H, W}). The IR does not carry
@@ -136,6 +140,13 @@ Interval lut_image(const std::array<std::int8_t, 256>& lut,
 /// inputs.
 std::vector<Interval> calibrated_input_domains(const quant::QuantModel& model,
                                                const std::vector<Tensor>& pool);
+
+/// True iff some entry of `domains`, clamped as the range pass clamps
+/// RangeOptions::input_domains, lies strictly inside [kQmin, kQmax]. When
+/// false (empty, or every domain spans the grid), a pass conditioned on
+/// `domains` bounds every accumulator and output exactly as the
+/// unconditional pass does, so callers skip it.
+bool input_domains_narrow(const std::vector<Interval>& domains);
 
 }  // namespace dnnv::analysis
 

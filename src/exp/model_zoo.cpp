@@ -64,9 +64,9 @@ bool load_cached(const std::string& path, TrainedModel& trained) {
   if (reader.read_u32() != kZooMagic) return false;
   if (reader.read_u32() != kZooVersion) return false;
   trained.name = reader.read_string();
-  const std::uint64_t ndim = reader.read_u64();
+  const std::size_t ndim = reader.read_count(sizeof(std::int64_t));
   std::vector<std::int64_t> dims;
-  for (std::uint64_t d = 0; d < ndim; ++d) dims.push_back(reader.read_i64());
+  for (std::size_t d = 0; d < ndim; ++d) dims.push_back(reader.read_i64());
   trained.item_shape = Shape{dims};
   trained.num_classes = static_cast<int>(reader.read_i64());
   trained.train_accuracy = reader.read_f64();

@@ -13,7 +13,11 @@ FaultQualification qualify_suite(const quant::QuantModel& model,
   FaultQualification q;
   FaultUniverse universe = FaultUniverse::enumerate(model, options.universe);
   q.enumerated = static_cast<std::int64_t>(universe.size());
-  const bool conditioned = !options.input_domains.empty();
+  // Domains that all span the code grid condition nothing: the conditioned
+  // pass would reproduce the unconditional range, so no fault could be
+  // conditionally masked and the tier is skipped.
+  const bool conditioned =
+      analysis::input_domains_narrow(options.input_domains);
   analysis::ModelRange range;  // unconditional; all pruning proofs live here
   if (options.static_prune || options.dominance || conditioned) {
     analysis::RangeOptions ropts;

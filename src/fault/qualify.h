@@ -65,9 +65,13 @@ struct QualifyOptions {
   /// than interval, so it prunes at least as much).
   analysis::RangeDomain domain = analysis::RangeDomain::kAffine;
   /// Calibration-conditioned per-input-channel code domains (from
-  /// analysis::calibrated_input_domains). When non-empty, a second
-  /// conditioned pass classifies the conditionally-masked faults — counted
-  /// and given excitation targets, never pruned.
+  /// analysis::calibrated_input_domains). When some domain narrows the
+  /// input (analysis::input_domains_narrow), a second, conditioned pass
+  /// classifies the conditionally-masked faults — counted and given
+  /// excitation targets, never pruned. Domains that all span [-127, 127]
+  /// would reproduce the unconditional range, so no fault could be
+  /// conditional and the pass is skipped. On all four zoo models every
+  /// calibrated domain is the whole grid.
   std::vector<analysis::Interval> input_domains;
   /// Dims of one input item ({C, H, W}); lets the affine domain unroll conv
   /// geometry. Empty is sound (degrades to the interval result there).

@@ -24,6 +24,10 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   std::ostringstream name;
   name << layer->kind() << layers_.size();
   layer->set_name(name.str());
+  if (first_params_ >= layers_.size()) {
+    // No layer with parameters yet: this one is the first, or none is.
+    first_params_ = layers_.size() + (layer->param_count() == 0 ? 1 : 0);
+  }
   layers_.push_back(std::move(layer));
   return *this;
 }
@@ -145,11 +149,8 @@ void Sequential::sensitivity_backward_item(std::int64_t item,
   const auto& shapes = ws.shapes();
   DNNV_CHECK(shapes.size() == layers_.size(),
              "per-item sensitivity pass without a prior workspace forward");
-  std::size_t first = 0;
-  while (first < layers_.size() && layers_[first]->param_count() == 0) {
-    ++first;
-  }
-  if (first == layers_.size()) return;
+  const std::size_t first = first_params_;
+  if (first >= layers_.size()) return;
   const Tensor* sens = &sens_logits;
   for (std::size_t i = layers_.size() - 1; i > first; --i) {
     // This layer's input shape with the batch axis collapsed to one item.
@@ -279,9 +280,10 @@ void Sequential::save(ByteWriter& writer) const {
 Sequential Sequential::load(ByteReader& reader) {
   DNNV_CHECK(reader.read_u32() == kModelMagic, "not a dnnv model stream");
   DNNV_CHECK(reader.read_u32() == kModelVersion, "unsupported model version");
-  const std::uint64_t count = reader.read_u64();
+  // Every layer record opens with its kind string (u64 length prefix).
+  const std::size_t count = reader.read_count(sizeof(std::uint64_t));
   Sequential model;
-  for (std::uint64_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     const std::string kind = reader.read_string();
     if (kind == "dense") {
       model.add(Dense::load(reader));
@@ -320,6 +322,7 @@ Sequential Sequential::clone() const {
   for (const auto& layer : layers_) {
     copy.layers_.push_back(layer->clone());  // keep original names
   }
+  copy.first_params_ = first_params_;
   return copy;
 }
 

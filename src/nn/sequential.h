@@ -153,6 +153,10 @@ class Sequential {
   ParamLocation locate(std::int64_t global_index);
 
   std::vector<std::unique_ptr<Layer>> layers_;
+  /// Index of the first layer with parameters (>= layers_.size() when
+  /// none), kept by add() so the per-item sensitivity pass builds no
+  /// ParamViews.
+  std::size_t first_params_ = 0;
 };
 
 }  // namespace dnnv::nn

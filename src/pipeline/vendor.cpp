@@ -132,9 +132,9 @@ Deliverable VendorPipeline::run(const nn::Sequential& model,
     qualify_options.universe = fault_config;
     qualify_options.compact = options_.compact;
     // Static passes run under the configured abstract domain with the conv
-    // geometry unrolled; when calibrated, a second conditioned pass
-    // classifies the in-distribution-masked faults (reported + excitation
-    // targets, never pruned).
+    // geometry unrolled; when calibrated and a calibrated domain narrows the
+    // grid, a second conditioned pass classifies the in-distribution-masked
+    // faults (reported + excitation targets, never pruned).
     qualify_options.domain = analysis::range_domain(options_.analysis_domain);
     qualify_options.item_dims = item_shape.dims();
     if (options_.calibrated) {

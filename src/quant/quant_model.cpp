@@ -916,9 +916,11 @@ QuantModel QuantModel::load(ByteReader& reader) {
   qm.config_.percentile = reader.read_f64();
   qm.config_.max_calibration_items = reader.read_i64();
   qm.has_normalize_ = reader.read_u8() != 0;
-  const std::uint64_t count = reader.read_u64();
-  DNNV_CHECK(count > 0 && count < (1u << 16), "implausible layer count");
-  for (std::uint64_t li = 0; li < count; ++li) {
+  // Smallest layer record: kind u8, name (u64 length), two f32 scales.
+  const std::size_t count = reader.read_count(1 + sizeof(std::uint64_t) +
+                                              2 * sizeof(float));
+  DNNV_CHECK(count > 0, "QuantModel stream has no layers");
+  for (std::size_t li = 0; li < count; ++li) {
     QLayer q;
     q.kind = static_cast<QLayerKind>(reader.read_u8());
     q.name = reader.read_string();

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/affine_domain.h"
@@ -21,6 +22,7 @@
 #include "analysis/testability.h"
 #include "analysis/verifier.h"
 #include "exp/model_zoo.h"
+#include "fault/collapse.h"
 #include "fault/fault_model.h"
 #include "fault/qualify.h"
 #include "fault/simulator.h"
@@ -711,6 +713,8 @@ TEST(TestabilityTest, QualifyConditionalUnchangedByStaticPrune) {
   options.dominance = false;
   options.item_dims = {6};
   options.input_domains = analysis::calibrated_input_domains(qmodel, narrow);
+  // A narrowing domain: qualify_suite runs the conditioned pass.
+  ASSERT_TRUE(analysis::input_domains_narrow(options.input_domains));
   options.static_prune = false;
   const auto baseline = fault::qualify_suite(qmodel, suite, options);
   options.static_prune = true;
@@ -726,6 +730,180 @@ TEST(TestabilityTest, QualifyConditionalUnchangedByStaticPrune) {
     EXPECT_EQ(a.layer, b.layer) << i;
     EXPECT_EQ(a.channel, b.channel) << i;
     EXPECT_EQ(a.acc, b.acc) << i;
+  }
+}
+
+// ---------- calibrated domains that span the code grid ----------
+
+TEST(RangeAnalysisTest, InputDomainsNarrowEdges) {
+  using analysis::Interval;
+  const Interval grid{quant::kQmin, quant::kQmax};
+  const std::vector<std::pair<std::vector<Interval>, bool>> cases = {
+      {{}, false},
+      {{grid, grid, grid}, false},
+      {{grid, Interval{-127, 126}, grid}, true},
+      {{Interval{-128, 128}}, false},  // clamps to the grid
+      {{grid, Interval{5, -3}}, true},  // lo > hi reads as {5}
+  };
+  // The predicate must clamp exactly as the range pass does: it narrows iff
+  // some quantize-output interval of the conditioned pass is not the grid.
+  const auto qmodel = small_qmodel();
+  for (const auto& [domains, narrows] : cases) {
+    EXPECT_EQ(analysis::input_domains_narrow(domains), narrows)
+        << domains.size() << " domains";
+    analysis::RangeOptions options;
+    options.input_domains = domains;
+    const auto range = analysis::analyze_ranges(qmodel, options);
+    ASSERT_EQ(range.layers[0].kind, quant::QLayerKind::kQuantize);
+    const auto& out = range.layers[0].out;
+    EXPECT_EQ(std::any_of(out.begin(), out.end(),
+                          [&](const Interval& x) { return x != grid; }),
+              narrows)
+        << domains.size() << " domains";
+  }
+}
+
+/// Tiny zoo model quantized on its 64-item pool, with the input domains
+/// calibrated over that pool.
+struct CalibratedZooCase {
+  std::string name;
+  std::vector<std::int64_t> item_dims;
+  quant::QuantModel qmodel;
+  std::vector<Tensor> pool;
+  std::vector<analysis::Interval> domains;
+};
+
+CalibratedZooCase calibrated_zoo_case(bool use_cifar) {
+  const auto trained = use_cifar ? exp::cifar_relu(tiny_options())
+                                 : exp::mnist_tanh(tiny_options());
+  auto pool = use_cifar ? exp::shapes_train(64) : exp::digits_train(64);
+  auto qmodel = quant::QuantModel::quantize(trained.model, pool.images);
+  auto domains = analysis::calibrated_input_domains(qmodel, pool.images);
+  return {trained.name, trained.item_shape.dims(), std::move(qmodel),
+          std::move(pool.images), std::move(domains)};
+}
+
+/// Entry `c` of a per-channel vector; a single entry is shared by every
+/// channel (the unconditional state after the quantize layer).
+analysis::Interval channel_entry(const std::vector<analysis::Interval>& v,
+                                 std::size_t c) {
+  return v.size() == 1 ? v.front() : v[c];
+}
+
+void expect_same_channels(const std::vector<analysis::Interval>& a,
+                          const std::vector<analysis::Interval>& b,
+                          const std::string& tag) {
+  ASSERT_TRUE(a.size() == b.size() || a.size() == 1 || b.size() == 1) << tag;
+  for (std::size_t c = 0; c < std::max(a.size(), b.size()); ++c) {
+    EXPECT_EQ(channel_entry(a, c), channel_entry(b, c)) << tag << " ch" << c;
+  }
+}
+
+// The premise behind qualify_suite reusing the unconditional range: on the
+// zoo models every calibrated domain is the whole code grid, and the pass
+// conditioned on them reproduces the unconditional one hull for hull.
+TEST(RangeAnalysisTest, GridDomainsReproduceUnconditionalRangesOnZooModels) {
+  for (const bool use_cifar : {false, true}) {
+    const auto zoo = calibrated_zoo_case(use_cifar);
+    ASSERT_FALSE(zoo.domains.empty()) << zoo.name;
+    ASSERT_FALSE(analysis::input_domains_narrow(zoo.domains)) << zoo.name;
+    for (const auto domain :
+         {analysis::RangeDomain::kInterval, analysis::RangeDomain::kAffine}) {
+      const std::string tag =
+          zoo.name + " " + analysis::to_string(domain);
+      analysis::RangeOptions options;
+      options.item_dims = zoo.item_dims;
+      const auto uncond =
+          analysis::analyze_ranges_with(domain, zoo.qmodel, options);
+      options.input_domains = zoo.domains;
+      const auto cond =
+          analysis::analyze_ranges_with(domain, zoo.qmodel, options);
+      ASSERT_EQ(cond.layers.size(), uncond.layers.size()) << tag;
+      for (std::size_t li = 0; li < uncond.layers.size(); ++li) {
+        const auto& u = uncond.layers[li];
+        const auto& c = cond.layers[li];
+        const std::string at = tag + " L" + std::to_string(li);
+        EXPECT_EQ(c.kind, u.kind) << at;
+        EXPECT_EQ(c.acc, u.acc) << at;
+        EXPECT_EQ(c.overflow, u.overflow) << at;
+        expect_same_channels(c.in, u.in, at + " in");
+        expect_same_channels(c.out, u.out, at + " out");
+      }
+      EXPECT_EQ(cond.dead_channels, uncond.dead_channels) << tag;
+      EXPECT_EQ(cond.overflow_channels, uncond.overflow_channels) << tag;
+      EXPECT_EQ(cond.saturable_channels, uncond.saturable_channels) << tag;
+    }
+  }
+}
+
+// qualify_suite with grid domains (which skips the conditioned pass) against
+// its stages called one by one, the conditioned pass computed explicitly.
+TEST(TestabilityTest, QualifyWithGridDomainsMatchesConditionedPassOnZooModels) {
+  for (const bool use_cifar : {false, true}) {
+    auto zoo = calibrated_zoo_case(use_cifar);
+    ASSERT_FALSE(analysis::input_domains_narrow(zoo.domains)) << zoo.name;
+    const std::vector<Tensor> inputs(zoo.pool.begin(), zoo.pool.begin() + 8);
+    const auto suite = validate::TestSuite::from_labels(
+        inputs, zoo.qmodel.predict_labels(stack_batch(inputs)));
+    for (const auto domain :
+         {analysis::RangeDomain::kInterval, analysis::RangeDomain::kAffine}) {
+      const std::string tag =
+          zoo.name + " " + analysis::to_string(domain);
+      fault::QualifyOptions options;
+      // Every 64th weight unit with all its bits: same-site neighbours stay
+      // together, so the dominance rules find pairs to merge.
+      options.universe = fault::universe_config("full");
+      options.universe.stride = 64;
+      options.domain = domain;
+      options.item_dims = zoo.item_dims;
+      options.input_domains = zoo.domains;
+      const auto q = fault::qualify_suite(zoo.qmodel, suite, options);
+
+      analysis::RangeOptions ropts;
+      ropts.item_dims = zoo.item_dims;
+      const auto range =
+          analysis::analyze_ranges_with(domain, zoo.qmodel, ropts);
+      ropts.input_domains = zoo.domains;
+      const auto cal_range =
+          analysis::analyze_ranges_with(domain, zoo.qmodel, ropts);
+      auto universe = fault::FaultUniverse::enumerate(zoo.qmodel,
+                                                      options.universe);
+      const auto report =
+          analysis::classify_universe(zoo.qmodel, range, universe);
+      universe = analysis::prune_untestable(universe, report);
+      const auto dom =
+          analysis::analyze_dominance(zoo.qmodel, range, universe);
+      universe = analysis::prune_dominated(universe, dom);
+      const auto uncond =
+          analysis::classify_universe(zoo.qmodel, range, universe);
+      const auto cond = analysis::classify_conditional(
+          zoo.qmodel, range, uncond, cal_range, universe);
+      universe = fault::collapse_structural(universe, zoo.qmodel);
+      fault::FaultSimulator sim(zoo.qmodel, suite);
+      fault::SimOptions sim_options;
+      sim_options.mode = fault::SimMode::kFullMatrix;
+      const auto result = sim.run_batched(universe, sim_options);
+
+      EXPECT_GT(q.untestable, 0) << tag;
+      EXPECT_GT(q.dominated, 0) << tag;
+      EXPECT_EQ(q.untestable, static_cast<std::int64_t>(report.untestable))
+          << tag;
+      EXPECT_EQ(q.dominated, static_cast<std::int64_t>(dom.count)) << tag;
+      EXPECT_EQ(q.conditional, static_cast<std::int64_t>(cond.count)) << tag;
+      EXPECT_EQ(q.detected, static_cast<std::int64_t>(result.detected))
+          << tag;
+      ASSERT_EQ(q.excitations.size(), cond.excitations.size()) << tag;
+      for (std::size_t i = 0; i < q.excitations.size(); ++i) {
+        EXPECT_EQ(q.excitations[i].fault_id, cond.excitations[i].fault_id)
+            << tag << " " << i;
+        EXPECT_EQ(q.excitations[i].layer, cond.excitations[i].layer)
+            << tag << " " << i;
+        EXPECT_EQ(q.excitations[i].channel, cond.excitations[i].channel)
+            << tag << " " << i;
+        EXPECT_EQ(q.excitations[i].acc, cond.excitations[i].acc)
+            << tag << " " << i;
+      }
+    }
   }
 }
 

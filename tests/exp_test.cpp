@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "exp/model_zoo.h"
 #include "ip/systolic.h"
@@ -11,6 +12,7 @@
 #include "nn/loss.h"
 #include "tensor/batch.h"
 #include "util/error.h"
+#include "util/serialize.h"
 
 namespace dnnv {
 namespace {
@@ -71,6 +73,32 @@ TEST(ExpZooTest, RetrainFlagBypassesCache) {
   auto a = first.model.clone();
   auto b = second.model.clone();
   EXPECT_EQ(a.snapshot_params(), b.snapshot_params());
+}
+
+// A cache entry's rank is untrusted: one claiming more dims than the file
+// holds fails as a typed error from the count itself (the message names its
+// 8-byte entries), not after reading the rest of the file as dims.
+TEST(ExpZooTest, CacheLoadRejectsForgedRank) {
+  auto options = tiny_options();
+  options.cache_dir = (std::filesystem::temp_directory_path() /
+                       "dnnv_exp_test_forged_zoo")
+                          .string();
+  ByteWriter writer;
+  writer.write_u32(0x4F4F5A44);  // "DZOO"
+  writer.write_u32(1);           // version
+  writer.write_string("mnist_tanh_tiny");
+  writer.write_u64(std::uint64_t{1} << 40);  // rank
+  for (const std::int64_t dim : {1, 28, 28, 10}) writer.write_i64(dim);
+  write_file(options.cache_dir + "/mnist_tanh_tiny.dnnv", writer.bytes());
+  try {
+    exp::mnist_tanh(options);
+    ADD_FAILURE() << "a forged cache entry loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("entries of 8 bytes"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(options.cache_dir);
 }
 
 // ---------- Systolic timing model ----------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 
 #include "nn/activation_layer.h"
@@ -106,6 +107,25 @@ TEST(SequentialTest, LoadRejectsGarbage) {
   writer.write_u32(0x12345678);
   ByteReader reader(writer.take());
   EXPECT_THROW(Sequential::load(reader), Error);
+}
+
+// The layer count is untrusted: one claiming more records than the stream
+// can hold (each opens with an 8-byte kind length) is rejected from the
+// count alone, before any record is decoded.
+TEST(SequentialTest, LoadRejectsForgedLayerCount) {
+  ByteWriter writer;
+  tiny_mlp().save(writer);
+  const std::vector<std::uint8_t> clean = writer.take();
+  constexpr std::size_t kCountOffset = 8;  // after magic and version
+  const std::size_t records = clean.size() - kCountOffset - 8;
+  for (const std::uint64_t count :
+       {std::uint64_t{records / 8 + 1}, std::uint64_t{1} << 40}) {
+    std::vector<std::uint8_t> forged = clean;
+    std::memcpy(forged.data() + kCountOffset, &count, sizeof count);
+    ByteReader reader(forged);
+    EXPECT_THROW(Sequential::load(reader), Error) << count;
+    EXPECT_EQ(reader.remaining(), records) << count;
+  }
 }
 
 // Layer records store a geometry, not a length: a forged one whose weight

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "attack/sba.h"
@@ -500,6 +501,8 @@ struct ConvRecord {
   bool pool = false;
   std::int64_t pool_kernel = 2;
   std::int64_t pool_stride = 2;
+  /// Written in place of the true layer count, when set.
+  std::optional<std::uint64_t> layer_count;
 };
 
 /// A QuantModel stream of one conv layer, laid out field by field as
@@ -514,7 +517,7 @@ ByteReader conv_stream(const ConvRecord& r) {
   w.write_f64(99.99);
   w.write_i64(64);
   w.write_u8(0);  // no Normalize
-  w.write_u64(r.pool ? 2 : 1);
+  w.write_u64(r.layer_count.value_or(r.pool ? 2 : 1));
   w.write_u8(r.kind);
   w.write_string("conv2d0");
   w.write_f32(0.05f);  // in_scale
@@ -552,6 +555,25 @@ TEST(QuantModelTest, ForgedConvStreamLoadsWhenWellFormed) {
   per_channel.scales = 4;
   ByteReader reader = conv_stream(per_channel);
   EXPECT_EQ(QuantModel::load(reader).param_count(), 40);
+}
+
+// The layer count is untrusted: zero, or more records than the stream can
+// hold (the smallest takes 17 bytes: kind, name length, two scales), is
+// rejected from the count alone, before any record is decoded. The middle
+// count lies far below 2^16, so only the byte bound can reject it.
+TEST(QuantModelTest, LoadRejectsForgedLayerCount) {
+  constexpr std::size_t kHeader = 4 + 4 + 1 + 1 + 8 + 8 + 1 + 8;
+  ByteReader clean = conv_stream({});
+  const std::size_t records = clean.remaining() - kHeader;
+  for (const std::uint64_t count :
+       {std::uint64_t{0}, std::uint64_t{records / 17 + 1},
+        std::uint64_t{1} << 40}) {
+    ConvRecord r;
+    r.layer_count = count;
+    ByteReader reader = conv_stream(r);
+    EXPECT_THROW(QuantModel::load(reader), Error) << count;
+    EXPECT_EQ(reader.remaining(), records) << count;
+  }
 }
 
 // Each record below crashed or overflowed before load checked it: no scale
