@@ -272,26 +272,8 @@ void BM_MaxPoolForward(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxPoolForward);
 
-void BM_CoverageMask(benchmark::State& state) {
-  const bool exact = state.range(0) != 0;
-  Rng rng(6);
-  auto model = bench_convnet(rng);
-  cov::CoverageConfig config;
-  config.engine = exact ? cov::CoverageEngine::kPerClassExact
-                        : cov::CoverageEngine::kAbsSensitivity;
-  cov::ParameterCoverage coverage(model, config);
-  Rng data_rng(7);
-  const Tensor input = Tensor::rand_uniform(Shape{3, 32, 32}, data_rng, 0.0f, 1.0f);
-  for (auto _ : state) {
-    DynamicBitset mask = coverage.activation_mask(input);
-    benchmark::DoNotOptimize(mask.count());
-  }
-}
-BENCHMARK(BM_CoverageMask)->Arg(0)->Arg(1)->ArgNames({"exact"});
-
-// Batched mask pipeline: one batched forward + per-item sensitivity passes
-// on a shared workspace. Items/sec here vs BM_CoverageMask (one forward per
-// input) is the engine-level speedup.
+// The mask pipeline: one batched forward + per-item sensitivity passes on a
+// shared workspace (batch 1 is ParameterCoverage::activation_mask).
 void BM_CoverageMasksBatched(benchmark::State& state) {
   const auto batch_size = state.range(0);
   Rng rng(6);

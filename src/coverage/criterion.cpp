@@ -17,7 +17,9 @@ namespace dnnv::cov {
 // ---------------- CriterionConfig ----------------
 
 void CriterionConfig::save(ByteWriter& writer) const {
-  writer.write_u8(static_cast<std::uint8_t>(parameter.engine));
+  // The engine tag: 0, the absolute-sensitivity pass, is the only engine,
+  // and the byte stays so saved manifests keep their layout.
+  writer.write_u8(0);
   writer.write_f64(parameter.epsilon);
   writer.write_f64(neuron_threshold);
   writer.write_i64(sections);
@@ -31,13 +33,25 @@ void CriterionConfig::save(ByteWriter& writer) const {
 CriterionConfig CriterionConfig::load(ByteReader& reader) {
   CriterionConfig config;
   const std::uint8_t engine = reader.read_u8();
-  DNNV_CHECK(engine <= static_cast<std::uint8_t>(CoverageEngine::kPerClassExact),
-             "bad coverage engine tag " << static_cast<int>(engine));
-  config.parameter.engine = static_cast<CoverageEngine>(engine);
+  DNNV_CHECK(engine == 0, "coverage engine tag "
+                              << static_cast<int>(engine)
+                              << " is not supported: only 0, the "
+                                 "absolute-sensitivity pass, loads (1 was the "
+                                 "retired per-class exact engine)");
   config.parameter.epsilon = reader.read_f64();
   config.neuron_threshold = reader.read_f64();
-  config.sections = static_cast<int>(reader.read_i64());
-  config.top_k = static_cast<int>(reader.read_i64());
+  // Stored as i64 but held as int: a value outside int's range would
+  // otherwise load truncated, i.e. as a different criterion.
+  const auto read_int = [&reader](const char* which) {
+    const std::int64_t value = reader.read_i64();
+    DNNV_CHECK(value >= std::numeric_limits<int>::min() &&
+                   value <= std::numeric_limits<int>::max(),
+               "criterion config " << which << " " << value
+                                   << " does not fit in an int");
+    return static_cast<int>(value);
+  };
+  config.sections = read_int("sections");
+  config.top_k = read_int("top_k");
   // Count fields sit early in a deliverable payload, so a wrong key decodes
   // them as garbage: bound them against the remaining bytes BEFORE the
   // array read, or a 2^62-scale count overflows the byte-level bounds check
@@ -145,11 +159,8 @@ class ParameterCriterion final : public Criterion {
   std::string describe() const override {
     std::ostringstream os;
     os << "parameter-activation coverage (|grad| > "
-       << config_.parameter.epsilon << ", "
-       << (config_.parameter.engine == CoverageEngine::kAbsSensitivity
-               ? "abs-sensitivity"
-               : "per-class exact")
-       << " engine) over " << total_points() << " parameters";
+       << config_.parameter.epsilon << ", abs-sensitivity engine) over "
+       << total_points() << " parameters";
     return os.str();
   }
 

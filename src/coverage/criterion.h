@@ -44,7 +44,7 @@ namespace dnnv::cov {
 /// (the GeneratorConfig idiom). Serialisable, so a Deliverable manifest
 /// round-trips the exact criterion a suite was generated under.
 struct CriterionConfig {
-  /// "parameter": activation engine + |gradient| threshold.
+  /// "parameter": the |gradient| threshold.
   CoverageConfig parameter;
   /// Neuron-family activation threshold ("neuron"; also the DeepXplore-style
   /// value extraction every neuron-family criterion shares: dense units

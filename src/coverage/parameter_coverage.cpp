@@ -57,46 +57,14 @@ void ParameterCoverage::mask_from_grads(DynamicBitset& mask) {
     }
     word_scratch_[w] = word;
   }
-  // OR (not assign): the exact engine unions one call per class logit. The
-  // staging buffers are members, so a warmed-up call allocates nothing.
+  // The staging buffers are members, so a warmed-up call allocates nothing.
+  mask.reset_to(count);
   mask.or_words(word_scratch_.data(), (count + 63) / 64);
 }
 
-void ParameterCoverage::prepare_mask(DynamicBitset& mask) const {
-  mask.reset_to(static_cast<std::size_t>(param_count_));
-}
-
 DynamicBitset ParameterCoverage::activation_mask(const Tensor& input) {
-  DynamicBitset mask;
-  activation_mask(input, mask);
-  return mask;
-}
-
-void ParameterCoverage::activation_mask(const Tensor& input,
-                                        DynamicBitset& mask) {
-  const Tensor batched = stack_batch({input});
-  const Tensor logits = model_.forward(batched);
-  DNNV_CHECK(logits.shape().ndim() == 2, "model must produce [1, k] logits");
-  const std::int64_t k = logits.shape()[1];
-
-  prepare_mask(mask);
-  if (config_.engine == CoverageEngine::kAbsSensitivity) {
-    Tensor seed(Shape{1, k});
-    seed.fill(1.0f);
-    zero_grads();
-    model_.sensitivity_backward(seed);
-    mask_from_grads(mask);
-  } else {
-    // Union over per-logit exact gradients. backward() may be called
-    // repeatedly after one forward (layer caches are read-only in backward).
-    for (std::int64_t j = 0; j < k; ++j) {
-      Tensor seed(Shape{1, k});
-      seed[j] = 1.0f;
-      zero_grads();
-      model_.backward(seed);
-      mask_from_grads(mask);
-    }
-  }
+  auto masks = activation_masks_batched(stack_batch({input}));
+  return std::move(masks.front());
 }
 
 std::vector<DynamicBitset> ParameterCoverage::activation_masks_batched(
@@ -113,15 +81,6 @@ void ParameterCoverage::activation_masks_batched(
   masks.resize(static_cast<std::size_t>(b));
   if (b == 0) return;
 
-  if (config_.engine == CoverageEngine::kPerClassExact) {
-    // Verification engine: k exact reverse passes per item dominate, so the
-    // simple per-item path loses nothing.
-    for (std::int64_t i = 0; i < b; ++i) {
-      activation_mask(slice_batch(batch, i), masks[static_cast<std::size_t>(i)]);
-    }
-    return;
-  }
-
   const Tensor& logits = model_.forward(batch, workspace_);
   DNNV_CHECK(logits.shape().ndim() == 2, "model must produce [N, k] logits");
   const std::int64_t k = logits.shape()[1];
@@ -130,15 +89,8 @@ void ParameterCoverage::activation_masks_batched(
   for (std::int64_t i = 0; i < b; ++i) {
     zero_grads();
     model_.sensitivity_backward_item(i, seed, workspace_);
-    DynamicBitset& mask = masks[static_cast<std::size_t>(i)];
-    prepare_mask(mask);
-    mask_from_grads(mask);
+    mask_from_grads(masks[static_cast<std::size_t>(i)]);
   }
-}
-
-double ParameterCoverage::validation_coverage(const Tensor& input) {
-  const DynamicBitset mask = activation_mask(input);
-  return static_cast<double>(mask.count()) / static_cast<double>(param_count_);
 }
 
 }  // namespace dnnv::cov

@@ -13,22 +13,15 @@
 
 namespace dnnv::cov {
 
-/// How activation masks are computed.
-enum class CoverageEngine {
-  /// One absolute-sensitivity pass: propagates nonnegative sensitivities from
-  /// all logits simultaneously through |W| with |activation'| gating. Since
-  /// every term is nonnegative, a zero sensitivity means *no* propagation
-  /// path exists — the classic fault-propagation bound. ~k× faster than the
-  /// exact engine and equal to it except on measure-zero cancellation sets.
-  kAbsSensitivity,
-  /// k exact reverse-mode passes (one per logit); θ is activated iff any
-  /// class output has |∂F_j/∂θ| > ε. Ground truth, used for verification.
-  kPerClassExact,
-};
-
 /// Configuration of the activation criterion.
+///
+/// Masks come from one absolute-sensitivity pass per item: nonnegative
+/// sensitivities propagate from all logits at once through |W| with
+/// |activation'| gating. Every term is nonnegative, so a zero sensitivity
+/// means no propagation path exists — the classic fault-propagation bound.
+/// It equals the union over the k per-class exact gradients except on
+/// measure-zero cancellation sets (tests/nn_reference.h holds both oracles).
 struct CoverageConfig {
-  CoverageEngine engine = CoverageEngine::kAbsSensitivity;
   /// Threshold on the gradient magnitude. 0 keeps the strict ReLU criterion
   /// (any non-zero float counts); Tanh/Sigmoid models should use a small
   /// positive value (the models in exp:: default to 1e-4).
@@ -45,19 +38,15 @@ class ParameterCoverage {
 
   /// Bitset over the model's global parameter index space: bit i set iff
   /// parameter i is activated by `input` (un-batched CHW / feature item).
+  /// A batch of one through activation_masks_batched.
   DynamicBitset activation_mask(const Tensor& input);
-
-  /// Into-variant of activation_mask: resizes/clears `mask` (reusing its
-  /// word storage when already param_count bits) and fills it.
-  void activation_mask(const Tensor& input, DynamicBitset& mask);
 
   /// Activation masks for every item of `batch` ([B, ...]) from ONE batched
   /// forward plus B per-item sensitivity passes, all sharing this instance's
-  /// workspace (no allocations once warmed up on a batch shape). Bit-identical
-  /// to calling activation_mask() on each item — the GEMM kernel guarantees
-  /// row results independent of batch size, and the per-item sensitivity pass
-  /// runs the same arithmetic as a batch-of-one backward. The kPerClassExact
-  /// verification engine falls back to the per-item path internally.
+  /// workspace (no allocations once warmed up on a batch shape). Item i's
+  /// mask does not depend on the batch around it: every forward kernel forms
+  /// an item's outputs in an order independent of the batch size, and the
+  /// per-item pass reads only that item's slice.
   std::vector<DynamicBitset> activation_masks_batched(const Tensor& batch);
 
   /// Into-variant: fills `masks` (resized to the batch size, each bitset
@@ -66,17 +55,13 @@ class ParameterCoverage {
   void activation_masks_batched(const Tensor& batch,
                                 std::vector<DynamicBitset>& masks);
 
-  /// Validation coverage of a single test: VC(x) = |activated| / |θ| (Eq. 3).
-  double validation_coverage(const Tensor& input);
-
   std::int64_t param_count() const { return param_count_; }
   const CoverageConfig& config() const { return config_; }
 
  private:
+  /// Sets `mask` to param_count bits, bit i iff |grad_i| > epsilon
+  /// (storage reused when already that size).
   void mask_from_grads(DynamicBitset& mask);
-
-  /// Clears `mask` in place when already param_count bits, else resizes.
-  void prepare_mask(DynamicBitset& mask) const;
 
   /// Zeroes every parameter's gradient buffer (the model's zero_grads()).
   void zero_grads();

@@ -55,15 +55,6 @@ void for_each_gate(ActivationKind kind, const float* y, const float* x,
   });
 }
 
-// s_in = s_out * |f'(x)|: the sensitivity gate of every absolute-sensitivity
-// pass.
-void gate_sensitivity(ActivationKind kind, const float* y, const float* x,
-                      const float* s_out, float* s_in, std::int64_t count) {
-  for_each_gate(kind, y, x, count, [&](std::int64_t i, float gate) {
-    s_in[i] = s_out[i] * std::fabs(gate);
-  });
-}
-
 }  // namespace
 
 ActivationLayer::ActivationLayer(ActivationKind activation)
@@ -110,16 +101,6 @@ void ActivationLayer::backward_into(std::size_t, const Tensor& grad_output,
                 });
 }
 
-void ActivationLayer::sensitivity_backward_into(std::size_t,
-                                                const Tensor& sens_output,
-                                                Tensor& sens_input,
-                                                Workspace&) {
-  DNNV_CHECK(sens_output.same_shape(input()),
-             "activation sensitivity shape mismatch");
-  gate_sensitivity(activation_, output_data(), input().data(),
-                   sens_output.data(), sens_input.data(), sens_input.numel());
-}
-
 void ActivationLayer::sensitivity_backward_item(std::size_t, std::int64_t item,
                                                 const Tensor& sens_output,
                                                 Tensor& sens_input,
@@ -129,11 +110,18 @@ void ActivationLayer::sensitivity_backward_item(std::size_t, std::int64_t item,
   const std::int64_t item_numel = input().numel() / n;
   DNNV_CHECK(sens_output.numel() == item_numel,
              "per-item activation sensitivity size mismatch");
+  // s_in = s_out * |f'(x)|. For ReLU the gate is the exact 0/1 propagation
+  // mask; for saturating activations it attenuates sensitivity so saturated
+  // units fall below the coverage epsilon (paper §IV-A).
   const std::int64_t offset = item * item_numel;
   const float* y = output_data();
-  gate_sensitivity(activation_, y != nullptr ? y + offset : nullptr,
-                   input().data() + offset, sens_output.data(),
-                   sens_input.data(), item_numel);
+  const float* s_out = sens_output.data();
+  float* s_in = sens_input.data();
+  for_each_gate(activation_, y != nullptr ? y + offset : nullptr,
+                input().data() + offset, item_numel,
+                [&](std::int64_t i, float gate) {
+                  s_in[i] = s_out[i] * std::fabs(gate);
+                });
 }
 
 Tensor ActivationLayer::backward(const Tensor& grad_output) {
@@ -198,18 +186,6 @@ Tensor ActivationLayer::backward(const Tensor& grad_output) {
     }
   }
   return grad_input;
-}
-
-Tensor ActivationLayer::sensitivity_backward(const Tensor& sens_output) {
-  DNNV_CHECK(sens_output.same_shape(input()),
-             "activation sensitivity shape mismatch");
-  // Gate by |f'(pre-activation)|: for ReLU this is the exact 0/1 propagation
-  // mask; for saturating activations it attenuates sensitivity so saturated
-  // units fall below the coverage epsilon (paper §IV-A).
-  Tensor sens_input(input().shape());
-  gate_sensitivity(activation_, nullptr, input().data(),
-                   sens_output.data(), sens_input.data(), sens_input.numel());
-  return sens_input;
 }
 
 std::unique_ptr<Layer> ActivationLayer::clone() const {

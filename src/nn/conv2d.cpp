@@ -462,68 +462,33 @@ void Conv2d::input_gradient(std::size_t index, const float* weights,
   }
 }
 
-Tensor Conv2d::sensitivity_backward(const Tensor& sens_output) {
-  Tensor sens_input(input().shape());
-  sensitivity_backward_into(0, sens_output, sens_input, scratch_ws_);
-  return sens_input;
-}
-
-void Conv2d::sensitivity_backward_into(std::size_t index,
-                                       const Tensor& sens_output,
-                                       Tensor& sens_input, Workspace& ws) {
-  const std::int64_t n = input().shape()[0];
-  DNNV_CHECK(sens_output.shape() ==
-                 Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
-             "sens_output shape " << sens_output.shape() << " unexpected");
-  const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
-  const std::int64_t in_stride =
-      config_.in_channels * input().shape()[2] * input().shape()[3];
-  const std::int64_t out_stride = config_.out_channels * out_plane;
-  for (std::int64_t i = 0; i < n; ++i) {
-    sensitivity_item(index, i, sens_output.data() + i * out_stride,
-                     sens_input.data() + i * in_stride, ws);
-  }
-}
-
-void Conv2d::check_item(std::int64_t item, const Tensor& sens_output) const {
+// The weight and bias sensitivities of one item: the sum over all positions
+// of |input tap| * sensitivity, which is zero iff no tap can propagate.
+// `sens_output` is the item's [1, out_c, outH, outW] sensitivity.
+void Conv2d::parameter_sensitivity_item(std::size_t index, std::int64_t item,
+                                        const Tensor& sens_output,
+                                        Workspace& ws) {
   DNNV_CHECK(item >= 0 && item < input().shape()[0],
              "item " << item << " outside cached batch");
   DNNV_CHECK(sens_output.shape() ==
                  Shape({1, config_.out_channels, cached_out_h_, cached_out_w_}),
              "per-item sens_output shape " << sens_output.shape()
                                            << " unexpected");
+  reduce_params(index, item, sens_output.data(), /*abs_input=*/true, ws);
 }
 
+// The parameter sensitivities, then the input sensitivity [1, C, H, W]: the
+// input gradient through |W|.
 void Conv2d::sensitivity_backward_item(std::size_t index, std::int64_t item,
                                        const Tensor& sens_output,
                                        Tensor& sens_input, Workspace& ws) {
-  check_item(item, sens_output);
-  sensitivity_item(index, item, sens_output.data(), sens_input.data(), ws);
-}
-
-void Conv2d::parameter_sensitivity_item(std::size_t index, std::int64_t item,
-                                        const Tensor& sens_output,
-                                        Workspace& ws) {
-  check_item(item, sens_output);
-  sensitivity_item(index, item, sens_output.data(), nullptr, ws);
-}
-
-// One item of the absolute-sensitivity pass, shared by the batched and
-// per-item entry points so their accumulation order is identical. `s_out`
-// and `sens_image` point at this item's [out_c, outH, outW] sensitivity
-// slice and [C, H, W] output slice. Shared kernel weights receive the sum
-// over all positions of |input tap| * sensitivity, which is zero iff no tap
-// can propagate; the input sensitivity is the input gradient through |W|.
-void Conv2d::sensitivity_item(std::size_t index, std::int64_t item,
-                              const float* s_out, float* sens_image,
-                              Workspace& ws) {
-  reduce_params(index, item, s_out, /*abs_input=*/true, ws);
-  if (sens_image == nullptr) return;
+  Conv2d::parameter_sensitivity_item(index, item, sens_output, ws);
   Tensor& abs_weights = ws.buffer(index, kSlotScratch3, weights_.shape());
   for (std::int64_t e = 0; e < weights_.numel(); ++e) {
     abs_weights[e] = std::fabs(weights_[e]);
   }
-  input_gradient(index, abs_weights.data(), s_out, 1, sens_image, ws);
+  input_gradient(index, abs_weights.data(), sens_output.data(), 1,
+                 sens_input.data(), ws);
 }
 
 std::vector<ParamView> Conv2d::param_views() {

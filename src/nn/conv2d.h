@@ -23,7 +23,7 @@ namespace dnnv::nn {
 ///  - the weight reduction w[oc][t] += sum_p g[oc][p] * x_t[p] reads tap t of
 ///    every output position p in place from the padded copy of the cached
 ///    item. The value backward() runs it on dy and x (the weight gradient),
-///    the sensitivity passes on s and |x| (the weight sensitivity).
+///    the per-item sensitivity pass on s and |x| (the weight sensitivity).
 /// Each sum keeps the order of the im2col + GEMM formulation the layer once
 /// used — product chains over blocks of kGemmKBlock taps (forward), output
 /// channels (input gradient) or output positions (weight reduction), the
@@ -53,13 +53,10 @@ class Conv2d : public Layer {
   std::string kind() const override { return "conv2d"; }
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor sensitivity_backward(const Tensor& sens_output) override;
   void forward_into(std::size_t index, const Tensor& input, Tensor& output,
                     Workspace& ws) override;
   void backward_into(std::size_t index, const Tensor& grad_output,
                      Tensor& grad_input, Workspace& ws) override;
-  void sensitivity_backward_into(std::size_t index, const Tensor& sens_output,
-                                 Tensor& sens_input, Workspace& ws) override;
   void sensitivity_backward_item(std::size_t index, std::int64_t item,
                                  const Tensor& sens_output, Tensor& sens_input,
                                  Workspace& ws) override;
@@ -79,13 +76,6 @@ class Conv2d : public Layer {
  private:
   Conv2d() = default;  // for load()/clone()
   void check_input(const Shape& input_shape) const;
-  /// Checks a per-item pass's item index and [1, ...] sensitivity shape.
-  void check_item(std::int64_t item, const Tensor& sens_output) const;
-  /// One item's sensitivity propagation (shared by the batched and per-item
-  /// passes so both run identical arithmetic in identical order). A null
-  /// `sens_image` skips the input sensitivity.
-  void sensitivity_item(std::size_t index, std::int64_t item,
-                        const float* s_out, float* sens_image, Workspace& ws);
   /// weight_grad_ += the weight reduction of cached item `item` against
   /// g [out_c, out_h*out_w], over |x| when `abs_input`; bias_grad_ += the
   /// position sums of g.
@@ -123,11 +113,10 @@ class Conv2d : public Layer {
   // each pass rebuilds it, so nothing in it outlives the pass.
   std::vector<std::int64_t> offsets_;
 
-  // Scratch arena for the standalone forward()/backward()/
-  // sensitivity_backward() entry points (the training loop's path), so
-  // repeated calls reuse their padded and spread buffers instead of
-  // allocating a fresh Workspace per call. Never cloned — each copy warms
-  // its own.
+  // Scratch arena for the standalone forward()/backward() entry points (the
+  // training loop's path), so repeated calls reuse their padded and spread
+  // buffers instead of allocating a fresh Workspace per call. Never cloned —
+  // each copy warms its own.
   Workspace scratch_ws_;
 };
 

@@ -182,25 +182,6 @@ void Dense::backward_into(std::size_t index, const Tensor& grad_output,
   }
 }
 
-Tensor Dense::sensitivity_backward(const Tensor& sens_output) {
-  Tensor sens_input(input().shape());
-  Workspace scratch;
-  sensitivity_backward_into(0, sens_output, sens_input, scratch);
-  return sens_input;
-}
-
-void Dense::sensitivity_backward_into(std::size_t, const Tensor& sens_output,
-                                      Tensor& sens_input, Workspace&) {
-  const std::int64_t n = input().shape()[0];
-  DNNV_CHECK(sens_output.shape() == Shape({n, out_features_}),
-             "sens_output shape " << sens_output.shape() << " unexpected");
-  sens_input.fill(0.0f);
-  for (std::int64_t i = 0; i < n; ++i) {
-    sensitivity_item(i, sens_output.data() + i * out_features_,
-                     sens_input.data() + i * in_features_);
-  }
-}
-
 void Dense::check_item(std::int64_t item, const Tensor& sens_output) const {
   DNNV_CHECK(item >= 0 && item < input().shape()[0],
              "item " << item << " outside cached batch");
@@ -223,9 +204,6 @@ void Dense::parameter_sensitivity_item(std::size_t, std::int64_t item,
   sensitivity_item(item, sens_output.data(), nullptr);
 }
 
-// Shared per-item kernel: the batched pass and the per-item pass run the
-// exact same arithmetic, which is what keeps activation_masks_batched
-// bit-identical to the per-item path.
 void Dense::sensitivity_item(std::int64_t item, const float* s_row,
                              float* out_row) {
   // Same dataflow as backward, with |x| and |W|. A weight w_ji can propagate a

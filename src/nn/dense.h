@@ -23,13 +23,10 @@ class Dense : public Layer {
   std::string kind() const override { return "dense"; }
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor sensitivity_backward(const Tensor& sens_output) override;
   void forward_into(std::size_t index, const Tensor& input, Tensor& output,
                     Workspace& ws) override;
   void backward_into(std::size_t index, const Tensor& grad_output,
                      Tensor& grad_input, Workspace& ws) override;
-  void sensitivity_backward_into(std::size_t index, const Tensor& sens_output,
-                                 Tensor& sens_input, Workspace& ws) override;
   void sensitivity_backward_item(std::size_t index, std::int64_t item,
                                  const Tensor& sens_output, Tensor& sens_input,
                                  Workspace& ws) override;
@@ -54,9 +51,8 @@ class Dense : public Layer {
 
   /// Checks a per-item pass's item index and [1, out] sensitivity shape.
   void check_item(std::int64_t item, const Tensor& sens_output) const;
-  /// One item's sensitivity propagation (shared by the batched and per-item
-  /// passes so both orders of accumulation are identical). A null `out_row`
-  /// skips the input sensitivity.
+  /// One item's sensitivity propagation, shared by the per-item pass and
+  /// the parameter-only pass. A null `out_row` skips the input sensitivity.
   void sensitivity_item(std::int64_t item, const float* s_row, float* out_row);
 
   /// The last forward's input [N, in]: the workspace forward's input itself,

@@ -25,10 +25,6 @@ Tensor Flatten::backward(const Tensor& grad_output) {
   return grad_output.reshaped(cached_input_shape_);
 }
 
-Tensor Flatten::sensitivity_backward(const Tensor& sens_output) {
-  return sens_output.reshaped(cached_input_shape_);
-}
-
 namespace {
 // A reshape between workspace buffers is a straight element copy.
 void copy_elements(const Tensor& src, Tensor& dst) {
@@ -46,11 +42,6 @@ void Flatten::forward_into(std::size_t, const Tensor& input, Tensor& output,
 void Flatten::backward_into(std::size_t, const Tensor& grad_output,
                             Tensor& grad_input, Workspace&) {
   copy_elements(grad_output, grad_input);
-}
-
-void Flatten::sensitivity_backward_into(std::size_t, const Tensor& sens_output,
-                                        Tensor& sens_input, Workspace&) {
-  copy_elements(sens_output, sens_input);
 }
 
 void Flatten::sensitivity_backward_item(std::size_t, std::int64_t,

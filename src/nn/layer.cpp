@@ -5,28 +5,6 @@
 
 namespace dnnv::nn {
 
-void Layer::forward_into(std::size_t, const Tensor& input, Tensor& output,
-                         Workspace&) {
-  output = forward(input);
-}
-
-void Layer::backward_into(std::size_t, const Tensor& grad_output,
-                          Tensor& grad_input, Workspace&) {
-  grad_input = backward(grad_output);
-}
-
-void Layer::sensitivity_backward_into(std::size_t, const Tensor& sens_output,
-                                      Tensor& sens_input, Workspace&) {
-  sens_input = sensitivity_backward(sens_output);
-}
-
-void Layer::sensitivity_backward_item(std::size_t, std::int64_t, const Tensor&,
-                                      Tensor&, Workspace&) {
-  DNNV_THROW("layer '" << kind()
-                       << "' does not implement the per-item batched "
-                          "sensitivity pass");
-}
-
 void Layer::parameter_sensitivity_item(std::size_t, std::int64_t,
                                        const Tensor&, Workspace&) {
   DNNV_THROW("layer '" << kind()

@@ -86,12 +86,6 @@ void MaxPool2d::fill_forward(const Tensor& input, Tensor& output) {
   }
 }
 
-Tensor MaxPool2d::route_back(const Tensor& upstream) const {
-  Tensor downstream(cached_input_shape_);
-  route_back_into(upstream, downstream);
-  return downstream;
-}
-
 void MaxPool2d::route_back_into(const Tensor& upstream,
                                 Tensor& downstream) const {
   DNNV_CHECK(static_cast<std::size_t>(upstream.numel()) == argmax_.size(),
@@ -103,26 +97,15 @@ void MaxPool2d::route_back_into(const Tensor& upstream,
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
-  return route_back(grad_output);
-}
-
-Tensor MaxPool2d::sensitivity_backward(const Tensor& sens_output) {
-  // Max pooling is a selection: only the winning tap influences the output,
-  // so sensitivity routes exactly like the gradient.
-  return route_back(sens_output);
+  Tensor grad_input(cached_input_shape_);
+  route_back_into(grad_output, grad_input);
+  return grad_input;
 }
 
 void MaxPool2d::backward_into(std::size_t, const Tensor& grad_output,
                               Tensor& grad_input, Workspace&) {
   grad_input.fill(0.0f);  // scatter target
   route_back_into(grad_output, grad_input);
-}
-
-void MaxPool2d::sensitivity_backward_into(std::size_t,
-                                          const Tensor& sens_output,
-                                          Tensor& sens_input, Workspace&) {
-  sens_input.fill(0.0f);  // scatter target
-  route_back_into(sens_output, sens_input);
 }
 
 void MaxPool2d::sensitivity_backward_item(std::size_t, std::int64_t item,
@@ -135,7 +118,9 @@ void MaxPool2d::sensitivity_backward_item(std::size_t, std::int64_t item,
   const std::int64_t in_item = cached_input_shape_.numel() / n;
   DNNV_CHECK(sens_output.numel() == out_item,
              "per-item pool sensitivity size mismatch");
-  // argmax_ holds batch-absolute input indices; rebase onto this item.
+  // Max pooling is a selection: only the winning tap influences the output,
+  // so sensitivity routes exactly like the gradient. argmax_ holds
+  // batch-absolute input indices; rebase onto this item.
   const std::int64_t* arg = argmax_.data() + item * out_item;
   const std::int64_t base = item * in_item;
   const float* up = sens_output.data();

@@ -33,15 +33,6 @@ Tensor Normalize::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor Normalize::sensitivity_backward(const Tensor& sens_output) {
-  Tensor sens_input(sens_output.shape());
-  const float inv = std::fabs(1.0f / scale_);
-  for (std::int64_t i = 0; i < sens_output.numel(); ++i) {
-    sens_input[i] = sens_output[i] * inv;
-  }
-  return sens_input;
-}
-
 void Normalize::forward_into(std::size_t, const Tensor& input, Tensor& output,
                              Workspace&) {
   const float inv = 1.0f / scale_;
@@ -58,20 +49,10 @@ void Normalize::backward_into(std::size_t, const Tensor& grad_output,
   }
 }
 
-void Normalize::sensitivity_backward_into(std::size_t,
-                                          const Tensor& sens_output,
-                                          Tensor& sens_input, Workspace&) {
-  const float inv = std::fabs(1.0f / scale_);
-  for (std::int64_t i = 0; i < sens_output.numel(); ++i) {
-    sens_input[i] = sens_output[i] * inv;
-  }
-}
-
 void Normalize::sensitivity_backward_item(std::size_t, std::int64_t,
                                           const Tensor& sens_output,
                                           Tensor& sens_input, Workspace&) {
-  // Stateless elementwise scale: the per-item pass is the batched pass on a
-  // batch of one.
+  // A stateless elementwise scale by |1 / scale|.
   const float inv = std::fabs(1.0f / scale_);
   for (std::int64_t i = 0; i < sens_output.numel(); ++i) {
     sens_input[i] = sens_output[i] * inv;

@@ -18,13 +18,10 @@ class Normalize : public Layer {
   std::string kind() const override { return "normalize"; }
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor sensitivity_backward(const Tensor& sens_output) override;
   void forward_into(std::size_t index, const Tensor& input, Tensor& output,
                     Workspace& ws) override;
   void backward_into(std::size_t index, const Tensor& grad_output,
                      Tensor& grad_input, Workspace& ws) override;
-  void sensitivity_backward_into(std::size_t index, const Tensor& sens_output,
-                                 Tensor& sens_input, Workspace& ws) override;
   void sensitivity_backward_item(std::size_t index, std::int64_t item,
                                  const Tensor& sens_output, Tensor& sens_input,
                                  Workspace& ws) override;

@@ -5,7 +5,6 @@
 #include "nn/activation_layer.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/dropout.h"
 #include "nn/flatten.h"
 #include "nn/maxpool2d.h"
 #include "nn/normalize.h"
@@ -49,18 +48,6 @@ Tensor Sequential::forward(const Tensor& input) {
   return value;
 }
 
-Tensor Sequential::forward_with_activations(const Tensor& input,
-                                            std::vector<Tensor>& activations) {
-  DNNV_CHECK(!layers_.empty(), "empty model");
-  activations.clear();
-  Tensor value = input;
-  for (auto& layer : layers_) {
-    value = layer->forward(value);
-    if (layer->is_activation()) activations.push_back(value);
-  }
-  return value;
-}
-
 Tensor Sequential::backward(const Tensor& grad_logits) {
   DNNV_CHECK(!layers_.empty(), "empty model");
   Tensor grad = grad_logits;
@@ -68,15 +55,6 @@ Tensor Sequential::backward(const Tensor& grad_logits) {
     grad = (*it)->backward(grad);
   }
   return grad;
-}
-
-Tensor Sequential::sensitivity_backward(const Tensor& sens_logits) {
-  DNNV_CHECK(!layers_.empty(), "empty model");
-  Tensor sens = sens_logits;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    sens = (*it)->sensitivity_backward(sens);
-  }
-  return sens;
 }
 
 const Tensor& Sequential::forward(const Tensor& input, Workspace& ws) {
@@ -127,20 +105,6 @@ const Tensor& Sequential::input_gradient(const Tensor& grad_logits,
     grad = &grad_in;
   }
   return *grad;
-}
-
-const Tensor& Sequential::sensitivity_backward(const Tensor& sens_logits,
-                                               Workspace& ws) {
-  const auto& shapes = ws.shapes();
-  DNNV_CHECK(shapes.size() == layers_.size(),
-             "workspace sensitivity pass without a prior workspace forward");
-  const Tensor* sens = &sens_logits;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    Tensor& sens_in = ws.buffer(i, kSlotSens, shapes[i]);
-    layers_[i]->sensitivity_backward_into(i, *sens, sens_in, ws);
-    sens = &sens_in;
-  }
-  return *sens;
 }
 
 void Sequential::sensitivity_backward_item(std::int64_t item,
@@ -297,8 +261,6 @@ Sequential Sequential::load(ByteReader& reader) {
       model.add(ActivationLayer::load(reader));
     } else if (kind == "normalize") {
       model.add(Normalize::load(reader));
-    } else if (kind == "dropout") {
-      model.add(Dropout::load(reader));
     } else {
       DNNV_THROW("unknown layer kind '" << kind << "' in model stream");
     }

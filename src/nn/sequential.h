@@ -41,19 +41,10 @@ class Sequential {
   /// Forward pass over a batched input; returns logits.
   Tensor forward(const Tensor& input);
 
-  /// Forward pass that additionally captures the output of every activation
-  /// layer (the "neurons" used by the neuron-coverage baseline), in order.
-  Tensor forward_with_activations(const Tensor& input,
-                                  std::vector<Tensor>& activations);
-
   /// Reverse-mode pass; call after forward. Accumulates parameter gradients
-  /// and returns the gradient w.r.t. the model input (training, gradcheck,
-  /// the attacks and the per-class exact coverage engine run on it).
+  /// and returns the gradient w.r.t. the model input (training and the
+  /// attacks run on it).
   Tensor backward(const Tensor& grad_logits);
-
-  /// Absolute-sensitivity pass; call after forward. Accumulates parameter
-  /// sensitivities into the gradient buffers and returns input sensitivities.
-  Tensor sensitivity_backward(const Tensor& sens_logits);
 
   // ---- Batched engine (see nn/workspace.h) ----
   //
@@ -63,9 +54,9 @@ class Sequential {
   // inputs instead of copies, so the reverse passes read the caller's
   // `input` of the latest forward: it must stay alive and unchanged until
   // they have run. One Workspace serves one model instance on one thread.
-  // The forward and sensitivity passes compute the same floats as the
-  // value-returning methods above. The only reverse pass is input_gradient:
-  // parameter gradients come from the value path alone.
+  // The forward computes the same floats as the value forward above.
+  // Parameter gradients come from the value path alone: the workspace
+  // reverse passes are the input gradient and the per-item sensitivity.
 
   /// Batched forward; returns the logits buffer.
   const Tensor& forward(const Tensor& input, Workspace& ws);
@@ -80,9 +71,6 @@ class Sequential {
   /// is computed and every grad buffer is left as it was. This is all that
   /// input synthesis (Algorithm 2: x <- x - eta * dL/dx) needs.
   const Tensor& input_gradient(const Tensor& grad_logits, Workspace& ws);
-
-  /// Absolute-sensitivity pass over the most recent workspace forward.
-  const Tensor& sensitivity_backward(const Tensor& sens_logits, Workspace& ws);
 
   /// Per-item absolute-sensitivity pass against the caches of the most
   /// recent BATCHED workspace forward: propagates `sens_logits` (shape

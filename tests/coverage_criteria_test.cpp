@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "testgen/greedy_selector.h"
 #include "testgen/neuron_selector.h"
 #include "util/error.h"
+#include "util/protected_file.h"
 
 namespace dnnv {
 namespace {
@@ -530,7 +533,6 @@ TEST(NewCriteriaTest, MeasurePoolMatchesSerialMeasure) {
 
 TEST(CriterionConfigTest, SerializationRoundTrips) {
   cov::CriterionConfig config;
-  config.parameter.engine = cov::CoverageEngine::kPerClassExact;
   config.parameter.epsilon = 1e-4;
   config.neuron_threshold = 0.25;
   config.sections = 7;
@@ -540,16 +542,122 @@ TEST(CriterionConfigTest, SerializationRoundTrips) {
 
   ByteWriter writer;
   config.save(writer);
+  // The retired engine byte still leads the record, always 0.
+  ASSERT_FALSE(writer.bytes().empty());
+  EXPECT_EQ(writer.bytes().front(), 0u);
   ByteReader reader(writer.take());
   const auto loaded = cov::CriterionConfig::load(reader);
   EXPECT_TRUE(reader.exhausted());
-  EXPECT_EQ(loaded.parameter.engine, config.parameter.engine);
   EXPECT_EQ(loaded.parameter.epsilon, config.parameter.epsilon);
   EXPECT_EQ(loaded.neuron_threshold, config.neuron_threshold);
   EXPECT_EQ(loaded.sections, config.sections);
   EXPECT_EQ(loaded.top_k, config.top_k);
   EXPECT_EQ(loaded.range_low, config.range_low);
   EXPECT_EQ(loaded.range_high, config.range_high);
+}
+
+/// A saved CriterionConfig record with the given engine tag, sections and
+/// top_k, and no calibrated ranges.
+std::vector<std::uint8_t> forged_config(std::uint8_t engine,
+                                        std::int64_t sections,
+                                        std::int64_t top_k) {
+  ByteWriter writer;
+  writer.write_u8(engine);
+  writer.write_f64(1e-4);  // epsilon
+  writer.write_f64(0.0);   // neuron threshold
+  writer.write_i64(sections);
+  writer.write_i64(top_k);
+  writer.write_u64(0);  // range_low
+  writer.write_u64(0);  // range_high
+  return writer.take();
+}
+
+// sections and top_k are saved as i64 and held as int: a value int cannot
+// hold must fail to load instead of loading truncated (2^32 + 7 as 7). Any
+// value that fits loads, zero and negatives included: the parameter
+// criterion saves whatever --sections held.
+TEST(CriterionConfigTest, LoadRejectsCountsOutsideInt) {
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+  for (const std::int64_t bad :
+       {(std::int64_t{1} << 32) + 7, kIntMax + 1, kIntMin - 1,
+        std::numeric_limits<std::int64_t>::min()}) {
+    SCOPED_TRACE(bad);
+    ByteReader sections(forged_config(0, bad, 2));
+    EXPECT_THROW(cov::CriterionConfig::load(sections), Error);
+    ByteReader top_k(forged_config(0, 10, bad));
+    EXPECT_THROW(cov::CriterionConfig::load(top_k), Error);
+  }
+  for (const std::int64_t fits : {kIntMax, kIntMin, std::int64_t{0},
+                                  std::int64_t{-3}}) {
+    SCOPED_TRACE(fits);
+    ByteReader reader(forged_config(0, fits, fits));
+    const auto loaded = cov::CriterionConfig::load(reader);
+    EXPECT_TRUE(reader.exhausted());
+    EXPECT_EQ(loaded.sections, fits);
+    EXPECT_EQ(loaded.top_k, fits);
+  }
+}
+
+// Tag 1 selected the per-class exact engine, which is gone; no other tag
+// was ever written.
+TEST(CriterionConfigTest, LoadRejectsRetiredEngineTag) {
+  for (const int tag : {1, 2, 255}) {
+    SCOPED_TRACE(tag);
+    ByteReader reader(forged_config(static_cast<std::uint8_t>(tag), 10, 2));
+    try {
+      cov::CriterionConfig::load(reader);
+      ADD_FAILURE() << "engine tag " << tag << " loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("per-class exact"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// A whole deliverable whose manifest carries engine tag 1 (re-sealed with a
+// valid CRC, so only the tag is wrong) fails to load with a typed error.
+TEST(PipelineCriterionTest, DeliverableWithRetiredEngineTagFailsToLoad) {
+  const auto zoo = tiny_options();
+  auto trained = exp::cifar_relu(zoo);
+  const auto pool = exp::shapes_train(12);
+  pipeline::VendorOptions options;
+  options.method = "greedy";
+  options.num_tests = 4;
+  options.generator.coverage = trained.coverage;
+  options.model_name = trained.name;
+  const auto deliverable =
+      pipeline::VendorPipeline(options).run(trained.model, trained.item_shape,
+                                            trained.num_classes, pool.images);
+  const auto path =
+      (std::filesystem::temp_directory_path() / "dnnv_retired_engine.bin")
+          .string();
+  constexpr std::uint64_t kKey = 4242;
+  deliverable.save_file(path, kKey);
+  EXPECT_NO_THROW(pipeline::Deliverable::load_file(path, kKey));
+
+  // The container header opens with its magic and version; the payload
+  // opens with the manifest's four strings, then the criterion config.
+  ByteReader header(read_file(path));
+  const std::uint32_t magic = header.read_u32();
+  const std::uint32_t version = header.read_u32();
+  std::vector<std::uint8_t> payload =
+      read_protected_file(path, kKey, magic, version, "deliverable");
+  const auto& m = deliverable.manifest;
+  std::size_t engine_at = 0;
+  for (const std::string* field :
+       {&m.model_name, &m.method, &m.backend, &m.criterion}) {
+    engine_at += sizeof(std::uint64_t) + field->size();
+  }
+  ASSERT_LT(engine_at, payload.size());
+  ASSERT_EQ(payload[engine_at], 0u);
+  payload[engine_at] = 1;
+  write_protected_file(path, payload, kKey, magic, version, "deliverable");
+
+  EXPECT_THROW(pipeline::Deliverable::load_file(path, kKey), Error);
+  EXPECT_THROW(pipeline::UserValidator::load_file(path, kKey), Error);
+  std::filesystem::remove(path);
 }
 
 TEST(PipelineCriterionTest, DeliverableManifestRoundTripsCriterion) {

@@ -1,5 +1,7 @@
-// Coverage-engine tests: hand-computed activation sets on tiny networks,
-// equivalence of the two engines, accumulator algebra and neuron coverage.
+// Coverage-engine tests: hand-computed activation sets on tiny networks, the
+// batched masks against the test-only oracles (tests/nn_reference.h: the
+// per-item sensitivity reference and the per-class exact masks), accumulator
+// algebra and neuron coverage.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +19,7 @@
 #include "nn/sequential.h"
 #include "nn/workspace.h"
 #include "tensor/batch.h"
+#include "tests/nn_reference.h"
 #include "util/error.h"
 
 namespace dnnv::cov {
@@ -66,18 +69,28 @@ TEST(ParameterCoverageTest, HandComputedActivationSet) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(mask.test(i), expected[i]) << "param " << i;
   }
-  EXPECT_DOUBLE_EQ(coverage.validation_coverage(x), 7.0 / 12.0);
+  EXPECT_EQ(mask.count(), 7u);  // validation coverage 7/12 (Eq. 3)
 }
 
+// The sensitivity masks against the per-class exact oracle, and the batched
+// masks against the per-item sensitivity reference, on inputs that kill
+// neither, one or both hidden units.
 TEST(ParameterCoverageTest, BothEnginesAgreeOnHandNetwork) {
+  const std::vector<Tensor> inputs = {
+      Tensor(Shape{2}, {1.0f, -1.0f}), Tensor(Shape{2}, {-1.0f, -1.0f}),
+      Tensor(Shape{2}, {0.5f, 2.0f}), Tensor(Shape{2}, {-0.25f, 3.0f})};
   Sequential model = hand_network();
-  CoverageConfig exact;
-  exact.engine = CoverageEngine::kPerClassExact;
-  ParameterCoverage pc_exact(model, exact);
-  Sequential model2 = hand_network();
-  ParameterCoverage pc_abs(model2, CoverageConfig{});
-  const Tensor x(Shape{2}, {1.0f, -1.0f});
-  EXPECT_TRUE(pc_abs.activation_mask(x) == pc_exact.activation_mask(x));
+  ParameterCoverage coverage(model, CoverageConfig{});
+  const auto masks = coverage.activation_masks_batched(stack_batch(inputs));
+  Sequential oracle = hand_network();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_TRUE(masks[i] ==
+                nn::reference::per_class_exact_mask(oracle, inputs[i], 0.0))
+        << "input " << i;
+    EXPECT_TRUE(masks[i] ==
+                nn::reference::sensitivity_mask(oracle, inputs[i], 0.0))
+        << "input " << i;
+  }
 }
 
 TEST(ParameterCoverageTest, AllDeadInputActivatesOnlyTailBiases) {
@@ -91,8 +104,9 @@ TEST(ParameterCoverageTest, AllDeadInputActivatesOnlyTailBiases) {
   EXPECT_TRUE(mask.test(11));
 }
 
-// Property sweep: the absolute-sensitivity engine equals the exact per-class
-// engine on random ReLU networks (cancellation sets have measure zero).
+// Property sweep: the absolute-sensitivity masks equal the per-class exact
+// oracle on random ReLU networks (cancellation sets have measure zero), and
+// the batched masks equal the per-item sensitivity reference.
 class EngineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EngineEquivalence, AbsSensitivityMatchesPerClassExact) {
@@ -108,18 +122,23 @@ TEST_P(EngineEquivalence, AbsSensitivityMatchesPerClassExact) {
   Sequential model = nn::build_convnet(spec, rng);
 
   Rng data_rng(GetParam() + 1000);
-  CoverageConfig exact;
-  exact.engine = CoverageEngine::kPerClassExact;
-  Sequential model2 = model.clone();
-  ParameterCoverage pc_abs(model, CoverageConfig{});
-  ParameterCoverage pc_exact(model2, exact);
+  std::vector<Tensor> inputs;
   for (int trial = 0; trial < 3; ++trial) {
-    const Tensor x = Tensor::rand_uniform(Shape{1, 8, 8}, data_rng, 0.0f, 1.0f);
-    const auto abs_mask = pc_abs.activation_mask(x);
-    const auto exact_mask = pc_exact.activation_mask(x);
-    EXPECT_TRUE(abs_mask == exact_mask)
-        << "engines disagree: abs=" << abs_mask.count()
-        << " exact=" << exact_mask.count();
+    inputs.push_back(
+        Tensor::rand_uniform(Shape{1, 8, 8}, data_rng, 0.0f, 1.0f));
+  }
+  Sequential oracle = model.clone();
+  ParameterCoverage coverage(model, CoverageConfig{});
+  const auto masks = coverage.activation_masks_batched(stack_batch(inputs));
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const DynamicBitset exact =
+        nn::reference::per_class_exact_mask(oracle, inputs[i], 0.0);
+    EXPECT_TRUE(masks[i] == exact)
+        << "engines disagree: abs=" << masks[i].count()
+        << " exact=" << exact.count();
+    EXPECT_TRUE(masks[i] ==
+                nn::reference::sensitivity_mask(oracle, inputs[i], 0.0))
+        << "input " << i;
   }
 }
 
@@ -171,9 +190,9 @@ TEST(ParameterCoverageTest, ParallelMasksMatchSequential) {
   }
 }
 
-// The tentpole guarantee of the batched engine: one batched forward plus
-// per-item sensitivity passes produces masks BIT-identical to the per-item
-// path, on both zoo models (Tanh CNN / ReLU CNN) at epsilon 0 and 1e-4.
+// Batch-position independence: item i's mask from one 40-item batched
+// forward is BIT-identical to that item's mask alone (a batch of one), on
+// both zoo models (Tanh CNN / ReLU CNN) at epsilon 0 and 1e-4.
 TEST(ParameterCoverageTest, BatchedMasksBitIdenticalToPerItemOnZooModels) {
   exp::ZooOptions zoo;
   zoo.tiny = true;
@@ -192,7 +211,7 @@ TEST(ParameterCoverageTest, BatchedMasksBitIdenticalToPerItemOnZooModels) {
       CoverageConfig config;
       config.epsilon = epsilon;
 
-      // Per-item reference path.
+      // Each item alone.
       nn::Sequential ref_model = c.trained.model.clone();
       ParameterCoverage ref(ref_model, config);
       std::vector<DynamicBitset> expected;
@@ -218,6 +237,47 @@ TEST(ParameterCoverageTest, BatchedMasksBitIdenticalToPerItemOnZooModels) {
         EXPECT_TRUE(pooled[i] == expected[i])
             << c.trained.name << " eps=" << epsilon << " pooled item " << i;
       }
+    }
+  }
+}
+
+// The batched masks against the whole-model per-item sensitivity reference
+// (tests/nn_reference.h), on both zoo models at epsilon 0 and 1e-4.
+TEST(ParameterCoverageTest, BatchedMasksMatchSensitivityReferenceOnZooModels) {
+  exp::ZooOptions zoo;
+  zoo.tiny = true;
+  zoo.cache_dir =
+      (std::filesystem::temp_directory_path() / "dnnv_cov_test_zoo").string();
+  struct Case {
+    exp::TrainedModel trained;
+    data::MaterializedData pool;
+  };
+  std::vector<Case> cases;
+  cases.push_back({exp::mnist_tanh(zoo), exp::digits_test(40)});
+  cases.push_back({exp::cifar_relu(zoo), exp::shapes_test(40)});
+  for (auto& c : cases) {
+    nn::Sequential oracle = c.trained.model.clone();
+    std::vector<std::vector<float>> sensitivities;
+    for (const Tensor& input : c.pool.images) {
+      sensitivities.push_back(
+          nn::reference::model_sensitivity(oracle, stack_batch({input})));
+    }
+    for (const double epsilon : {0.0, 1e-4}) {
+      CoverageConfig config;
+      config.epsilon = epsilon;
+      nn::Sequential model = c.trained.model.clone();
+      ParameterCoverage coverage(model, config);
+      const auto masks =
+          coverage.activation_masks_batched(stack_batch(c.pool.images));
+      std::size_t set_bits = 0;
+      for (std::size_t i = 0; i < masks.size(); ++i) {
+        const DynamicBitset want =
+            nn::reference::threshold_mask(sensitivities[i], epsilon);
+        set_bits += want.count();
+        EXPECT_TRUE(masks[i] == want)
+            << c.trained.name << " eps=" << epsilon << " item " << i;
+      }
+      EXPECT_GT(set_bits, 0u) << c.trained.name << " eps=" << epsilon;
     }
   }
 }

@@ -1,5 +1,5 @@
 // Tests for the experiment support library (model zoo + dataset registry)
-// and for the systolic timing model / dropout extensions.
+// and for the systolic timing model.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -8,7 +8,6 @@
 #include "exp/model_zoo.h"
 #include "ip/systolic.h"
 #include "nn/builder.h"
-#include "nn/dropout.h"
 #include "nn/loss.h"
 #include "tensor/batch.h"
 #include "util/error.h"
@@ -174,67 +173,6 @@ TEST(SystolicTest, LatencyScalesWithClock) {
   fast.frequency_mhz = 1000.0;
   const auto cost = ip::estimate_cost(model, Shape{64}, slow);
   EXPECT_NEAR(cost.latency_us(slow), 10.0 * cost.latency_us(fast), 1e-9);
-}
-
-// ---------- Dropout ----------
-
-TEST(DropoutTest, IdentityAtInference) {
-  nn::Dropout dropout(0.5f);
-  Rng rng(6);
-  const Tensor x = Tensor::rand_uniform(Shape{2, 10}, rng, -1.0f, 1.0f);
-  const Tensor y = dropout.forward(x);
-  EXPECT_DOUBLE_EQ(squared_distance(x, y), 0.0);
-  // Backward is pass-through too.
-  const Tensor g = dropout.backward(y);
-  EXPECT_DOUBLE_EQ(squared_distance(g, y), 0.0);
-}
-
-TEST(DropoutTest, TrainingMasksAndScales) {
-  nn::Dropout dropout(0.5f, 99);
-  dropout.set_training(true);
-  Tensor x(Shape{1, 1000});
-  x.fill(1.0f);
-  const Tensor y = dropout.forward(x);
-  int zeros = 0;
-  for (std::int64_t i = 0; i < y.numel(); ++i) {
-    if (y[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(y[i], 2.0f);  // 1/(1-0.5) survivor scaling
-    }
-  }
-  EXPECT_NEAR(zeros / 1000.0, 0.5, 0.06);
-  // Expected value preserved (inverted dropout).
-  EXPECT_NEAR(mean(y), 1.0, 0.15);
-}
-
-TEST(DropoutTest, BackwardUsesSameMask) {
-  nn::Dropout dropout(0.3f, 7);
-  dropout.set_training(true);
-  Tensor x(Shape{1, 100});
-  x.fill(1.0f);
-  const Tensor y = dropout.forward(x);
-  Tensor g(Shape{1, 100});
-  g.fill(1.0f);
-  const Tensor gx = dropout.backward(g);
-  for (std::int64_t i = 0; i < 100; ++i) {
-    EXPECT_FLOAT_EQ(gx[i], y[i]);  // same mask, same scaling
-  }
-}
-
-TEST(DropoutTest, RejectsBadRate) {
-  EXPECT_THROW(nn::Dropout(-0.1f), Error);
-  EXPECT_THROW(nn::Dropout(1.0f), Error);
-}
-
-TEST(DropoutTest, SaveLoadRoundTrip) {
-  nn::Dropout dropout(0.25f, 42);
-  ByteWriter writer;
-  dropout.save(writer);
-  ByteReader reader(writer.take());
-  EXPECT_EQ(reader.read_string(), "dropout");
-  const auto loaded = nn::Dropout::load(reader);
-  EXPECT_FLOAT_EQ(loaded->rate(), 0.25f);
 }
 
 }  // namespace

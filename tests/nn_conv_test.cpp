@@ -1,21 +1,20 @@
 // Conv2d against the test-only float reference (tests/nn_reference.h):
 // forward_into, backward_into, the value backward()'s input, weight and bias
-// gradients, and the batched and per-item sensitivity passes (parameter and
-// input sensitivities) must match it bit for bit on every
-// random_conv_cases() conv, on both tiny zoo models' convs over pool items,
-// and on two convs whose sums cross a 256-term block. The stride-2 cases
-// cover the polyphase layout, and the zoo convs' 784- and 1024-position
-// planes split the weight reduction into blocks, the mnist ones mid-row. A
-// second test checks that nothing cached by one forward leaks into a pass
-// after the next. Like MIOpen's convolution tests, the comparison prints one
-// row per case and a summary.
+// gradients, and the per-item sensitivity passes (parameter and input
+// sensitivities, and the parameter-only pass) must match it bit for bit on
+// every random_conv_cases() conv, on both tiny zoo models' convs over pool
+// items, and on two convs whose sums cross a 256-term block. The stride-2
+// cases cover the polyphase layout, and the zoo convs' 784- and
+// 1024-position planes split the weight reduction into blocks, the mnist
+// ones mid-row. A second test checks that nothing cached by one forward
+// leaks into a pass after the next. Like MIOpen's convolution tests, the
+// comparison prints one row per case and a summary.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -150,7 +149,7 @@ TEST(ConvReferenceTest, DirectAndValuePassesMatchReferenceBitForBit) {
   std::printf("%s| %-17s | %-29s | %-30s | %-7s | %-8s | %-6s | %-6s | %-6s "
               "| %-4s | %-9s |\n%s",
               rule, "Suite", "Case", "Geometry", "forward", "bwd_into",
-              "bwd_dx", "bwd_dW", "bwd_db", "sens", "sens_item", rule);
+              "bwd_dx", "bwd_dW", "bwd_db", "par", "sens_item", rule);
   int failed = 0;
   for (ConvCase& c : cases) {
     SCOPED_TRACE(c.suite + " " + c.name);
@@ -184,29 +183,24 @@ TEST(ConvReferenceTest, DirectAndValuePassesMatchReferenceBitForBit) {
     const bool dw_ok = same_grad(conv, 0, want_grads.weight);
     const bool db_ok = same_grad(conv, 1, want_grads.bias);
 
-    // The batched sensitivity pass after a workspace forward.
+    // The per-item passes against the same workspace forward, one item at a
+    // time, each against the reference on a batch of that item alone: the
+    // parameter-only pass, then the full one.
     conv.forward_into(0, c.input, y, ws);
-    conv.zero_grads();
-    Tensor sdx(c.input.shape());
-    conv.sensitivity_backward_into(0, sens, sdx, ws);
-    const bool sens_ok =
-        same_param_grads(conv, reference::conv_param_sensitivity(cfg, c.input,
-                                                                  sens)) &&
-        same_bits(sdx, reference::conv_input_sensitivity(
-                           cfg, conv.weights().data(), c.input.shape(), sens));
-
-    // The per-item pass against the same batched forward, one item at a
-    // time, each against the reference on a batch of that item alone.
+    bool par_ok = true;
     bool item_ok = true;
     for (std::int64_t i = 0; i < c.input.shape()[0]; ++i) {
       const Tensor item = item_of(c.input, i);
       const Tensor item_sens = item_of(sens, i);
+      const reference::ParamGrads want =
+          reference::conv_param_sensitivity(cfg, item, item_sens);
+      conv.zero_grads();
+      conv.parameter_sensitivity_item(0, i, item_sens, ws);
+      par_ok = par_ok && same_param_grads(conv, want);
       conv.zero_grads();
       Tensor item_sdx(item.shape());
       conv.sensitivity_backward_item(0, i, item_sens, item_sdx, ws);
-      item_ok = item_ok &&
-                same_param_grads(conv, reference::conv_param_sensitivity(
-                                           cfg, item, item_sens)) &&
+      item_ok = item_ok && same_param_grads(conv, want) &&
                 same_bits(item_sdx,
                           reference::conv_input_sensitivity(
                               cfg, conv.weights().data(), item.shape(),
@@ -214,20 +208,20 @@ TEST(ConvReferenceTest, DirectAndValuePassesMatchReferenceBitForBit) {
     }
 
     const bool all_ok = forward_ok && into_ok && dx_ok && dw_ok && db_ok &&
-                        sens_ok && item_ok;
+                        par_ok && item_ok;
     EXPECT_TRUE(forward_ok);
     EXPECT_TRUE(into_ok);
     EXPECT_TRUE(dx_ok);
     EXPECT_TRUE(dw_ok);
     EXPECT_TRUE(db_ok);
-    EXPECT_TRUE(sens_ok);
+    EXPECT_TRUE(par_ok);
     EXPECT_TRUE(item_ok);
     failed += all_ok ? 0 : 1;
     std::printf("| %-17s | %-29s | %-30s | %-7s | %-8s | %-6s | %-6s | %-6s "
                 "| %-4s | %-9s |\n",
                 c.suite.c_str(), c.name.c_str(), geometry(c).c_str(),
                 verdict(forward_ok), verdict(into_ok), verdict(dx_ok),
-                verdict(dw_ok), verdict(db_ok), verdict(sens_ok),
+                verdict(dw_ok), verdict(db_ok), verdict(par_ok),
                 verdict(item_ok));
   }
   const char* summary_rule =
@@ -265,37 +259,29 @@ TEST(ConvReferenceTest, ColumnCacheIsRebuiltAfterEveryForward) {
   const Tensor batch_b = stack_batch({probes[3], probes[4], probes[5]});
   Sequential model = c.model();
   const Shape logits = model.output_shape(batch_b.shape());
-  Tensor seed(logits);
-  seed.fill(1.0f);
   Tensor item_seed(Shape{1, logits[1]});
   item_seed.fill(1.0f);
 
-  // Each pass after a forward of A, then of B, against a fresh clone that
-  // has only ever seen B.
-  auto batched = [&](Sequential& m, Workspace& ws) {
-    m.zero_grads();
-    m.sensitivity_backward(seed, ws);
-  };
-  auto per_item = [&](Sequential& m, Workspace& ws) {
+  // The per-item pass after a forward of A, then of B, against a fresh
+  // clone that has only ever seen B.
+  const auto per_item = [&](Sequential& m, Workspace& ws) {
     m.zero_grads();
     for (std::int64_t i = 0; i < batch_b.shape()[0]; ++i) {
       m.sensitivity_backward_item(i, item_seed, ws);
     }
   };
-  using Pass = std::function<void(Sequential&, Workspace&)>;
-  for (const Pass& pass : {Pass(batched), Pass(per_item)}) {
-    Workspace ws;
-    model.forward(batch_a, ws);
-    pass(model, ws);
-    const std::vector<float> on_a = grads_of(model);
-    model.forward(batch_b, ws);
-    pass(model, ws);
-    const std::vector<float> on_b = grads_of(model);
-
+  Workspace ws;
+  model.forward(batch_a, ws);
+  per_item(model, ws);
+  const std::vector<float> on_a = grads_of(model);
+  model.forward(batch_b, ws);
+  per_item(model, ws);
+  const std::vector<float> on_b = grads_of(model);
+  {
     Sequential fresh = model.clone();
     Workspace fresh_ws;
     fresh.forward(batch_b, fresh_ws);
-    pass(fresh, fresh_ws);
+    per_item(fresh, fresh_ws);
     EXPECT_TRUE(same_floats(on_b, grads_of(fresh)));
     EXPECT_FALSE(same_floats(on_a, on_b));
   }
@@ -319,21 +305,27 @@ TEST(ConvReferenceTest, ColumnCacheIsRebuiltAfterEveryForward) {
   // after it must read taps at the new geometry's offsets.
   Rng conv_rng(8);
   Conv2d conv({2, 3, 3, 2, 1}, conv_rng);
-  Workspace ws;
+  Workspace conv_ws;
   for (const Shape& shape : {Shape{2, 2, 9, 7}, Shape{3, 2, 12, 10}}) {
     SCOPED_TRACE(shape.to_string());
     const Tensor x = Tensor::rand_uniform(shape, conv_rng, -1.0f, 1.0f);
     Tensor y(conv.output_shape(shape));
-    conv.forward_into(0, x, y, ws);
+    conv.forward_into(0, x, y, conv_ws);
     const Tensor s = Tensor::rand_uniform(y.shape(), conv_rng, 0.0f, 1.0f);
-    conv.zero_grads();
-    Tensor sx(shape);
-    conv.sensitivity_backward_into(0, s, sx, ws);
-    EXPECT_TRUE(same_param_grads(
-        conv, reference::conv_param_sensitivity(conv.config(), x, s)));
-    EXPECT_TRUE(same_bits(sx, reference::conv_input_sensitivity(
-                                  conv.config(), conv.weights().data(), shape,
-                                  s)));
+    for (std::int64_t i = 0; i < shape[0]; ++i) {
+      const Tensor item = item_of(x, i);
+      const Tensor item_s = item_of(s, i);
+      conv.zero_grads();
+      Tensor sx(item.shape());
+      conv.sensitivity_backward_item(0, i, item_s, sx, conv_ws);
+      EXPECT_TRUE(same_param_grads(
+          conv, reference::conv_param_sensitivity(conv.config(), item, item_s)))
+          << "item " << i;
+      EXPECT_TRUE(same_bits(sx, reference::conv_input_sensitivity(
+                                    conv.config(), conv.weights().data(),
+                                    item.shape(), item_s)))
+          << "item " << i;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <string>
 
 #include "nn/activation_layer.h"
 #include "nn/builder.h"
@@ -125,6 +126,35 @@ TEST(SequentialTest, LoadRejectsForgedLayerCount) {
     ByteReader reader(forged);
     EXPECT_THROW(Sequential::load(reader), Error) << count;
     EXPECT_EQ(reader.remaining(), records) << count;
+  }
+}
+
+// The dropout layer is gone: a model file carrying a dropout record (as the
+// layer once saved it: kind, rate, seed) after valid layers fails with a
+// typed error naming the kind.
+TEST(SequentialTest, LoadRejectsDropoutRecord) {
+  ByteWriter writer;
+  tiny_mlp().save(writer);
+  std::vector<std::uint8_t> bytes = writer.take();
+  constexpr std::size_t kCountOffset = 8;  // after magic and version
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + kCountOffset, sizeof count);
+  ++count;
+  std::memcpy(bytes.data() + kCountOffset, &count, sizeof count);
+  ByteWriter dropout;
+  dropout.write_string("dropout");
+  dropout.write_f32(0.5f);
+  dropout.write_u64(0x12D0);
+  const std::vector<std::uint8_t> record = dropout.take();
+  bytes.insert(bytes.end(), record.begin(), record.end());
+
+  ByteReader reader(bytes);
+  try {
+    Sequential::load(reader);
+    ADD_FAILURE() << "a dropout record loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'dropout'"), std::string::npos)
+        << e.what();
   }
 }
 

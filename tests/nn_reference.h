@@ -35,11 +35,20 @@
 //             x[i][p] * W[j][p] from +0 over features [256 b, 256 b + 256);
 //   gradient  dx[i][p] = 0 + T_0 + T_1 + ..., T_b chaining dy[i][j] * W[j][p]
 //             from +0 over output units [256 b, 256 b + 256).
+// Its per-item sensitivity is the value dataflow over absolute values:
+//   weights   sW[j][p] = s[j] * |x[p]|, bias sb[j] = s[j];
+//   input     s_in[p] = 0 + s[0] * |W[0][p]| + s[1] * |W[1][p]| + ..., one
+//             chain over the output units in order.
 // Max-pool takes each window's first maximum in (ky, kx) order: a tap
 // replaces the running maximum only when strictly greater, so ties keep the
 // earlier tap, a NaN never wins against a number and a NaN first tap stays.
 // Its gradient adds each output's gradient into its winning tap, outputs in
 // order.
+//
+// Two whole-model oracles for the parameter-coverage masks close the file:
+// model_sensitivity composes the layer references above into one item's
+// absolute-sensitivity pass, and per_class_exact_mask is the union over the
+// logits of the value backward()'s exact gradients.
 #ifndef DNNV_TESTS_NN_REFERENCE_H_
 #define DNNV_TESTS_NN_REFERENCE_H_
 
@@ -48,9 +57,18 @@
 #include <cstdint>
 #include <vector>
 
+#include "nn/activation_layer.h"
 #include "nn/conv2d.h"
+#include "nn/dense.h"
+#include "nn/flatten.h"
+#include "nn/maxpool2d.h"
+#include "nn/normalize.h"
+#include "nn/sequential.h"
+#include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
+#include "util/bitset.h"
+#include "util/error.h"
 
 namespace dnnv::nn::reference {
 
@@ -267,6 +285,39 @@ inline Tensor dense_input_gradient(const float* weights, std::int64_t in,
   return dx;
 }
 
+/// Dense per-item sensitivities of one item.
+struct DenseSensitivity {
+  Tensor weight;  ///< [out, in]
+  Tensor bias;    ///< [out]
+  Tensor input;   ///< [1, in]
+};
+
+/// The weight, bias and input sensitivities of item x [1, in] for the
+/// output sensitivity s [1, out], weights [out, in].
+inline DenseSensitivity dense_sensitivity(const float* weights,
+                                          const Tensor& input,
+                                          const Tensor& sens_output) {
+  const std::int64_t in = input.shape()[1];
+  const std::int64_t out = sens_output.shape()[1];
+  DenseSensitivity sens{Tensor(Shape{out, in}), Tensor(Shape{out}),
+                        Tensor(Shape{1, in})};
+  for (std::int64_t j = 0; j < out; ++j) {
+    const float s = sens_output.data()[j];
+    for (std::int64_t p = 0; p < in; ++p) {
+      sens.weight.data()[j * in + p] = s * std::fabs(input.data()[p]);
+    }
+    sens.bias.data()[j] = s;
+  }
+  for (std::int64_t p = 0; p < in; ++p) {
+    float acc = 0.0f;
+    for (std::int64_t j = 0; j < out; ++j) {
+      acc += sens_output.data()[j] * std::fabs(weights[j * in + p]);
+    }
+    sens.input.data()[p] = acc;
+  }
+  return sens;
+}
+
 /// Max-pool of a batch [N, C, H, W] with no padding; `argmax` receives each
 /// output's winning flat input index.
 inline Tensor maxpool_forward(std::int64_t kernel, std::int64_t stride,
@@ -309,6 +360,125 @@ inline Tensor maxpool_gradient(std::int64_t kernel, std::int64_t stride,
     dx.data()[argmax[o]] += grad_output.data()[o];
   }
   return dx;
+}
+
+/// One item's absolute-sensitivity pass through `model`, composed from the
+/// layer references: the forwards above carry `item` (a batch of one) to the
+/// logits, the sensitivity starts at 1 on every logit and walks back through
+/// every layer (an activation gates by |f'(x)|, a normalize scales by
+/// |1 / scale|, a flatten reshapes). Returns each parameter's sensitivity in
+/// the model's global order.
+inline std::vector<float> model_sensitivity(Sequential& model,
+                                            const Tensor& item) {
+  const std::size_t layers = model.num_layers();
+  std::vector<Tensor> inputs;
+  Tensor x = item;
+  for (std::size_t l = 0; l < layers; ++l) {
+    inputs.push_back(x);
+    Layer& layer = model.layer(l);
+    if (auto* conv = dynamic_cast<Conv2d*>(&layer)) {
+      x = conv_forward(conv->config(), conv->weights().data(),
+                       conv->bias().data(), x);
+    } else if (auto* dense = dynamic_cast<Dense*>(&layer)) {
+      x = dense_forward(dense->weights().data(), dense->bias().data(),
+                        dense->out_features(), x);
+    } else if (auto* pool = dynamic_cast<MaxPool2d*>(&layer)) {
+      std::vector<std::int64_t> argmax;
+      x = maxpool_forward(pool->kernel(), pool->stride(), x, argmax);
+    } else if (auto* act = dynamic_cast<ActivationLayer*>(&layer)) {
+      for (std::int64_t e = 0; e < x.numel(); ++e) {
+        x[e] = activate(act->activation(), x[e]);
+      }
+    } else if (auto* norm = dynamic_cast<Normalize*>(&layer)) {
+      const float inv = 1.0f / norm->scale();
+      for (std::int64_t e = 0; e < x.numel(); ++e) {
+        x[e] = (x[e] - norm->mean()) * inv;
+      }
+    } else if (dynamic_cast<Flatten*>(&layer) != nullptr) {
+      x = x.reshaped(Shape{1, x.numel()});
+    } else {
+      DNNV_THROW("no reference for layer kind '" << layer.kind() << "'");
+    }
+  }
+
+  std::vector<std::vector<float>> params(layers);
+  const auto keep = [&params](std::size_t l, const Tensor& weight,
+                              const Tensor& bias) {
+    params[l].assign(weight.data(), weight.data() + weight.numel());
+    params[l].insert(params[l].end(), bias.data(), bias.data() + bias.numel());
+  };
+  Tensor s(x.shape());
+  s.fill(1.0f);
+  for (std::size_t l = layers; l-- > 0;) {
+    Layer& layer = model.layer(l);
+    const Tensor& in = inputs[l];
+    if (auto* conv = dynamic_cast<Conv2d*>(&layer)) {
+      const ParamGrads grads = conv_param_sensitivity(conv->config(), in, s);
+      keep(l, grads.weight, grads.bias);
+      s = conv_input_sensitivity(conv->config(), conv->weights().data(),
+                                 in.shape(), s);
+    } else if (auto* dense = dynamic_cast<Dense*>(&layer)) {
+      DenseSensitivity sens = dense_sensitivity(dense->weights().data(), in, s);
+      keep(l, sens.weight, sens.bias);
+      s = std::move(sens.input);
+    } else if (auto* pool = dynamic_cast<MaxPool2d*>(&layer)) {
+      s = maxpool_gradient(pool->kernel(), pool->stride(), in, s);
+    } else if (auto* act = dynamic_cast<ActivationLayer*>(&layer)) {
+      for (std::int64_t e = 0; e < s.numel(); ++e) {
+        s[e] = s[e] * std::fabs(activate_grad(act->activation(), in[e]));
+      }
+    } else if (auto* norm = dynamic_cast<Normalize*>(&layer)) {
+      const float inv = std::fabs(1.0f / norm->scale());
+      for (std::int64_t e = 0; e < s.numel(); ++e) s[e] = s[e] * inv;
+    } else {
+      s = s.reshaped(in.shape());
+    }
+  }
+  std::vector<float> all;
+  for (const std::vector<float>& p : params) {
+    all.insert(all.end(), p.begin(), p.end());
+  }
+  return all;
+}
+
+/// Bit i set iff |values[i]| > epsilon, compared as doubles.
+inline DynamicBitset threshold_mask(const std::vector<float>& values,
+                                    double epsilon) {
+  DynamicBitset mask(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (std::fabs(static_cast<double>(values[i])) > epsilon) mask.set(i);
+  }
+  return mask;
+}
+
+/// The parameter-coverage mask of one un-batched item: model_sensitivity
+/// thresholded at epsilon.
+inline DynamicBitset sensitivity_mask(Sequential& model, const Tensor& item,
+                                      double epsilon) {
+  return threshold_mask(model_sensitivity(model, stack_batch({item})),
+                        epsilon);
+}
+
+/// The per-class exact mask of one un-batched item: parameter i is set iff
+/// some logit j has |dF_j / d theta_i| > epsilon, each gradient from the
+/// value backward() seeded with the one-hot e_j. Leaves `model`'s grad
+/// buffers dirty.
+inline DynamicBitset per_class_exact_mask(Sequential& model,
+                                          const Tensor& item, double epsilon) {
+  const Tensor logits = model.forward(stack_batch({item}));
+  DynamicBitset mask(static_cast<std::size_t>(model.param_count()));
+  for (std::int64_t j = 0; j < logits.shape()[1]; ++j) {
+    Tensor seed(logits.shape());
+    seed[j] = 1.0f;
+    model.zero_grads();
+    model.backward(seed);
+    std::vector<float> grads;
+    for (const ParamView& view : model.param_views()) {
+      grads.insert(grads.end(), view.grad, view.grad + view.size);
+    }
+    mask |= threshold_mask(grads, epsilon);
+  }
+  return mask;
 }
 
 }  // namespace dnnv::nn::reference
