@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: GEMM, conv
 // forward/backward, the direct conv and dense passes, max-pool, one
-// Algorithm 2 synthesis step, the two coverage passes, and bitset set
-// algebra.
+// Algorithm 2 synthesis step, one int8 test replay, the two coverage passes,
+// and bitset set algebra.
 //
 // On top of google-benchmark's own flags (--benchmark_filter,
 // --benchmark_min_time, ...) this main speaks the repo's BENCH_*.json
@@ -27,6 +27,7 @@
 #include "nn/dense.h"
 #include "nn/loss.h"
 #include "nn/maxpool2d.h"
+#include "quant/quant_model.h"
 #include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "util/bitset.h"
@@ -271,6 +272,62 @@ void BM_MaxPoolForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * input.numel());
 }
 BENCHMARK(BM_MaxPoolForward);
+
+// One 24-test replay on the int8 engine, as a receipt's validate(), a served
+// tampered request and a fault-simulation row run it: a warmed
+// QuantModel::forward of 24 items. Arg 0 has mnist_tanh_tiny's geometry,
+// arg 1 cifar_relu_tiny's, with random weights, quantized on 32 random
+// items. Items are replayed tests; macs_per_s counts the conv and dense
+// multiply-accumulates.
+void BM_QuantReplay(benchmark::State& state) {
+  const bool cifar = state.range(0) == 1;
+  nn::ConvNetSpec spec;
+  spec.in_channels = cifar ? 3 : 1;
+  spec.in_height = spec.in_width = cifar ? 32 : 28;
+  spec.conv_channels = cifar ? std::vector<std::int64_t>{8, 8}
+                             : std::vector<std::int64_t>{6, 6};
+  spec.dense_units = {cifar ? 48 : 32};
+  spec.activation =
+      cifar ? nn::ActivationKind::kReLU : nn::ActivationKind::kTanh;
+  Rng rng(18);
+  const nn::Sequential model = nn::build_convnet(spec, rng);
+  const Shape item{spec.in_channels, spec.in_height, spec.in_width};
+  std::vector<Tensor> pool;
+  for (int i = 0; i < 32; ++i) {
+    pool.push_back(Tensor::rand_uniform(item, rng, 0.0f, 1.0f));
+  }
+  quant::QuantModel qm = quant::QuantModel::quantize(model, pool);
+  constexpr std::int64_t kTests = 24;
+  const Tensor batch = stack_batch(
+      std::vector<Tensor>(pool.begin(), pool.begin() + kTests));
+
+  std::int64_t macs = 0;  // per item
+  Shape shape{1, spec.in_channels, spec.in_height, spec.in_width};
+  for (std::size_t l = 0; l < model.num_layers(); ++l) {
+    const nn::Layer& layer = model.layer(l);
+    const Shape out = layer.output_shape(shape);
+    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&layer)) {
+      const auto& c = conv->config();
+      macs += out.numel() * c.in_channels * c.kernel * c.kernel;
+    } else if (const auto* dense = dynamic_cast<const nn::Dense*>(&layer)) {
+      macs += dense->in_features() * dense->out_features();
+    }
+    shape = out;
+  }
+
+  nn::Workspace ws;
+  qm.forward(batch, ws);  // sizes the workspace arenas
+  for (auto _ : state) {
+    const Tensor& logits = qm.forward(batch, ws);
+    benchmark::DoNotOptimize(logits.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kTests);
+  state.counters["macs_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kTests * macs),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_QuantReplay)->Arg(0)->Arg(1);
 
 // The mask pipeline: one batched forward + per-item sensitivity passes on a
 // shared workspace (batch 1 is ParameterCoverage::activation_mask).

@@ -8,6 +8,15 @@
 #include "tensor/shape.h"
 #include "util/error.h"
 
+// The LUT's byte-permute path, chosen by the compile target as the GEMM's
+// VNNI micro-kernel is.
+#if defined(__AVX512VBMI__) && defined(__AVX512BW__) && defined(__AVX512F__)
+#include <immintrin.h>
+#define DNNV_LUT_VBMI 1
+#else
+#define DNNV_LUT_VBMI 0
+#endif
+
 namespace dnnv::quant {
 
 void im2col_row_s8(const std::int8_t* plane, std::int64_t height,
@@ -107,6 +116,23 @@ void maxpool2d_s8(const std::int8_t* image, std::int64_t channels,
                   std::int64_t stride, std::int8_t* output) {
   const std::int64_t out_h = conv_out_dim(height, kernel, stride, 0);
   const std::int64_t out_w = conv_out_dim(width, kernel, stride, 0);
+  if (kernel == 2 && stride == 2) {
+    // The zoo's geometry: output row oy is the max of input rows 2oy and
+    // 2oy+1 over neighbour pairs, with no per-window bounds, so the row loop
+    // vectorizes. An odd plane's last row and column fall outside every
+    // window, as in the generic loop.
+    for (std::int64_t row = 0; row < channels * out_h; ++row) {
+      const std::int64_t c = row / out_h, oy = row - c * out_h;
+      const std::int8_t* r0 = image + (c * height + 2 * oy) * width;
+      const std::int8_t* r1 = r0 + width;
+      std::int8_t* dst = output + row * out_w;
+      for (std::int64_t ox = 0; ox < out_w; ++ox) {
+        dst[ox] = std::max(std::max(r0[2 * ox], r0[2 * ox + 1]),
+                           std::max(r1[2 * ox], r1[2 * ox + 1]));
+      }
+    }
+    return;
+  }
   for (std::int64_t c = 0; c < channels; ++c) {
     const std::int8_t* plane = image + c * height * width;
     std::int8_t* out_plane = output + c * out_h * out_w;
@@ -143,9 +169,24 @@ std::array<std::int8_t, 256> build_activation_lut(nn::ActivationKind kind,
 
 void apply_lut(const std::array<std::int8_t, 256>& lut, const std::int8_t* in,
                std::int64_t count, std::int8_t* out) {
-  for (std::int64_t i = 0; i < count; ++i) {
-    out[i] = lut[static_cast<std::uint8_t>(in[i])];
+  std::int64_t i = 0;
+#if DNNV_LUT_VBMI
+  // 64 lookups per step: the table fills four registers, each byte permute
+  // looks an index's low 7 bits up in one half of it, and the index's sign
+  // bit (codes below 0 are entries 128-255) picks the half.
+  const __m512i t0 = _mm512_loadu_si512(lut.data());
+  const __m512i t1 = _mm512_loadu_si512(lut.data() + 64);
+  const __m512i t2 = _mm512_loadu_si512(lut.data() + 128);
+  const __m512i t3 = _mm512_loadu_si512(lut.data() + 192);
+  for (; i + 64 <= count; i += 64) {
+    const __m512i idx = _mm512_loadu_si512(in + i);
+    const __m512i lo = _mm512_permutex2var_epi8(t0, idx, t1);
+    const __m512i hi = _mm512_permutex2var_epi8(t2, idx, t3);
+    _mm512_storeu_si512(out + i,
+                        _mm512_mask_blend_epi8(_mm512_movepi8_mask(idx), lo, hi));
   }
+#endif
+  for (; i < count; ++i) out[i] = lut[static_cast<std::uint8_t>(in[i])];
 }
 
 }  // namespace dnnv::quant

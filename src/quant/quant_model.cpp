@@ -56,16 +56,6 @@ constexpr std::uint32_t kQuantVersion = 1;
 /// (the bound compares exact integer execution against a float32 baseline).
 constexpr double kFloatSlack = 1e-5;
 
-/// int32 accumulator + int32 bias with saturation (hardware adders clamp,
-/// they do not wrap).
-std::int32_t sat_add(std::int32_t acc, std::int32_t bias) {
-  const std::int64_t sum =
-      static_cast<std::int64_t>(acc) + static_cast<std::int64_t>(bias);
-  return static_cast<std::int32_t>(
-      std::clamp<std::int64_t>(sum, std::numeric_limits<std::int32_t>::min(),
-                               std::numeric_limits<std::int32_t>::max()));
-}
-
 /// Quantizes one float weight tensor (+ bias vector) into a QLayer's codes.
 void quantize_params(QLayer& q, const Tensor& weights, const Tensor& bias,
                      Granularity granularity) {
@@ -455,12 +445,11 @@ const Tensor& QuantModel::forward_impl(
                                  static_cast<std::size_t>(count));
         const float inv = 1.0f / (q.input_norm_scale * q.out_scale);
         const float* x = input->data();
+        std::int8_t* codes = out.data();
         for (std::int64_t e = 0; e < count; ++e) {
-          const long code = std::lround((x[e] - q.input_mean) * inv);
-          out[static_cast<std::size_t>(e)] =
-              static_cast<std::int8_t>(std::clamp<long>(code, kQmin, kQmax));
+          codes[e] = round_to_code((x[e] - q.input_mean) * inv);
         }
-        cur = out.data();
+        cur = codes;
         break;
       }
       case QLayerKind::kConv2d: {
@@ -490,23 +479,11 @@ const Tensor& QuantModel::forward_impl(
                         scratch);
           std::int8_t* dst = out.data() + item * q.out_channels * plane;
           for (std::int64_t c = 0; c < q.out_channels; ++c) {
-            const std::int32_t bias = q.bias_i32[static_cast<std::size_t>(c)];
-            const Requant rq = q.requant[static_cast<std::size_t>(c)];
-            const std::int32_t* acc_row = acc.data() + c * plane;
-            if (q.acc_channel == c) {
-              // Armed accumulator stuck-at: masks hit the biased
-              // accumulator before requant (channel-level branch — the
-              // clean path never takes it).
-              for (std::int64_t p = 0; p < plane; ++p) {
-                const std::int32_t a =
-                    (sat_add(acc_row[p], bias) | q.acc_or) & q.acc_and;
-                dst[c * plane + p] = requantize(a, rq);
-              }
-            } else {
-              for (std::int64_t p = 0; p < plane; ++p) {
-                dst[c * plane + p] = requantize(sat_add(acc_row[p], bias), rq);
-              }
-            }
+            const auto ch = static_cast<std::size_t>(c);
+            const bool armed = q.acc_channel == c;
+            requantize_row(acc.data() + c * plane, plane, q.bias_i32[ch],
+                           q.requant[ch], armed ? q.acc_or : 0,
+                           armed ? q.acc_and : -1, dst + c * plane);
           }
         }
         dims = {q.out_channels, out_h, out_w};
@@ -519,62 +496,36 @@ const Tensor& QuantModel::forward_impl(
                                   static_cast<std::size_t>(n * q.out_features));
         qgemm(n, q.out_features, q.in_features, cur, q.weights_t.data(),
               acc.data());
-        // Armed accumulator fault: hoisted flag keeps the clean row loops
-        // untouched; the faulted variants mask the armed channel's biased
-        // accumulator before dequant/requant.
-        const bool acc_fault = q.acc_channel >= 0;
+        // The armed accumulator stuck-at masks one channel's biased
+        // accumulator before dequant / requant; every other channel passes
+        // the identity masks 0 / -1.
+        const std::int64_t f = q.out_features;
         if (q.dequant_output) {
           Tensor& out = ws.buffer(li, nn::kSlotOutput,
-                                  Shape{std::vector<std::int64_t>{
-                                      n, q.out_features}});
-          if (acc_fault) {
-            for (std::int64_t row = 0; row < n; ++row) {
-              for (std::int64_t c = 0; c < q.out_features; ++c) {
-                std::int32_t a = sat_add(
-                    acc[static_cast<std::size_t>(row * q.out_features + c)],
-                    q.bias_i32[static_cast<std::size_t>(c)]);
-                if (c == q.acc_channel) a = (a | q.acc_or) & q.acc_and;
-                out[row * q.out_features + c] =
-                    static_cast<float>(a) *
-                    q.dequant_scales[static_cast<std::size_t>(c)];
-              }
-            }
-          } else {
-            for (std::int64_t row = 0; row < n; ++row) {
-              for (std::int64_t c = 0; c < q.out_features; ++c) {
-                const std::int32_t a = sat_add(
-                    acc[static_cast<std::size_t>(row * q.out_features + c)],
-                    q.bias_i32[static_cast<std::size_t>(c)]);
-                out[row * q.out_features + c] =
-                    static_cast<float>(a) *
-                    q.dequant_scales[static_cast<std::size_t>(c)];
-              }
+                                  Shape{std::vector<std::int64_t>{n, f}});
+          for (std::int64_t row = 0; row < n; ++row) {
+            for (std::int64_t c = 0; c < f; ++c) {
+              const auto ch = static_cast<std::size_t>(c);
+              const bool armed = q.acc_channel == c;
+              const std::int32_t a =
+                  (sat_add(acc[static_cast<std::size_t>(row * f + c)],
+                           q.bias_i32[ch]) |
+                   (armed ? q.acc_or : 0)) &
+                  (armed ? q.acc_and : -1);
+              out[row * f + c] = static_cast<float>(a) * q.dequant_scales[ch];
             }
           }
           logits = &out;
         } else {
           auto& out = ws.i8_buffer(li, nn::kSlotOutput,
-                                   static_cast<std::size_t>(n * q.out_features));
-          if (acc_fault) {
-            for (std::int64_t row = 0; row < n; ++row) {
-              for (std::int64_t c = 0; c < q.out_features; ++c) {
-                const auto e =
-                    static_cast<std::size_t>(row * q.out_features + c);
-                std::int32_t a = sat_add(
-                    acc[e], q.bias_i32[static_cast<std::size_t>(c)]);
-                if (c == q.acc_channel) a = (a | q.acc_or) & q.acc_and;
-                out[e] = requantize(a, q.requant[static_cast<std::size_t>(c)]);
-              }
-            }
-          } else {
-            for (std::int64_t row = 0; row < n; ++row) {
-              for (std::int64_t c = 0; c < q.out_features; ++c) {
-                const auto e =
-                    static_cast<std::size_t>(row * q.out_features + c);
-                out[e] = requantize(
-                    sat_add(acc[e], q.bias_i32[static_cast<std::size_t>(c)]),
-                    q.requant[static_cast<std::size_t>(c)]);
-              }
+                                   static_cast<std::size_t>(n * f));
+          for (std::int64_t row = 0; row < n; ++row) {
+            for (std::int64_t c = 0; c < f; ++c) {
+              const auto ch = static_cast<std::size_t>(c);
+              const bool armed = q.acc_channel == c;
+              requantize_row(acc.data() + row * f + c, 1, q.bias_i32[ch],
+                             q.requant[ch], armed ? q.acc_or : 0,
+                             armed ? q.acc_and : -1, out.data() + row * f + c);
             }
           }
           dims = {q.out_features};

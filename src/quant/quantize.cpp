@@ -12,9 +12,7 @@ float choose_scale(float amax) {
 }
 
 std::int8_t quantize_value(float value, float scale) {
-  const long q = std::lround(value / scale);
-  return static_cast<std::int8_t>(
-      std::clamp<long>(q, kQmin, kQmax));
+  return round_to_code(value / scale);
 }
 
 Requant requant_from_real(double r) {

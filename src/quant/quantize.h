@@ -8,7 +8,10 @@
 #ifndef DNNV_QUANT_QUANTIZE_H_
 #define DNNV_QUANT_QUANTIZE_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace dnnv::quant {
@@ -38,8 +41,21 @@ struct QuantConfig {
 /// amax == 0 (dead tensor/channel) falls back to 1 so codes stay exact zeros.
 float choose_scale(float amax);
 
-/// Nearest-code quantization with ties rounding half away from zero
-/// (std::lround semantics), clamped to [kQmin, kQmax].
+/// Nearest code to an already-scaled float: ties round half away from zero,
+/// values past the code range (±inf included) saturate to kQmin / kQmax, and
+/// NaN maps to 0. Branch-free, so a loop over it vectorizes.
+inline std::int8_t round_to_code(float scaled) {
+  const float c = std::isnan(scaled) ? 0.0f
+                                     : std::min(std::max(scaled, -127.0f),
+                                                127.0f);
+  // 2c is exact, and trunc(2c) - trunc(c) steps one code away from zero
+  // exactly when |c - trunc(c)| >= 0.5. Rounding by floor(|c| + 0.5f) would
+  // not be exact: it rounds 0.49999997f up to 1.
+  return static_cast<std::int8_t>(static_cast<std::int32_t>(2.0f * c) -
+                                  static_cast<std::int32_t>(c));
+}
+
+/// round_to_code(value / scale).
 std::int8_t quantize_value(float value, float scale);
 
 /// Fixed-point representation of a positive real requantization ratio
@@ -60,6 +76,41 @@ std::int64_t rounding_shift_right(std::int64_t x, std::int32_t shift);
 /// sat8(round(acc * multiplier * 2^-shift)). Pure 64-bit integer arithmetic;
 /// saturates to [kQmin, kQmax] (including for acc at the int32 extremes).
 std::int8_t requantize(std::int32_t acc, const Requant& rq);
+
+/// int32 accumulator + int32 bias with saturation (hardware adders clamp,
+/// they do not wrap).
+inline std::int32_t sat_add(std::int32_t acc, std::int32_t bias) {
+  const std::int64_t sum = std::int64_t{acc} + bias;
+  return static_cast<std::int32_t>(std::min<std::int64_t>(
+      std::max<std::int64_t>(sum, std::numeric_limits<std::int32_t>::min()),
+      std::numeric_limits<std::int32_t>::max()));
+}
+
+/// The int8 layers' epilogue over one channel's accumulator row:
+/// out[i] = requantize((sat_add(acc[i], bias) | acc_or) & acc_and, rq).
+/// The masks are the armed accumulator stuck-at; a clean channel passes
+/// acc_or = 0, acc_and = -1. Equal to the scalar definition for every input,
+/// but branch-free and inline, so the loop vectorizes.
+inline void requantize_row(const std::int32_t* acc, std::int64_t count,
+                           std::int32_t bias, const Requant& rq,
+                           std::int32_t acc_or, std::int32_t acc_and,
+                           std::int8_t* out) {
+  // Locals, not rq's fields: `out` may alias them, which would keep their
+  // loads inside the loop. rounding_shift_right without its sign branch: a
+  // negative product rounds half away from zero as
+  // floor((p + half - 1) / 2^shift); shift 0 adds nothing either way.
+  const std::int64_t multiplier = rq.multiplier;
+  const std::int32_t shift = rq.shift;
+  const std::int64_t half = (std::int64_t{1} << shift) >> 1;
+  const std::int64_t neg_adjust = shift > 0 ? -1 : 0;
+  for (std::int64_t i = 0; i < count; ++i) {
+    const std::int32_t a = (sat_add(acc[i], bias) | acc_or) & acc_and;
+    const std::int64_t p = a * multiplier;
+    const std::int64_t s = (p + half + ((p >> 63) & neg_adjust)) >> shift;
+    out[i] = static_cast<std::int8_t>(
+        std::min<std::int64_t>(std::max<std::int64_t>(s, kQmin), kQmax));
+  }
+}
 
 /// max |values[i]| over a range (0 for empty).
 float amax_of(const float* values, std::int64_t count);
