@@ -231,8 +231,8 @@ TEST(ConvReferenceTest, DirectAndValuePassesMatchReferenceBitForBit) {
               rule, summary_rule, summary_rule, cases.size(),
               cases.size() - static_cast<std::size_t>(failed), failed,
               verdict(failed == 0), summary_rule);
-  // 6 random_conv_cases convs, 2 per zoo model and the 2 synthetic convs.
-  EXPECT_EQ(cases.size(), 12u);
+  // 10 random_conv_cases convs, 2 per zoo model and the 2 synthetic convs.
+  EXPECT_EQ(cases.size(), 16u);
 }
 
 /// Every parameter's grad buffer, concatenated.

@@ -7,7 +7,8 @@
 // shares only the IR's semantics with the engine: the input quantize
 // rounding, requantize() with each channel's multiplier, each layer's LUT,
 // bias_code_to_i32() on the canonical bias codes, the saturating bias add
-// and the armed accumulator stuck-at masks. Every engine path — either
+// and the armed accumulator stuck-at masks. It calls the scalar requantize()
+// per element, never the engine's requantize_row(). Every engine path — either
 // micro-kernel, any batch size or thread count, forward_resume, the batched
 // fault simulator — must match it bit for bit.
 #ifndef DNNV_TESTS_QUANT_REFERENCE_H_
@@ -94,8 +95,7 @@ inline std::vector<float> run_item(const QuantModel& model, const float* x,
         for (const auto d : dims) count *= d;
         const float inv = 1.0f / (q.input_norm_scale * q.out_scale);
         for (std::int64_t e = 0; e < count; ++e) {
-          out.push_back(static_cast<std::int8_t>(std::clamp<long>(
-              std::lround((x[e] - q.input_mean) * inv), kQmin, kQmax)));
+          out.push_back(round_to_code((x[e] - q.input_mean) * inv));
         }
         break;
       }

@@ -142,6 +142,120 @@ TEST(QuantizeValueTest, TiesAndClamping) {
   EXPECT_EQ(quantize_value(-1000.0f, 1.0f), kQmin);
 }
 
+/// Scaled floats at the rounding and saturation edges, each with its code.
+/// std::lround leaves values past `long` unspecified; x86-64 glibc returns
+/// LONG_MIN, which once mapped +inf, NaN and 1e30 to -127.
+const std::vector<std::pair<float, int>>& edge_codes() {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  static const std::vector<std::pair<float, int>> cases = {
+      {kInf, 127},
+      {-kInf, -127},
+      {std::numeric_limits<float>::quiet_NaN(), 0},
+      {-std::numeric_limits<float>::quiet_NaN(), 0},
+      {1e30f, 127},
+      {-1e30f, -127},
+      {std::ldexp(1.0f, 63), 127},
+      {-std::ldexp(1.0f, 63), -127},
+      {std::nextafterf(0.5f, 0.0f), 0},
+      {-std::nextafterf(0.5f, 0.0f), 0},
+      {0.5f, 1},
+      {-0.5f, -1},
+      {1.5f, 2},
+      {-2.5f, -3},
+      {126.5f, 127},
+      {-126.5f, -127},
+      {127.49999f, 127},
+      {-127.49999f, -127},
+      {-0.0f, 0},
+      {kDenorm, 0},
+      {-kDenorm, 0},
+      {std::numeric_limits<float>::min() / 2.0f, 0},
+  };
+  return cases;
+}
+
+TEST(QuantizeValueTest, NonFiniteAndOutOfRangeSaturate) {
+  for (const auto& [value, code] : edge_codes()) {
+    EXPECT_EQ(round_to_code(value), code) << value;
+    EXPECT_EQ(quantize_value(value, 1.0f), code) << value;
+  }
+}
+
+// ---------- The engine's requantize row ----------
+
+/// The scalar definition: requantize() of the saturated, masked sum.
+std::int8_t scalar_epilogue(std::int32_t acc, std::int32_t bias,
+                            const Requant& rq, std::int32_t acc_or,
+                            std::int32_t acc_and) {
+  const auto sum = static_cast<std::int32_t>(std::clamp<std::int64_t>(
+      std::int64_t{acc} + bias, std::numeric_limits<std::int32_t>::min(),
+      std::numeric_limits<std::int32_t>::max()));
+  return requantize((sum | acc_or) & acc_and, rq);
+}
+
+TEST(RequantizeRowTest, EqualsScalarDefinition) {
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  struct Masks {
+    std::int32_t acc_or, acc_and;
+  };
+  // Clean, an armed stuck-at-1 / stuck-at-0 pair, and both extremes.
+  const Masks masks[] = {
+      {0, -1}, {1 << 20, ~(1 << 3)}, {kMin, -1}, {0, kMax}};
+  Rng rng(31);
+  std::vector<std::int32_t> acc(70);
+  std::vector<std::int8_t> got(72), want(70);
+  std::size_t rows = 0;
+  for (const std::int32_t shift : {0, 1, 30, 31, 62, 17, 45}) {
+    for (const std::int32_t multiplier :
+         {0, 1, 1 << 30, kMax, kMin, -12345, 1518500250}) {
+      const Requant rq{multiplier, shift};
+      for (const std::int32_t bias : {0, 77, -5, kMax, kMin}) {
+        for (const Masks& m : masks) {
+          for (std::int64_t count = 0; count <= 70; ++count) {
+            for (std::int64_t i = 0; i < count; ++i) {
+              switch (rng.uniform_int(0, 3)) {
+                case 0:  // the accumulator extremes
+                  acc[i] = rng.flip(0.5) ? kMin : kMax;
+                  break;
+                case 1: {
+                  // (2k + 1) * 2^(shift - 1): a +-1/2-quantum tie at
+                  // multiplier 1, and an odd one at 2^30 with shift 31.
+                  const std::int64_t unit =
+                      shift >= 1 && shift <= 31 ? std::int64_t{1} << (shift - 1)
+                                                : 1;
+                  acc[i] = static_cast<std::int32_t>(std::clamp<std::int64_t>(
+                      (2 * rng.uniform_int(-3, 3) + 1) * unit, kMin, kMax));
+                  break;
+                }
+                case 2:
+                  acc[i] = rng.uniform_int(-300, 300);
+                  break;
+                default:
+                  acc[i] = static_cast<std::int32_t>(rng.next_u64());
+              }
+              want[i] = scalar_epilogue(acc[i], bias, rq, m.acc_or, m.acc_and);
+            }
+            std::fill(got.begin(), got.end(), std::int8_t{99});
+            requantize_row(acc.data(), count, bias, rq, m.acc_or, m.acc_and,
+                           got.data());
+            for (std::int64_t i = 0; i < count; ++i) {
+              ASSERT_EQ(got[i], want[i])
+                  << "acc " << acc[i] << " bias " << bias << " multiplier "
+                  << multiplier << " shift " << shift << " or " << m.acc_or
+                  << " and " << m.acc_and << " at " << i << " of " << count;
+            }
+            ASSERT_EQ(got[count], 99) << "wrote past the row, count " << count;
+            ++rows;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(rows, 7u * 7u * 5u * 4u * 71u);
+}
+
 // ---------- int8 GEMM ----------
 
 std::vector<std::int8_t> random_codes(std::int64_t count, Rng& rng) {
@@ -724,11 +838,14 @@ TEST(QuantOracleTest, ForwardMatchesOracleOnZooModels) {
   options.tiny = true;
   exp::TrainedModel cases[] = {exp::mnist_tanh(options),
                                exp::cifar_relu(options)};
-  std::vector<Tensor> pools[] = {exp::digits_train(12).images,
-                                 exp::shapes_train(12).images};
+  std::vector<Tensor> pools[] = {exp::digits_train(33).images,
+                                 exp::shapes_train(33).images};
   for (std::size_t ci = 0; ci < 2; ++ci) {
-    QuantModel qm = QuantModel::quantize(cases[ci].model, pools[ci]);
-    for (const std::int64_t batch_size : {std::int64_t{1}, std::int64_t{7}}) {
+    const std::vector<Tensor> calibration(pools[ci].begin(),
+                                          pools[ci].begin() + 12);
+    QuantModel qm = QuantModel::quantize(cases[ci].model, calibration);
+    // 24 is a receipt's replay; 33 leaves a tail after any vector width.
+    for (const std::int64_t batch_size : {1, 7, 24, 33}) {
       const std::vector<Tensor> items(pools[ci].begin(),
                                       pools[ci].begin() + batch_size);
       expect_matches_oracle(qm, stack_batch(items),
@@ -754,6 +871,36 @@ TEST(QuantOracleTest, ForwardMatchesOracleOnRandomConvNets) {
       expect_matches_oracle(qm, stack_batch({pool[0]}), what + " batch 1");
       expect_matches_oracle(qm, stack_batch(pool), what + " batch 9");
     }
+  }
+}
+
+// The input quantize saturates +-inf and huge values to +-127 and maps NaN
+// to 0, on the engine and the oracle alike. The calibration item's 127 gives
+// the input grid scale 1, so each edge value reaches the rounding exactly.
+TEST(QuantOracleTest, NonFiniteAndOutOfRangeInputsMatchOracle) {
+  Rng rng(19);
+  const Sequential model =
+      nn::build_mlp(6, {12}, 3, ActivationKind::kTanh, rng);
+  std::vector<Tensor> pool = probe_pool(16, Shape{6});
+  pool[0][2] = 127.0f;
+  QuantModel qm = QuantModel::quantize(model, pool);
+  ASSERT_EQ(qm.layers().front().out_scale, 1.0f);
+
+  const auto& edges = edge_codes();
+  const auto items = static_cast<std::int64_t>((edges.size() + 5) / 6);
+  Tensor batch(Shape{items, 6});
+  for (std::int64_t e = 0; e < batch.numel(); ++e) {
+    batch[e] = e < static_cast<std::int64_t>(edges.size())
+                   ? edges[static_cast<std::size_t>(e)].first
+                   : 3.0f;
+  }
+  expect_matches_oracle(qm, batch, "edge inputs");
+  nn::Workspace ws;
+  QuantModel::ForwardTrace trace;
+  qm.forward_traced(batch, ws, trace);
+  const std::int8_t* codes = trace.entries[1].codes;
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    EXPECT_EQ(codes[e], edges[e].second) << edges[e].first;
   }
 }
 
