@@ -5,27 +5,50 @@
 namespace dnnv {
 namespace {
 
-std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: tables[0] is the bytewise table, and tables[k][b]
+/// is the CRC of byte b followed by k zero bytes.
+Tables make_tables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
+}
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_table();
+  static const Tables t = make_tables();
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  // Eight bytes per step: each byte's table already carries the shift past
+  // the bytes after it, so the eight lookups are independent.
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; size > 0; ++p, --size) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -245,6 +245,42 @@ TEST(Crc32Test, SensitiveToSingleBit) {
   EXPECT_NE(crc32(bytes), before);
 }
 
+// The bytewise table loop crc32 once ran, fed one byte at a time: after n
+// bytes, `finish()` is the CRC of those n bytes.
+struct BytewiseCrc32 {
+  std::uint32_t table[256];
+  std::uint32_t state = 0xFFFFFFFFu;
+  BytewiseCrc32() {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      table[i] = c;
+    }
+  }
+  void add(std::uint8_t byte) {
+    state = table[(state ^ byte) & 0xFF] ^ (state >> 8);
+  }
+  std::uint32_t finish() const { return state ^ 0xFFFFFFFFu; }
+};
+
+// Every length 0-4100 at every offset 0-7: each head, tail and 8-byte body
+// alignment the sliced loop can meet.
+TEST(Crc32Test, SlicedLoopEqualsBytewiseLoop) {
+  Rng rng(5);
+  std::vector<std::uint8_t> bytes(4100 + 8);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    BytewiseCrc32 reference;
+    for (std::size_t size = 0; size <= 4100; ++size) {
+      ASSERT_EQ(crc32(bytes.data() + offset, size), reference.finish())
+          << "offset " << offset << " size " << size;
+      if (size < 4100) reference.add(bytes[offset + size]);
+    }
+  }
+}
+
 // ---------- Keystream ----------
 
 TEST(KeystreamTest, Involutive) {
@@ -265,6 +301,36 @@ TEST(KeystreamTest, DifferentKeysDifferentStreams) {
   keystream_xor(a, 1);
   keystream_xor(b, 2);
   EXPECT_NE(a, b);
+}
+
+// The bytewise loop keystream_xor once ran: one keystream word per 8 bytes,
+// byte b of a block XORed with bits 8b..8b+7.
+void bytewise_keystream_xor(std::vector<std::uint8_t>& bytes,
+                            std::uint64_t key) {
+  Rng rng(key ^ 0xC0FFEE1234ABCDEFull);
+  for (std::size_t i = 0; i < bytes.size(); i += 8) {
+    const std::uint64_t ks = rng.next_u64();
+    for (std::size_t b = 0; b < 8 && i + b < bytes.size(); ++b) {
+      bytes[i + b] ^= static_cast<std::uint8_t>(ks >> (8 * b));
+    }
+  }
+}
+
+// Lengths 0-17 cover an empty, a partial and a full block on either side of
+// the tail; 795,003 is a cifar_relu_tiny bundle's size.
+TEST(KeystreamTest, WordLoopEqualsBytewiseLoop) {
+  Rng rng(6);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 17; ++n) sizes.push_back(n);
+  sizes.push_back(795003);
+  for (const std::size_t n : sizes) {
+    std::vector<std::uint8_t> data(n);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+    auto expected = data;
+    bytewise_keystream_xor(expected, 2024);
+    keystream_xor(data, 2024);
+    EXPECT_EQ(data, expected) << "length " << n;
+  }
 }
 
 TEST(KeystreamTest, HandlesNonMultipleOf8Lengths) {
