@@ -519,6 +519,8 @@ const Tensor& QuantModel::forward_impl(
         } else {
           auto& out = ws.i8_buffer(li, nn::kSlotOutput,
                                    static_cast<std::size_t>(n * f));
+          // Each channel's constants change along a row: the row kernel
+          // runs one element at a time here.
           for (std::int64_t row = 0; row < n; ++row) {
             for (std::int64_t c = 0; c < f; ++c) {
               const auto ch = static_cast<std::size_t>(c);

@@ -77,7 +77,8 @@ struct QLayer {
   // Accumulator stuck-at fault surface (set via QuantModel::set_acc_fault):
   // the biased int32 accumulator of channel acc_channel is OR-ed with acc_or
   // then AND-ed with acc_and before requant/dequant. Cleared by
-  // refresh_derived(); the clean path pays nothing (channel-level branch).
+  // refresh_derived(); every other channel runs the same epilogue with the
+  // identity masks 0 / -1.
   std::int64_t acc_channel = -1;
   std::int32_t acc_or = 0;
   std::int32_t acc_and = -1;
