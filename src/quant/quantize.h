@@ -1,4 +1,6 @@
-// Scalar quantization math shared by the int8 inference engine.
+// Quantization math shared by the int8 inference engine: the scalar
+// definitions, and the inline rounding and requantize-row kernels that the
+// engine's per-element loops vectorize.
 //
 // Scheme: symmetric int8 (zero point 0) with codes clamped to [-127, 127]
 // for weights AND activations, so negation never overflows and the dequant

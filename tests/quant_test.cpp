@@ -143,8 +143,9 @@ TEST(QuantizeValueTest, TiesAndClamping) {
 }
 
 /// Scaled floats at the rounding and saturation edges, each with its code.
-/// std::lround leaves values past `long` unspecified; x86-64 glibc returns
-/// LONG_MIN, which once mapped +inf, NaN and 1e30 to -127.
+/// std::lround's result is unspecified past `long` (x86-64 glibc returns
+/// LONG_MIN, which maps +inf, NaN and 1e30 to -127), so none of these may
+/// go through it.
 const std::vector<std::pair<float, int>>& edge_codes() {
   constexpr float kInf = std::numeric_limits<float>::infinity();
   constexpr float kDenorm = std::numeric_limits<float>::denorm_min();

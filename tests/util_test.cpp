@@ -245,10 +245,10 @@ TEST(Crc32Test, SensitiveToSingleBit) {
   EXPECT_NE(crc32(bytes), before);
 }
 
-// The bytewise table loop crc32 once ran, fed one byte at a time: after n
-// bytes, `finish()` is the CRC of those n bytes.
+// Reference: the bytewise table-driven CRC-32, fed one byte at a time, so
+// that after n bytes `finish()` is the CRC of those n bytes.
 struct BytewiseCrc32 {
-  std::uint32_t table[256];
+  std::uint32_t table[256] = {};
   std::uint32_t state = 0xFFFFFFFFu;
   BytewiseCrc32() {
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -303,8 +303,8 @@ TEST(KeystreamTest, DifferentKeysDifferentStreams) {
   EXPECT_NE(a, b);
 }
 
-// The bytewise loop keystream_xor once ran: one keystream word per 8 bytes,
-// byte b of a block XORed with bits 8b..8b+7.
+// Reference: the keystream applied one byte at a time, one keystream word
+// per 8 bytes, byte b of a block XORed with bits 8b..8b+7.
 void bytewise_keystream_xor(std::vector<std::uint8_t>& bytes,
                             std::uint64_t key) {
   Rng rng(key ^ 0xC0FFEE1234ABCDEFull);
