@@ -29,6 +29,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -183,6 +184,8 @@ inline BenchBaseline load_bench_metrics(const std::string& path) {
 /// applies when the baseline was recorded on matching hardware (same kernel
 /// and pool width) — on foreign hardware the diff is reported as
 /// informational so CI runners of a different shape cannot flap the gate.
+/// Baseline rows the run did not emit are listed as [missing] with a count,
+/// and not counted: a filtered run emits a subset on purpose.
 inline int diff_against_baseline(const std::vector<BenchMetric>& current,
                                  const std::string& path_in,
                                  double max_regress_pct) {
@@ -204,7 +207,9 @@ inline int diff_against_baseline(const std::vector<BenchMetric>& current,
               << ") — regressions reported but not enforced\n";
   }
   int regressions = 0;
+  std::set<std::string> emitted;
   for (const BenchMetric& m : current) {
+    emitted.insert(m.name);
     const auto it = baseline.metrics.find(m.name);
     if (it == baseline.metrics.end()) {
       std::cout << "  [new]     " << m.name << " = " << m.value << " " << m.unit
@@ -225,6 +230,14 @@ inline int diff_against_baseline(const std::vector<BenchMetric>& current,
       std::cout << "  [ok]      " << row.str() << "\n";
     }
   }
+  std::size_t missing = 0;
+  for (const auto& [name, b] : baseline.metrics) {
+    if (emitted.count(name) != 0) continue;
+    std::cout << "  [missing] " << name << " = " << b.value << "\n";
+    ++missing;
+  }
+  std::cout << "baseline rows not in this run: " << missing << " of "
+            << baseline.metrics.size() << " (reported, not gated)\n";
   return regressions;
 }
 

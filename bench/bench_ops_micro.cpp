@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: GEMM, conv
 // forward/backward, the direct conv and dense passes, max-pool, one
-// Algorithm 2 synthesis step, one int8 test replay, the two coverage passes,
-// and bitset set algebra.
+// Algorithm 2 synthesis step, one int8 test replay, the interval range pass,
+// the two coverage passes, and bitset set algebra.
 //
 // On top of google-benchmark's own flags (--benchmark_filter,
 // --benchmark_min_time, ...) this main speaks the repo's BENCH_*.json
@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/range_analysis.h"
 #include "bench/bench_json.h"
 #include "coverage/parameter_coverage.h"
 #include "nn/activation_layer.h"
@@ -273,33 +274,47 @@ void BM_MaxPoolForward(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxPoolForward);
 
+/// A random-weight model with mnist_tanh_tiny's geometry (cifar == false)
+/// or cifar_relu_tiny's, quantized on 32 random items.
+struct TinyGeometry {
+  nn::ConvNetSpec spec;
+  nn::Sequential model;
+  std::vector<Tensor> pool;
+  quant::QuantModel qm;
+};
+
+TinyGeometry tiny_geometry(bool cifar) {
+  TinyGeometry g;
+  g.spec.in_channels = cifar ? 3 : 1;
+  g.spec.in_height = g.spec.in_width = cifar ? 32 : 28;
+  g.spec.conv_channels = cifar ? std::vector<std::int64_t>{8, 8}
+                               : std::vector<std::int64_t>{6, 6};
+  g.spec.dense_units = {cifar ? 48 : 32};
+  g.spec.activation =
+      cifar ? nn::ActivationKind::kReLU : nn::ActivationKind::kTanh;
+  Rng rng(18);
+  g.model = nn::build_convnet(g.spec, rng);
+  const Shape item{g.spec.in_channels, g.spec.in_height, g.spec.in_width};
+  for (int i = 0; i < 32; ++i) {
+    g.pool.push_back(Tensor::rand_uniform(item, rng, 0.0f, 1.0f));
+  }
+  g.qm = quant::QuantModel::quantize(g.model, g.pool);
+  return g;
+}
+
 // One 24-test replay on the int8 engine, as a receipt's validate(), a served
 // tampered request and a fault-simulation row run it: a warmed
 // QuantModel::forward of 24 items. Arg 0 has mnist_tanh_tiny's geometry,
-// arg 1 cifar_relu_tiny's, with random weights, quantized on 32 random
-// items. Items are replayed tests; macs_per_s counts the conv and dense
-// multiply-accumulates.
+// arg 1 cifar_relu_tiny's (tiny_geometry). Items are replayed tests;
+// macs_per_s counts the conv and dense multiply-accumulates.
 void BM_QuantReplay(benchmark::State& state) {
-  const bool cifar = state.range(0) == 1;
-  nn::ConvNetSpec spec;
-  spec.in_channels = cifar ? 3 : 1;
-  spec.in_height = spec.in_width = cifar ? 32 : 28;
-  spec.conv_channels = cifar ? std::vector<std::int64_t>{8, 8}
-                             : std::vector<std::int64_t>{6, 6};
-  spec.dense_units = {cifar ? 48 : 32};
-  spec.activation =
-      cifar ? nn::ActivationKind::kReLU : nn::ActivationKind::kTanh;
-  Rng rng(18);
-  const nn::Sequential model = nn::build_convnet(spec, rng);
-  const Shape item{spec.in_channels, spec.in_height, spec.in_width};
-  std::vector<Tensor> pool;
-  for (int i = 0; i < 32; ++i) {
-    pool.push_back(Tensor::rand_uniform(item, rng, 0.0f, 1.0f));
-  }
-  quant::QuantModel qm = quant::QuantModel::quantize(model, pool);
+  TinyGeometry g = tiny_geometry(state.range(0) == 1);
+  const nn::ConvNetSpec& spec = g.spec;
+  const nn::Sequential& model = g.model;
+  quant::QuantModel& qm = g.qm;
   constexpr std::int64_t kTests = 24;
   const Tensor batch = stack_batch(
-      std::vector<Tensor>(pool.begin(), pool.begin() + kTests));
+      std::vector<Tensor>(g.pool.begin(), g.pool.begin() + kTests));
 
   std::int64_t macs = 0;  // per item
   Shape shape{1, spec.in_channels, spec.in_height, spec.in_width};
@@ -328,6 +343,27 @@ void BM_QuantReplay(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_QuantReplay)->Arg(0)->Arg(1);
+
+// The interval range pass that every receipt's load gate runs
+// (verify_deliverable -> verify_model -> analysis::analyze_ranges) on the
+// two tiny_geometry models. Items are weight taps: one pass bounds every
+// conv and dense weight once.
+void BM_IntervalRanges(benchmark::State& state) {
+  const TinyGeometry g = tiny_geometry(state.range(0) == 1);
+  std::int64_t taps = 0;
+  for (const quant::QLayer& q : g.qm.layers()) {
+    if (q.kind == quant::QLayerKind::kConv2d ||
+        q.kind == quant::QLayerKind::kDense) {
+      taps += quant::weight_channels(q) * quant::weight_fanin(q);
+    }
+  }
+  for (auto _ : state) {
+    const analysis::ModelRange range = analysis::analyze_ranges(g.qm);
+    benchmark::DoNotOptimize(range.layers.data());
+  }
+  state.SetItemsProcessed(state.iterations() * taps);
+}
+BENCHMARK(BM_IntervalRanges)->Arg(0)->Arg(1);
 
 // The mask pipeline: one batched forward + per-item sensitivity passes on a
 // shared workspace (batch 1 is ParameterCoverage::activation_mask).

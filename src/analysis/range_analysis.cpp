@@ -47,6 +47,78 @@ Interval clamp_domain(const Interval& d) {
                                quant::kQmax)};
 }
 
+/// Taps [begin, end) of a conv/dense row that all read one input entry, with
+/// that entry's tap_interval as ordered ends lo <= hi.
+struct TapRun {
+  std::int64_t begin = 0;
+  std::int64_t end = 0;
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+};
+
+/// Splits the fanin of conv/dense layer `q` into the runs of taps that
+/// tap_interval maps to one entry of `in`: every tap when there is one
+/// entry; otherwise `group` taps per entry (kernel * kernel for a conv,
+/// in_features / in.size() for a dense layer) with the last entry also
+/// taking the taps past the end, and every tap on entry 0 when the group is
+/// empty. With no entry at all, tap_interval's error surfaces at the first
+/// nonzero weight, where the tap-by-tap pass raised it.
+std::vector<TapRun> tap_runs(const quant::QLayer& q,
+                             const std::vector<Interval>& in) {
+  const std::int64_t fanin = quant::weight_fanin(q);
+  if (in.empty()) {
+    const auto taps = q.weights.begin() +
+                      static_cast<std::ptrdiff_t>(quant::weight_channels(q) *
+                                                  fanin);
+    const auto nonzero = std::find_if(q.weights.begin(), taps,
+                                      [](std::int8_t w) { return w != 0; });
+    if (nonzero != taps) tap_interval(q, in, 0);  // throws
+    return {};
+  }
+  const auto entries = static_cast<std::int64_t>(in.size());
+  std::int64_t group = fanin;
+  if (entries > 1) {
+    group = q.kind == quant::QLayerKind::kConv2d ? q.kernel * q.kernel
+                                                 : q.in_features / entries;
+  }
+  const std::int64_t count = group > 0 ? entries : 1;
+  std::vector<TapRun> runs;
+  std::int64_t begin = 0;
+  for (std::int64_t e = 0; e < count && begin < fanin; ++e) {
+    const std::int64_t end =
+        e + 1 == count ? fanin : std::min(fanin, begin + group);
+    const Interval x = tap_interval(q, in, begin);
+    runs.push_back({begin, end, std::min(x.lo, x.hi), std::max(x.lo, x.hi)});
+    begin = end;
+  }
+  return runs;
+}
+
+/// Sums of the positive and of the negative codes of w[0, count). Each chunk
+/// of at most 2^24 codes sums in int32 lanes, which vectorize on every
+/// x86-64 target (|sum| <= 128 * 2^24 = 2^31 cannot overflow), and widens.
+struct WeightSums {
+  std::int64_t pos = 0;
+  std::int64_t neg = 0;
+};
+
+WeightSums weight_sums(const std::int8_t* w, std::int64_t count) {
+  constexpr std::int64_t kChunk = std::int64_t{1} << 24;
+  WeightSums sums;
+  for (std::int64_t begin = 0; begin < count; begin += kChunk) {
+    const std::int64_t end = std::min(count, begin + kChunk);
+    std::int32_t pos = 0;
+    std::int32_t neg = 0;
+    for (std::int64_t i = begin; i < end; ++i) {
+      pos += std::max<std::int32_t>(w[i], 0);
+      neg += std::min<std::int32_t>(w[i], 0);
+    }
+    sums.pos += pos;
+    sums.neg += neg;
+  }
+  return sums;
+}
+
 }  // namespace
 
 const char* to_string(RangeDomain domain) {
@@ -145,18 +217,22 @@ ModelRange analyze_ranges(const quant::QuantModel& model,
         lr.acc.resize(nch);
         lr.overflow.assign(nch, 0);
         lr.out.resize(nch);
+        const std::vector<TapRun> runs = tap_runs(q, lr.in);
         for (std::int64_t c = 0; c < channels; ++c) {
           const std::size_t sc = static_cast<std::size_t>(c);
-          // Raw int32 gemm sum bounds on the exact int64 grid.
+          // Raw int32 gemm sum bounds on the exact int64 grid. Every tap of
+          // a run reads [lo, hi], so w * x ranges over [w lo, w hi] for
+          // w > 0 and [w hi, w lo] for w < 0: per run, the row's positive
+          // and negative code sums P and N bound the taps' sum by
+          // lo P + hi N and hi P + lo N.
+          const std::int8_t* row = q.weights.data() + c * fanin;
           std::int64_t lo = 0;
           std::int64_t hi = 0;
-          for (std::int64_t i = 0; i < fanin; ++i) {
-            const std::int64_t w =
-                q.weights[static_cast<std::size_t>(c * fanin + i)];
-            if (w == 0) continue;
-            const Interval x = tap_interval(q, lr.in, i);
-            lo += std::min(w * x.lo, w * x.hi);
-            hi += std::max(w * x.lo, w * x.hi);
+          for (const TapRun& run : runs) {
+            const WeightSums s = weight_sums(row + run.begin,
+                                             run.end - run.begin);
+            lo += run.lo * s.pos + run.hi * s.neg;
+            hi += run.hi * s.pos + run.lo * s.neg;
           }
           const std::int64_t bias =
               q.bias_i32.empty() ? 0 : q.bias_i32[sc];

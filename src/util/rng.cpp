@@ -51,7 +51,10 @@ std::uint64_t Rng::uniform_u64(std::uint64_t bound) {
 int Rng::uniform_int(int lo, int hi) {
   DNNV_CHECK(lo <= hi, "uniform_int requires lo <= hi, got " << lo << " > " << hi);
   const std::uint64_t span = static_cast<std::uint64_t>(hi) - lo + 1;
-  return lo + static_cast<int>(uniform_u64(span));
+  // A span past INT_MAX draws offsets no int holds: add in 64 bits; the sum
+  // lies in [lo, hi].
+  return static_cast<int>(static_cast<std::int64_t>(lo) +
+                          static_cast<std::int64_t>(uniform_u64(span)));
 }
 
 double Rng::uniform() {

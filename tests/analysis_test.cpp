@@ -1,6 +1,8 @@
 // src/analysis/ tests: interval range analysis soundness against traced
-// executions, the affine (zonotope) domain's enclosure-in-interval property,
-// the equal_on_interval / difference_hull step-function walks, static fault
+// executions and its exact equality with the tap-by-tap reference pass
+// (tests/analysis_reference.h), the affine (zonotope) domain's
+// enclosure-in-interval property, the equal_on_interval / difference_hull
+// step-function walks, static fault
 // testability — including the load-bearing contracts that every statically
 // untestable fault is undetected by exhaustive fault simulation, every
 // dominated fault's detection row contains its representative's on the full
@@ -12,7 +14,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,11 +41,21 @@
 #include "quant/quant_model.h"
 #include "quant/quantize.h"
 #include "tensor/batch.h"
+#include "tests/analysis_reference.h"
 #include "tests/test_nets.h"
 #include "util/error.h"
+#include "util/serialize.h"
 #include "validate/test_suite.h"
 
 namespace dnnv {
+
+namespace analysis {
+// gtest prints a mismatched interval as [lo, hi].
+void PrintTo(const Interval& x, std::ostream* os) {
+  *os << "[" << x.lo << ", " << x.hi << "]";
+}
+}  // namespace analysis
+
 namespace {
 
 exp::ZooOptions tiny_options() {
@@ -218,6 +232,227 @@ TEST(RangeAnalysisTest, HealthyModelsHaveNoOverflowCapableChannels) {
   const auto range = analysis::analyze_ranges(qmodel);
   EXPECT_EQ(range.overflow_channels, 0u);
   EXPECT_EQ(range.saturable_channels, 0u);
+}
+
+// ---------- the interval pass against the tap-by-tap reference ----------
+
+/// analyze_ranges(qmodel, options) equals reference::interval_ranges
+/// exactly: every layer's in/acc/overflow/out and the three counters.
+analysis::ModelRange expect_reference_ranges(
+    const quant::QuantModel& qmodel, const analysis::RangeOptions& options,
+    const std::string& tag) {
+  const analysis::ModelRange got = analysis::analyze_ranges(qmodel, options);
+  const analysis::ModelRange want =
+      analysis::reference::interval_ranges(qmodel, options);
+  EXPECT_EQ(got.layers.size(), want.layers.size()) << tag;
+  for (std::size_t li = 0;
+       li < std::min(got.layers.size(), want.layers.size()); ++li) {
+    const analysis::LayerRange& g = got.layers[li];
+    const analysis::LayerRange& w = want.layers[li];
+    EXPECT_EQ(g.kind, w.kind) << tag << " L" << li;
+    EXPECT_EQ(g.in, w.in) << tag << " L" << li;
+    EXPECT_EQ(g.acc, w.acc) << tag << " L" << li;
+    EXPECT_EQ(g.overflow, w.overflow) << tag << " L" << li;
+    EXPECT_EQ(g.out, w.out) << tag << " L" << li;
+  }
+  EXPECT_EQ(got.dead_channels, want.dead_channels) << tag;
+  EXPECT_EQ(got.overflow_channels, want.overflow_channels) << tag;
+  EXPECT_EQ(got.saturable_channels, want.saturable_channels) << tag;
+  return got;
+}
+
+/// One domain per input channel, each a different window of the code grid:
+/// some exclude 0 (so a padded first conv widens them), one is reversed
+/// (the pass reads it as the singleton {lo}).
+std::vector<analysis::Interval> per_channel_domains(std::size_t channels) {
+  const std::vector<analysis::Interval> windows = {
+      {-100, 50}, {20, 90}, {-60, -7}, {5, -40}, {-127, 127}, {0, 3}};
+  std::vector<analysis::Interval> domains;
+  for (std::size_t c = 0; c < channels; ++c) {
+    domains.push_back(windows[c % windows.size()]);
+  }
+  return domains;
+}
+
+std::size_t layer_index(const quant::QuantModel& qmodel,
+                        quant::QLayerKind kind, std::size_t nth = 0) {
+  for (std::size_t li = 0; li < qmodel.layers().size(); ++li) {
+    if (qmodel.layers()[li].kind == kind && nth-- == 0) return li;
+  }
+  ADD_FAILURE() << "no layer of that kind";
+  return 0;
+}
+
+TEST(RangeReferenceTest, ZooModelsMatchTapByTapReference) {
+  for (const bool use_cifar : {false, true}) {
+    const auto trained = use_cifar ? exp::cifar_relu(tiny_options())
+                                   : exp::mnist_tanh(tiny_options());
+    const auto pool = use_cifar ? exp::shapes_train(64) : exp::digits_train(64);
+    const auto qmodel = quant::QuantModel::quantize(trained.model, pool.images);
+    expect_reference_ranges(qmodel, {}, trained.name + " unconditional");
+
+    analysis::RangeOptions options;
+    options.input_domains = per_channel_domains(
+        static_cast<std::size_t>(trained.item_shape[0]));
+    expect_reference_ranges(qmodel, options, trained.name + " domains");
+
+    analysis::RangeOptions assumed;
+    assumed.assume_input_domain = true;
+    assumed.input_lo = 0.25f;
+    assumed.input_hi = 0.75f;
+    expect_reference_ranges(qmodel, assumed, trained.name + " assumed");
+  }
+}
+
+TEST(RangeReferenceTest, RandomConvNetsMatchTapByTapReference) {
+  for (const test_nets::RandomConvCase& c : test_nets::random_conv_cases()) {
+    const nn::Sequential model = c.model();
+    const auto pool = c.probes();
+    for (const quant::Granularity granularity :
+         {quant::Granularity::kPerTensor, quant::Granularity::kPerChannel}) {
+      quant::QuantConfig config;
+      config.weight_granularity = granularity;
+      const auto qmodel = quant::QuantModel::quantize(model, pool, config);
+      const std::string tag =
+          std::string(c.name) +
+          (granularity == quant::Granularity::kPerTensor ? " per-tensor"
+                                                         : " per-channel");
+      expect_reference_ranges(qmodel, {}, tag);
+      analysis::RangeOptions options;
+      options.input_domains =
+          per_channel_domains(static_cast<std::size_t>(c.c));
+      expect_reference_ranges(qmodel, options, tag + " domains");
+    }
+  }
+}
+
+TEST(RangeReferenceTest, DenseTapMappingEdges) {
+  // A dense front reads the per-channel input domains directly, so their
+  // count sets in.size() against in_features = 6: 4 and 5 domains leave a
+  // tail that clamps onto the last entry, 8 domains outnumber the features
+  // (every tap reads entry 0).
+  const auto qmodel = small_qmodel();
+  const std::size_t dense = layer_index(qmodel, quant::QLayerKind::kDense);
+  ASSERT_EQ(qmodel.layers()[dense].in_features, 6);
+  for (const std::size_t count : {1u, 2u, 4u, 5u, 6u, 8u}) {
+    analysis::RangeOptions options;
+    options.input_domains = per_channel_domains(count);
+    const auto range = expect_reference_ranges(
+        qmodel, options, std::to_string(count) + " domains");
+    ASSERT_EQ(range.layers[dense].in.size(), count);
+  }
+}
+
+TEST(RangeReferenceTest, ZeroRowsWideLayersAndReversedEntries) {
+  // An all-zero weight row: its accumulator is exactly its bias.
+  {
+    auto qmodel = small_qmodel();
+    const std::size_t dense = layer_index(qmodel, quant::QLayerKind::kDense);
+    const std::int64_t fanin = quant::weight_fanin(qmodel.layers()[dense]);
+    for (std::int64_t i = 0; i < fanin; ++i) {
+      qmodel.poke_code(dense, false, 2 * fanin + i, 0);
+    }
+    const auto range = expect_reference_ranges(qmodel, {}, "zero row");
+    const std::int64_t bias = qmodel.layers()[dense].bias_i32[2];
+    EXPECT_EQ(range.layers[dense].acc[2], (analysis::Interval{bias, bias}));
+  }
+
+  // A 140,000-tap dense layer: the all-ones row (codes 127) can wrap the
+  // int32 accumulator, the row with 100 ones cannot.
+  {
+    constexpr std::int64_t kWide = 140000;
+    Rng rng(9);
+    nn::Sequential net;
+    net.add(std::make_unique<nn::Dense>(kWide, 2, rng));
+    nn::ParamView weights = net.param_views()[0];
+    for (std::int64_t i = 0; i < kWide; ++i) {
+      weights.data[i] = 1.0f;
+      weights.data[kWide + i] = i < 100 ? -1.0f : 0.0f;
+    }
+    const auto qmodel = quant::QuantModel::quantize(
+        net, test_nets::probe_pool(2, Shape{kWide}));
+    const auto range = expect_reference_ranges(qmodel, {}, "wide");
+    const auto& acc = range.layers[1];
+    EXPECT_EQ(acc.overflow, (std::vector<std::uint8_t>{1, 0}));
+    EXPECT_EQ(range.overflow_channels, 1u);
+    EXPECT_EQ(acc.acc[1].hi - acc.acc[1].lo, 2 * 100 * 127 * 127);
+  }
+
+  // Negative requant multipliers turn channel intervals around (lo > hi):
+  // conv1's channel 0 feeds the padded conv2 (which widens it with the
+  // padding 0), conv2's channel 1 passes the pool into the unpadded 1x1
+  // conv3, and conv3's output reaches the dense layer.
+  {
+    Rng rng(12);
+    nn::Sequential net;
+    net.add(std::make_unique<nn::Conv2d>(nn::Conv2d::Config{2, 3, 3, 1, 0},
+                                         rng));
+    net.add(std::make_unique<nn::Conv2d>(nn::Conv2d::Config{3, 2, 3, 1, 1},
+                                         rng));
+    net.add(std::make_unique<nn::MaxPool2d>(2, 2));
+    net.add(std::make_unique<nn::Conv2d>(nn::Conv2d::Config{2, 2, 1, 1, 0},
+                                         rng));
+    net.add(std::make_unique<nn::Flatten>());
+    net.add(std::make_unique<nn::Dense>(2 * 4 * 4, 3, rng));
+    const auto pool = test_nets::probe_pool(16, Shape{2, 10, 10});
+    for (const quant::Granularity granularity :
+         {quant::Granularity::kPerTensor, quant::Granularity::kPerChannel}) {
+      quant::QuantConfig config;
+      config.weight_granularity = granularity;
+      auto qmodel = quant::QuantModel::quantize(net, pool, config);
+      const std::size_t conv1 = layer_index(qmodel, quant::QLayerKind::kConv2d);
+      const std::size_t conv2 =
+          layer_index(qmodel, quant::QLayerKind::kConv2d, 1);
+      const std::size_t conv3 =
+          layer_index(qmodel, quant::QLayerKind::kConv2d, 2);
+      qmodel.set_requant_multiplier(conv1, 0, -(1 << 30));
+      qmodel.set_requant_multiplier(conv2, 1, -(1 << 30));
+      qmodel.set_requant_multiplier(conv3, 0, -(1 << 30));
+      const auto range = expect_reference_ranges(
+          qmodel, {},
+          granularity == quant::Granularity::kPerTensor ? "reversed pt"
+                                                        : "reversed pc");
+      for (const std::size_t li : {conv2, conv3}) {
+        const auto& in = range.layers[li].in;
+        EXPECT_TRUE(std::any_of(in.begin(), in.end(),
+                                [](const analysis::Interval& x) {
+                                  return x.lo > x.hi;
+                                }))
+            << "L" << li << " reads no reversed entry";
+      }
+    }
+  }
+}
+
+TEST(RangeReferenceTest, LayerWithoutInputStateThrowsOnItsFirstWeight) {
+  // A stream whose first layer is the dense layer (no quantize stage before
+  // it): the pass has no interval for its taps.
+  const auto qmodel = small_qmodel();
+  ByteWriter writer;
+  qmodel.save(writer);
+  // Header fields before the layer count, then the quantize record: kind,
+  // name, two scales, mean and norm scale.
+  constexpr std::size_t kHeader = 4 + 4 + 1 + 1 + 8 + 8 + 1;
+  ByteReader probe(writer.bytes());
+  probe.read_bytes(kHeader);
+  const std::uint64_t count = probe.read_u64();
+  ASSERT_EQ(probe.read_u8(),
+            static_cast<std::uint8_t>(quant::QLayerKind::kQuantize));
+  probe.read_string();
+  for (int f = 0; f < 4; ++f) probe.read_f32();
+  const auto quantize_end = static_cast<std::ptrdiff_t>(
+      writer.bytes().size() - probe.remaining());
+  ByteWriter forged;
+  forged.write_bytes(writer.bytes().data(), kHeader);
+  forged.write_u64(count - 1);
+  forged.write_bytes(writer.bytes().data() + quantize_end,
+                     writer.bytes().size() -
+                         static_cast<std::size_t>(quantize_end));
+  ByteReader reader(forged.take());
+  const auto headless = quant::QuantModel::load(reader);
+  ASSERT_EQ(headless.layers().front().kind, quant::QLayerKind::kDense);
+  EXPECT_THROW(analysis::analyze_ranges(headless), Error);
+  EXPECT_THROW(analysis::reference::interval_ranges(headless), Error);
 }
 
 // ---------- static testability ----------

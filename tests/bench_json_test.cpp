@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -109,6 +111,40 @@ TEST(BenchJsonTest, GateDirectionFollowsHigherIsBetter) {
       {"beta_latency_s", 1.0, "s", false},
       {"gamma_new_metric", 1.0, "x", true}};
   EXPECT_EQ(bench::diff_against_baseline(regressed, path, 5.0), 2);
+  std::filesystem::remove(path);
+}
+
+TEST(BenchJsonTest, BaselineRowsMissingFromTheRunAreListed) {
+  const auto path = temp_path("dnnv_bench_missing.json");
+  bench::write_bench_json(path, "missing", {},
+                          {{"alpha_gops", 4.0, "gops", true},
+                           {"beta_latency_s", 0.5, "s", false},
+                           {"delta_rows", 7.0, "count", true}});
+
+  // A filtered run emits only alpha: beta and delta are listed and counted,
+  // and the return value still counts regressions only.
+  std::ostringstream captured;
+  std::streambuf* const saved = std::cout.rdbuf(captured.rdbuf());
+  const int subset = bench::diff_against_baseline(
+      {{"alpha_gops", 4.0, "gops", true}}, path, 5.0);
+  const int complete = bench::diff_against_baseline(sample_metrics(), path, 5.0);
+  std::cout.rdbuf(saved);
+  EXPECT_EQ(subset, 0);
+  EXPECT_EQ(complete, 0);
+
+  const std::string out = captured.str();
+  EXPECT_NE(out.find("  [missing] beta_latency_s = 0.5\n"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("  [missing] delta_rows = 7\n"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("[missing] alpha_gops"), std::string::npos) << out;
+  const std::string first_count =
+      "baseline rows not in this run: 2 of 3 (reported, not gated)\n";
+  const std::string second_count =
+      "baseline rows not in this run: 1 of 3 (reported, not gated)\n";
+  ASSERT_NE(out.find(first_count), std::string::npos) << out;
+  EXPECT_NE(out.find(second_count, out.find(first_count)), std::string::npos)
+      << out;
   std::filesystem::remove(path);
 }
 

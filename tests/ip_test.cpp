@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <vector>
 
 #include "ip/fault_injector.h"
 #include "ip/quantized_ip.h"
@@ -186,6 +188,55 @@ TEST(QuantizedIpTest, AddressValidation) {
   EXPECT_THROW(ip.read_byte(ip.memory_size()), Error);
   EXPECT_THROW(ip.flip_bit(0, 8), Error);
   EXPECT_THROW(ip.write_byte(ip.memory_size(), 0), Error);
+}
+
+TEST(QuantizedIpTest, ShippedArtifactMatchesPerElementDefinition) {
+  // The shipped-artifact constructor copies each tensor's codes into the
+  // weight memory in bulk and snapshots every channel block with its one
+  // scale. Per element: byte `a` is code i of its view, the table mirrors
+  // the views, the snapshot reads error 0 (every value it holds is its
+  // code's scale_c * code), and after a bit flip the error is that byte's
+  // own scale * |new - old|.
+  const Sequential model = trained_net();
+  const auto pool = probe_inputs(32, 21);
+  for (const auto granularity :
+       {quant::Granularity::kPerChannel, quant::Granularity::kPerTensor}) {
+    quant::QuantConfig config;
+    config.weight_granularity = granularity;
+    quant::QuantModel shipped = quant::QuantModel::quantize(model, pool, config);
+    QuantizedIp ip(shipped, Shape{6});
+    const std::vector<quant::QTensorView> views = shipped.param_views();
+    ASSERT_EQ(ip.tensor_table().size(), views.size());
+    std::size_t address = 0;
+    for (std::size_t v = 0; v < views.size(); ++v) {
+      const QuantTensorInfo& info = ip.tensor_table()[v];
+      const quant::QTensorView& view = views[v];
+      EXPECT_EQ(info.memory_offset, address) << view.name;
+      EXPECT_EQ(info.size, view.size) << view.name;
+      EXPECT_EQ(info.per_channel, view.per_channel) << view.name;
+      EXPECT_EQ(info.channel_scales, view.scales) << view.name;
+      EXPECT_EQ(info.scale,
+                *std::max_element(view.scales.begin(), view.scales.end()));
+      for (std::int64_t i = 0; i < view.size; ++i, ++address) {
+        ASSERT_EQ(ip.read_byte(address), static_cast<std::uint8_t>(view.codes[i]))
+            << view.name << "[" << i << "]";
+      }
+    }
+    EXPECT_EQ(address, ip.memory_size());
+    EXPECT_EQ(ip.max_quantization_error(), 0.0f);
+
+    // A code in the last channel block of the first weight tensor.
+    const QuantTensorInfo& first = ip.tensor_table().front();
+    const std::int64_t i = first.size - 2;
+    const std::size_t a = first.memory_offset + static_cast<std::size_t>(i);
+    const float scale =
+        first.channel_scales[static_cast<std::size_t>(i / first.per_channel)];
+    const auto before = static_cast<std::int8_t>(ip.read_byte(a));
+    ip.flip_bit(a, 6);
+    const auto after = static_cast<std::int8_t>(ip.read_byte(a));
+    EXPECT_FLOAT_EQ(ip.max_quantization_error(),
+                    scale * static_cast<float>(std::abs(after - before)));
+  }
 }
 
 // ---------- FaultInjector ----------

@@ -6,6 +6,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/bitset.h"
 #include "util/cli.h"
@@ -60,6 +61,57 @@ TEST(RngTest, UniformIntCoversRangeInclusively) {
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 5u);
+}
+
+TEST(RngTest, UniformIntFullRangeStaysInRange) {
+  // The span 2^32 exceeds INT_MAX: the offset must not be added as an int.
+  Rng rng(17);
+  constexpr int kMin = std::numeric_limits<int>::min();
+  constexpr int kMax = std::numeric_limits<int>::max();
+  int negative = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const int v = rng.uniform_int(kMin, kMax);
+    EXPECT_GE(v, kMin);
+    EXPECT_LE(v, kMax);
+    negative += v < 0;
+  }
+  EXPECT_GT(negative, 1800);
+  EXPECT_LT(negative, 2200);
+}
+
+TEST(RngTest, UniformIntSingletonSpansAtTheExtremes) {
+  Rng rng(19);
+  constexpr int kMin = std::numeric_limits<int>::min();
+  constexpr int kMax = std::numeric_limits<int>::max();
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(rng.uniform_int(kMin, kMin), kMin);
+    EXPECT_EQ(rng.uniform_int(kMax, kMax), kMax);
+  }
+}
+
+TEST(RngTest, UniformIntSmallSpanSequenceIsUnchanged) {
+  // Draws recorded before the 64-bit offset: every span <= INT_MAX must
+  // keep its values, so no seeded pool, zoo file or suite moves.
+  Rng rng(2024);
+  std::vector<int> small;
+  for (int i = 0; i < 12; ++i) small.push_back(rng.uniform_int(-5, 9));
+  EXPECT_EQ(small, (std::vector<int>{8, -2, 6, 6, -2, 2, 7, -4, 5, -1, -4, 1}));
+  std::vector<int> low;
+  for (int i = 0; i < 8; ++i) {
+    low.push_back(rng.uniform_int(std::numeric_limits<int>::min(),
+                                  std::numeric_limits<int>::min() + 6));
+  }
+  EXPECT_EQ(low, (std::vector<int>{-2147483647, -2147483645, -2147483643,
+                                   -2147483645, -2147483647 - 1, -2147483644,
+                                   -2147483644, -2147483645}));
+  std::vector<int> high;
+  for (int i = 0; i < 8; ++i) {
+    high.push_back(rng.uniform_int(std::numeric_limits<int>::max() - 1000,
+                                   std::numeric_limits<int>::max()));
+  }
+  EXPECT_EQ(high, (std::vector<int>{2147483456, 2147483285, 2147482951,
+                                    2147483437, 2147483429, 2147482817,
+                                    2147483465, 2147483312}));
 }
 
 TEST(RngTest, UniformU64RespectsBound) {
