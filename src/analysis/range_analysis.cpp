@@ -47,13 +47,12 @@ Interval clamp_domain(const Interval& d) {
                                quant::kQmax)};
 }
 
-/// Taps [begin, end) of a conv/dense row that all read one input entry, with
-/// that entry's tap_interval as ordered ends lo <= hi.
+/// Taps [begin, end) of a conv/dense row that all read one input entry, and
+/// that entry's tap_interval with its ends in order (x.lo <= x.hi).
 struct TapRun {
   std::int64_t begin = 0;
   std::int64_t end = 0;
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
+  Interval x;
 };
 
 /// Splits the fanin of conv/dense layer `q` into the runs of taps that
@@ -88,35 +87,35 @@ std::vector<TapRun> tap_runs(const quant::QLayer& q,
     const std::int64_t end =
         e + 1 == count ? fanin : std::min(fanin, begin + group);
     const Interval x = tap_interval(q, in, begin);
-    runs.push_back({begin, end, std::min(x.lo, x.hi), std::max(x.lo, x.hi)});
+    runs.push_back({begin, end,
+                    Interval{std::min(x.lo, x.hi), std::max(x.lo, x.hi)}});
     begin = end;
   }
   return runs;
 }
 
-/// Sums of the positive and of the negative codes of w[0, count). Each chunk
-/// of at most 2^24 codes sums in int32 lanes, which vectorize on every
-/// x86-64 target (|sum| <= 128 * 2^24 = 2^31 cannot overflow), and widens.
-struct WeightSums {
+/// Bounds of the sum over the run's taps of w[i] * x, x in run.x, for the
+/// weight row `w`: x.lo P + x.hi N and x.hi P + x.lo N, where P and N sum
+/// the row's positive and negative codes over the run. Each chunk of at
+/// most 2^24 codes sums in int32 lanes, which vectorize on every x86-64
+/// target (|sum| <= 128 * 2^24 = 2^31 cannot overflow), then widens.
+Interval run_bounds(const std::int8_t* w, const TapRun& run) {
+  constexpr std::int64_t kChunk = std::int64_t{1} << 24;
   std::int64_t pos = 0;
   std::int64_t neg = 0;
-};
-
-WeightSums weight_sums(const std::int8_t* w, std::int64_t count) {
-  constexpr std::int64_t kChunk = std::int64_t{1} << 24;
-  WeightSums sums;
-  for (std::int64_t begin = 0; begin < count; begin += kChunk) {
-    const std::int64_t end = std::min(count, begin + kChunk);
-    std::int32_t pos = 0;
-    std::int32_t neg = 0;
+  for (std::int64_t begin = run.begin; begin < run.end; begin += kChunk) {
+    const std::int64_t end = std::min(run.end, begin + kChunk);
+    std::int32_t chunk_pos = 0;
+    std::int32_t chunk_neg = 0;
     for (std::int64_t i = begin; i < end; ++i) {
-      pos += std::max<std::int32_t>(w[i], 0);
-      neg += std::min<std::int32_t>(w[i], 0);
+      chunk_pos += std::max<std::int32_t>(w[i], 0);
+      chunk_neg += std::min<std::int32_t>(w[i], 0);
     }
-    sums.pos += pos;
-    sums.neg += neg;
+    pos += chunk_pos;
+    neg += chunk_neg;
   }
-  return sums;
+  return Interval{run.x.lo * pos + run.x.hi * neg,
+                  run.x.hi * pos + run.x.lo * neg};
 }
 
 }  // namespace
@@ -220,19 +219,14 @@ ModelRange analyze_ranges(const quant::QuantModel& model,
         const std::vector<TapRun> runs = tap_runs(q, lr.in);
         for (std::int64_t c = 0; c < channels; ++c) {
           const std::size_t sc = static_cast<std::size_t>(c);
-          // Raw int32 gemm sum bounds on the exact int64 grid. Every tap of
-          // a run reads [lo, hi], so w * x ranges over [w lo, w hi] for
-          // w > 0 and [w hi, w lo] for w < 0: per run, the row's positive
-          // and negative code sums P and N bound the taps' sum by
-          // lo P + hi N and hi P + lo N.
+          // Raw int32 gemm sum bounds on the exact int64 grid.
           const std::int8_t* row = q.weights.data() + c * fanin;
           std::int64_t lo = 0;
           std::int64_t hi = 0;
           for (const TapRun& run : runs) {
-            const WeightSums s = weight_sums(row + run.begin,
-                                             run.end - run.begin);
-            lo += run.lo * s.pos + run.hi * s.neg;
-            hi += run.hi * s.pos + run.lo * s.neg;
+            const Interval sum = run_bounds(row, run);
+            lo += sum.lo;
+            hi += sum.hi;
           }
           const std::int64_t bias =
               q.bias_i32.empty() ? 0 : q.bias_i32[sc];

@@ -115,13 +115,21 @@ struct ModelRange {
   std::size_t saturable_channels = 0; ///< biased accumulator can hit sat_add's clamp
 };
 
-/// Runs the interval pass over `model`. Deterministic; O(total weights).
+/// Runs the interval pass over `model`. Deterministic and exact in
+/// integers. Every tap of a conv/dense layer that reads one `in` entry reads
+/// the same interval [a, b] (tap_interval, ends in order), so a channel's
+/// raw-sum bounds are the sums over entries of a P + b N and b P + a N,
+/// where P and N are the channel's positive and negative weight sums over
+/// that entry's taps: one vectorized int8 reduction per weight row and no
+/// per-tap lookup, equal to bounding each tap on its own
+/// (tests/analysis_reference.h).
 ModelRange analyze_ranges(const quant::QuantModel& model,
                           const RangeOptions& options = {});
 
 /// The code interval feeding tap `tap` (flat fanin index) of conv/dense
 /// layer `q`, given the layer's `in` vector. Conv taps are widened to
-/// include 0 when the layer pads (padding reads code 0).
+/// include 0 when the layer pads (padding reads code 0). Throws when `in`
+/// is empty (the layer has no input state).
 Interval tap_interval(const quant::QLayer& q, const std::vector<Interval>& in,
                       std::int64_t tap);
 

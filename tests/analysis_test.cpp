@@ -424,7 +424,7 @@ TEST(RangeReferenceTest, ZeroRowsWideLayersAndReversedEntries) {
   }
 }
 
-TEST(RangeReferenceTest, LayerWithoutInputStateThrowsOnItsFirstWeight) {
+TEST(RangeReferenceTest, LayerWithoutInputStateThrowsOnANonzeroWeight) {
   // A stream whose first layer is the dense layer (no quantize stage before
   // it): the pass has no interval for its taps.
   const auto qmodel = small_qmodel();
@@ -449,10 +449,21 @@ TEST(RangeReferenceTest, LayerWithoutInputStateThrowsOnItsFirstWeight) {
                      writer.bytes().size() -
                          static_cast<std::size_t>(quantize_end));
   ByteReader reader(forged.take());
-  const auto headless = quant::QuantModel::load(reader);
+  auto headless = quant::QuantModel::load(reader);
   ASSERT_EQ(headless.layers().front().kind, quant::QLayerKind::kDense);
   EXPECT_THROW(analysis::analyze_ranges(headless), Error);
   EXPECT_THROW(analysis::reference::interval_ranges(headless), Error);
+
+  // With every weight of that layer zero, no tap reads the missing state:
+  // both passes bound it by its bias alone.
+  const auto weights =
+      static_cast<std::int64_t>(headless.layers().front().weights.size());
+  for (std::int64_t i = 0; i < weights; ++i) {
+    headless.poke_code(0, false, i, 0);
+  }
+  const auto range = expect_reference_ranges(headless, {}, "headless zero");
+  const std::int64_t bias = headless.layers().front().bias_i32[0];
+  EXPECT_EQ(range.layers[0].acc[0], (analysis::Interval{bias, bias}));
 }
 
 // ---------- static testability ----------
