@@ -274,6 +274,7 @@ std::vector<analysis::Interval> per_channel_domains(std::size_t channels) {
   return domains;
 }
 
+/// Index of the `nth` layer of `kind` in `qmodel` (0 = the first).
 std::size_t layer_index(const quant::QuantModel& qmodel,
                         quant::QLayerKind kind, std::size_t nth = 0) {
   for (std::size_t li = 0; li < qmodel.layers().size(); ++li) {
