@@ -3,10 +3,12 @@
 // Scenario: N end users concurrently qualify the same shipped deliverables
 // (paper §V's deployment story at fleet scale). Baseline: N independent
 // one-shot UserValidator::validate() calls, run back to back — each rebuilds
-// the deployed device and replays the full suite alone. Service: N
-// concurrent sessions over one ValidationService — shared decoded bundles,
-// pooled devices, and cross-session micro-batches that apply each test
-// pattern once per deliverable+backend.
+// the deployed device and replays the full suite alone, as one batched
+// forward on the calling thread (validate::validate_ip; no service,
+// scheduler thread or session). Service: N concurrent sessions over one
+// ValidationService — shared decoded bundles, pooled devices, and
+// cross-session micro-batches that apply each test pattern once per
+// deliverable+backend.
 //
 //   bench_service_throughput [--sessions 16] [--tests 50] [--tiny]
 //                            [--backend int8] [--min-speedup 0] [--quick]
@@ -15,7 +17,10 @@
 //
 // Prints per-model wall-clock for both paths, the aggregate speedup (the
 // acceptance bar is >= 3x at 16 sessions), per-session latency percentiles,
-// and the scheduler's sharing counters. Exits non-zero when --min-speedup
+// and the scheduler's sharing counters. The speedup is a ratio over the
+// sequential side, so a cheaper receipt lowers it while the service's own
+// time stays put: read the *_speedup rows together with the absolute
+// *_sequential_s and *_service_s rows. Exits non-zero when --min-speedup
 // is set and not met, when any verdict is not SECURE, or when --baseline
 // finds a hardware-matched metric regressed by more than --max-regress %.
 // --quick shrinks to tiny zoo models for CI smoke runs; --json writes the

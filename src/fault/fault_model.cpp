@@ -135,50 +135,6 @@ std::size_t FaultLayout::flat_address(const Fault& fault) const {
   DNNV_THROW(fault.describe() << ": no such parameter tensor");
 }
 
-Fault FaultLayout::from_memory_fault(const ip::MemoryFault& fault) const {
-  Fault f;
-  switch (fault.kind) {
-    case ip::MemoryFault::Kind::kBitFlip: f.kind = FaultKind::kBitFlip; break;
-    case ip::MemoryFault::Kind::kStuckAt0: f.kind = FaultKind::kStuckAt0; break;
-    case ip::MemoryFault::Kind::kStuckAt1: f.kind = FaultKind::kStuckAt1; break;
-    case ip::MemoryFault::Kind::kByteWrite:
-      f.kind = FaultKind::kByteWrite;
-      break;
-  }
-  f.bit = static_cast<std::uint8_t>(fault.bit);
-  f.value = fault.value;
-  for (const Span& span : spans_) {
-    if (fault.address >= span.base &&
-        fault.address < span.base + static_cast<std::size_t>(span.size)) {
-      f.layer = span.layer;
-      f.is_bias = span.is_bias ? 1 : 0;
-      f.unit = static_cast<std::int64_t>(fault.address - span.base);
-      return f;
-    }
-  }
-  DNNV_THROW("memory fault address " << fault.address
-                                     << " outside the weight memory ("
-                                     << total_ << " bytes)");
-}
-
-ip::MemoryFault FaultLayout::to_memory_fault(const Fault& fault) const {
-  ip::MemoryFault m;
-  switch (fault.kind) {
-    case FaultKind::kBitFlip: m.kind = ip::MemoryFault::Kind::kBitFlip; break;
-    case FaultKind::kStuckAt0: m.kind = ip::MemoryFault::Kind::kStuckAt0; break;
-    case FaultKind::kStuckAt1: m.kind = ip::MemoryFault::Kind::kStuckAt1; break;
-    case FaultKind::kByteWrite:
-      m.kind = ip::MemoryFault::Kind::kByteWrite;
-      break;
-    default:
-      DNNV_THROW(fault.describe() << " is not a memory-expressible fault");
-  }
-  m.address = flat_address(fault);
-  m.bit = fault.bit;
-  m.value = fault.value;
-  return m;
-}
-
 void UniverseConfig::save(ByteWriter& writer) const {
   writer.write_u8(weight_stuck_at ? 1 : 0);
   writer.write_u8(bias_stuck_at ? 1 : 0);

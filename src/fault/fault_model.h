@@ -4,11 +4,11 @@
 // module makes the fault side of that contract enumerable. A Fault is a
 // structural defect of the executed QuantModel — stuck-at-0/1 on weight and
 // bias code bits, per-channel requant-multiplier corruption, accumulator
-// stuck-at in the MAC epilogue — plus an adapter for today's memory-level
-// ip::MemoryFault kinds. Universes are generated deterministically from a
-// QuantModel (same model + config => same fault list, same ids), serialize
-// into the Deliverable manifest, and are scored wholesale by
-// fault::FaultSimulator.
+// stuck-at in the MAC epilogue — plus bit-flip and byte-write code faults,
+// the byte faults an ip::QuantizedIp weight memory can take. Universes are
+// generated deterministically from a QuantModel (same model + config =>
+// same fault list, same ids), serialize into the Deliverable manifest, and
+// are scored wholesale by fault::FaultSimulator.
 #ifndef DNNV_FAULT_FAULT_MODEL_H_
 #define DNNV_FAULT_FAULT_MODEL_H_
 
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "ip/fault_injector.h"
 #include "quant/quant_model.h"
 #include "util/serialize.h"
 
@@ -36,7 +35,7 @@ enum class FaultKind : std::uint8_t {
 const char* to_string(FaultKind kind);
 
 /// True for the kinds expressible as a byte fault in QuantizedIp weight
-/// memory (and hence through ip::FaultInjector).
+/// memory (at FaultLayout::flat_address, byte value from faulted_code).
 bool is_code_fault(FaultKind kind);
 
 /// One structural fault, located by (layer, tensor, unit, bit).
@@ -76,12 +75,6 @@ class FaultLayout {
 
   /// Flat byte address of a code fault's target.
   std::size_t flat_address(const Fault& fault) const;
-
-  /// Structural view of a memory-level fault (the ip::MemoryFault adapter).
-  Fault from_memory_fault(const ip::MemoryFault& fault) const;
-
-  /// Memory-level form of a code fault (for ip::FaultInjector campaigns).
-  ip::MemoryFault to_memory_fault(const Fault& fault) const;
 
  private:
   struct Span {

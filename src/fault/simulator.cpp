@@ -160,7 +160,6 @@ SimResult FaultSimulator::run_sequential(const FaultUniverse& universe,
   if (full) result.rows.assign(universe.size(), DynamicBitset());
 
   ip::QuantizedIp device(clean_, item_shape_);
-  ip::FaultInjector injector(device);
   const FaultLayout layout(clean_);
   result.clean_labels = device.predict_all(inputs_);
   const Tensor batch = stack_batch(inputs_);
@@ -171,10 +170,12 @@ SimResult FaultSimulator::run_sequential(const FaultUniverse& universe,
     if (is_code_fault(f.kind)) {
       // The historical loop: byte fault into the weight memory, full
       // derived-state rebuild inside predict_all, revert.
-      const std::vector<ip::MemoryFault> injected =
-          injector.inject_all({layout.to_memory_fault(f)});
+      const std::size_t address = layout.flat_address(f);
+      const std::uint8_t clean_byte = device.read_byte(address);
+      device.write_byte(address, static_cast<std::uint8_t>(faulted_code(
+                                     static_cast<std::int8_t>(clean_byte), f)));
       labels = device.predict_all(inputs_);
-      injector.revert_all(injected);
+      device.write_byte(address, clean_byte);
     } else {
       // Requant/accumulator faults have no byte representation; the
       // reference is a full forward on an independently faulted copy.

@@ -2,9 +2,10 @@
 // FaultUniverse in sweeps.
 //
 // The sequential reference (run_sequential) is the literal historical loop:
-// one ip::QuantizedIp, inject a fault into its weight memory through
-// ip::FaultInjector, predict_all (which rebuilds ALL derived execution
-// state), revert, repeat — O(model) per fault before any inference runs.
+// one ip::QuantizedIp, write a fault's byte into its weight memory
+// (QuantizedIp::write_byte at FaultLayout::flat_address), predict_all
+// (which rebuilds ALL derived execution state), write the old byte back,
+// repeat — O(model) per fault before any inference runs.
 //
 // run_batched produces the bit-identical fault×test detection matrix
 // event-style: ONE clean traced forward per test batch on the nn::Workspace

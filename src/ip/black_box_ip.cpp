@@ -1,68 +1,11 @@
 #include "ip/black_box_ip.h"
 
-#include <algorithm>
-
-#include "ip/device_pool.h"
-#include "util/thread_pool.h"
-
 namespace dnnv::ip {
-namespace {
-
-/// Below this many inputs per worker a clone costs more than it earns.
-constexpr std::size_t kMinInputsPerWorker = 4;
-
-}  // namespace
-
-BlackBoxIp::BlackBoxIp() = default;
-BlackBoxIp::~BlackBoxIp() = default;
-
-DevicePool& BlackBoxIp::replica_pool() {
-  if (replicas_ == nullptr) {
-    replicas_ = std::make_unique<DevicePool>([this] { return clone_ip(); });
-  }
-  return *replicas_;
-}
-
-void BlackBoxIp::invalidate_replicas() {
-  if (replicas_ != nullptr) replicas_->invalidate();
-}
 
 std::vector<int> BlackBoxIp::predict_all(const std::vector<Tensor>& inputs) {
-  std::vector<int> labels(inputs.size(), -1);
-  ThreadPool& pool = ThreadPool::shared();
-  const std::size_t num_workers =
-      std::min(pool.num_threads(), inputs.size() / kMinInputsPerWorker);
-  if (num_workers >= 2 && !ThreadPool::in_worker()) {
-    // Per-worker replica leases over contiguous chunks: deterministic (each
-    // index is predicted exactly once, order preserved) and safe for
-    // stateful predict() implementations. Leases come from the pooled
-    // replica cache, so back-to-back replays reuse the same clones instead
-    // of rebuilding them per call.
-    std::vector<DevicePool::Lease> replicas;
-    replicas.reserve(num_workers);
-    while (replicas.size() < num_workers) {
-      auto lease = replica_pool().acquire();
-      if (!lease) break;  // backend not cloneable -> serial
-      replicas.push_back(std::move(lease));
-    }
-    if (replicas.size() == num_workers) {
-      const std::size_t chunk =
-          (inputs.size() + num_workers - 1) / num_workers;
-      TaskGroup group(pool);
-      for (std::size_t w = 0; w < num_workers; ++w) {
-        group.run([&, w] {
-          const std::size_t begin = w * chunk;
-          const std::size_t end = std::min(inputs.size(), begin + chunk);
-          for (std::size_t i = begin; i < end; ++i) {
-            labels[i] = replicas[w]->predict(inputs[i]);
-          }
-        });
-      }
-      group.wait();
-      return labels;
-    }
-  }
-  for (std::size_t i = 0; i < inputs.size(); ++i) labels[i] = predict(inputs[i]);
+  std::vector<int> labels;
+  labels.reserve(inputs.size());
+  for (const Tensor& input : inputs) labels.push_back(predict(input));
   return labels;
 }
 

@@ -2,69 +2,31 @@
 #ifndef DNNV_IP_BLACK_BOX_IP_H_
 #define DNNV_IP_BLACK_BOX_IP_H_
 
-#include <memory>
 #include <vector>
 
 #include "tensor/tensor.h"
 
 namespace dnnv::ip {
 
-class DevicePool;
-
 /// Black-box inference interface. Deliberately exposes ONLY what the paper's
 /// threat model grants the user: feed an input, read the predicted label.
 /// No parameters, no logits, no intermediate activations.
 class BlackBoxIp {
  public:
-  BlackBoxIp();
-  virtual ~BlackBoxIp();
+  virtual ~BlackBoxIp() = default;
 
   /// Top-1 class label for one un-batched input.
   virtual int predict(const Tensor& input) = 0;
 
-  /// Labels for a set of inputs. Batching backends override this with one
-  /// batched forward; the default chunks the inputs over
-  /// util::ThreadPool with a clone_ip() per worker (predict() may use
-  /// internal scratch state, so one instance cannot serve threads
-  /// concurrently), falling back to a serial loop when the backend is not
-  /// cloneable, the suite is small, or the caller already runs inside the
-  /// pool. Worker clones are kept in a DevicePool across calls — repeated
-  /// replays of one device do not re-clone — which requires the label for
-  /// an input to depend only on the input and the device's parameters, not
-  /// on prediction history; backends whose parameters change outside the
-  /// instrumented mutators must call invalidate_replicas() themselves.
-  /// Result order always matches `inputs`.
+  /// Labels for a set of inputs, in input order. The default is a serial
+  /// loop over predict(); batching backends (QuantizedIp, ReferenceIp)
+  /// override it with one batched forward.
   virtual std::vector<int> predict_all(const std::vector<Tensor>& inputs);
-
-  /// Deep copy of the CURRENT device state for parallel suite replay.
-  /// Backends that cannot (or need not) clone keep the default nullptr,
-  /// which keeps replay serial.
-  virtual std::unique_ptr<BlackBoxIp> clone_ip() { return nullptr; }
 
   /// Expected input shape (CHW).
   virtual Shape input_shape() const = 0;
 
   virtual int num_classes() const = 0;
-
- protected:
-  // Replica caches are per-instance scratch state: never copied, and
-  // assignment changes what clone_ip() would capture, so the target's
-  // cached replicas are dropped.
-  BlackBoxIp(const BlackBoxIp&) : BlackBoxIp() {}
-  BlackBoxIp& operator=(const BlackBoxIp&) {
-    invalidate_replicas();
-    return *this;
-  }
-
-  /// Drops the cached predict_all replicas. Mutators that change what
-  /// clone_ip() would capture (weight-memory writes, backend switches) MUST
-  /// call this, or stale replicas keep replaying the old device.
-  void invalidate_replicas();
-
- private:
-  DevicePool& replica_pool();
-
-  std::unique_ptr<DevicePool> replicas_;  ///< lazily built over clone_ip()
 };
 
 }  // namespace dnnv::ip

@@ -1,8 +1,8 @@
 // Reusable pool of deployed-device instances.
 //
-// Replaying a suite in parallel (BlackBoxIp::predict_all) and multiplexing
-// many validation sessions over one deliverable (pipeline::ValidationService)
-// both need several independent device instances of the SAME artifact —
+// A pipeline::ValidationService lane multiplexes many validation sessions
+// over one deliverable and may run several micro-batches at once, so it
+// needs several independent device instances of the SAME artifact —
 // predict() is stateful, so one instance cannot serve threads concurrently.
 // Building a device is not free (a QuantizedIp copies its QuantModel and
 // rebuilds its weight memory), so instances are pooled: acquire() hands out
@@ -52,13 +52,11 @@ class DevicePool {
 
    private:
     friend class DevicePool;
-    Lease(DevicePool* pool, std::unique_ptr<BlackBoxIp> device,
-          std::size_t generation)
-        : pool_(pool), device_(std::move(device)), generation_(generation) {}
+    Lease(DevicePool* pool, std::unique_ptr<BlackBoxIp> device)
+        : pool_(pool), device_(std::move(device)) {}
 
     DevicePool* pool_ = nullptr;
     std::unique_ptr<BlackBoxIp> device_;
-    std::size_t generation_ = 0;  ///< pool generation at acquire time
   };
 
   /// Idle device, or a fresh one when under the cap; BLOCKS when the cap is
@@ -69,11 +67,6 @@ class DevicePool {
   /// pool is exhausted.
   Lease try_acquire();
 
-  /// Drops the idle instances (leased ones are dropped when returned).
-  /// Call after mutating the underlying artifact so stale replicas are
-  /// never handed out again.
-  void invalidate();
-
   /// Total factory invocations so far (churn observability).
   std::size_t created() const;
 
@@ -81,7 +74,7 @@ class DevicePool {
   std::size_t idle() const;
 
  private:
-  void release(std::unique_ptr<BlackBoxIp> device, std::size_t generation);
+  void release(std::unique_ptr<BlackBoxIp> device);
   Lease build_unlocked(std::unique_lock<std::mutex>& lock);
 
   Factory factory_;
@@ -89,9 +82,8 @@ class DevicePool {
   mutable std::mutex mutex_;
   std::condition_variable available_;
   std::vector<std::unique_ptr<BlackBoxIp>> idle_;
-  std::size_t live_ = 0;       ///< idle + leased
-  std::size_t created_ = 0;    ///< lifetime factory calls
-  std::size_t generation_ = 0; ///< bumped by invalidate()
+  std::size_t live_ = 0;     ///< idle + leased
+  std::size_t created_ = 0;  ///< lifetime factory calls
 };
 
 }  // namespace dnnv::ip

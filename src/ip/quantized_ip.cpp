@@ -129,7 +129,6 @@ void QuantizedIp::write_byte(std::size_t address, std::uint8_t value) {
   DNNV_CHECK(address < memory_.size(), "address " << address << " out of range");
   memory_[address] = value;
   quant_dirty_ = true;
-  invalidate_replicas();
 }
 
 void QuantizedIp::flip_bit(std::size_t address, int bit) {
@@ -137,7 +136,6 @@ void QuantizedIp::flip_bit(std::size_t address, int bit) {
   DNNV_CHECK(bit >= 0 && bit < 8, "bit index " << bit << " out of range");
   memory_[address] ^= static_cast<std::uint8_t>(1u << bit);
   quant_dirty_ = true;
-  invalidate_replicas();
 }
 
 float QuantizedIp::max_quantization_error() const {
@@ -162,13 +160,6 @@ float QuantizedIp::quantization_error_bound() const {
     }
   }
   return bound;
-}
-
-std::unique_ptr<BlackBoxIp> QuantizedIp::clone_ip() {
-  // The refreshed QuantModel carries the current memory contents (faults
-  // included), so the clone replays exactly this device's behaviour.
-  refresh_quant_if_dirty();
-  return std::make_unique<QuantizedIp>(qmodel_, item_shape_);
 }
 
 const quant::QuantModel& QuantizedIp::quant_model() {

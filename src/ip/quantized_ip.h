@@ -51,13 +51,11 @@ class QuantizedIp : public BlackBoxIp {
   /// model's codes, so the fault-injection surface works identically on
   /// delivered IPs. There is no pre-quantization float master here — the
   /// artifact is its own reference, so max_quantization_error() reads 0
-  /// until the memory is faulted (clone_ip() constructs through this path
-  /// too).
+  /// until the memory is faulted.
   QuantizedIp(quant::QuantModel shipped, Shape item_shape);
 
   int predict(const Tensor& input) override;
   std::vector<int> predict_all(const std::vector<Tensor>& inputs) override;
-  std::unique_ptr<BlackBoxIp> clone_ip() override;
   Shape input_shape() const override { return item_shape_; }
   int num_classes() const override { return num_classes_; }
 

@@ -26,8 +26,4 @@ std::vector<int> ReferenceIp::predict_all(const std::vector<Tensor>& inputs) {
   return model_.predict_labels(stack_batch(inputs));
 }
 
-std::unique_ptr<BlackBoxIp> ReferenceIp::clone_ip() {
-  return std::make_unique<ReferenceIp>(model_, item_shape_);
-}
-
 }  // namespace dnnv::ip

@@ -15,22 +15,14 @@ class ReferenceIp : public BlackBoxIp {
 
   int predict(const Tensor& input) override;
   std::vector<int> predict_all(const std::vector<Tensor>& inputs) override;
-  std::unique_ptr<BlackBoxIp> clone_ip() override;
   Shape input_shape() const override { return item_shape_; }
   int num_classes() const override { return num_classes_; }
 
   /// Test-only escape hatch used by fault-injection experiments to model an
   /// adversary with write access to the deployed parameters. predict() and
-  /// the predict_all override always read the live model, so mutations
-  /// through the returned reference take effect immediately; the pooled
-  /// base-class replicas are dropped here as defense in depth (a subclass
-  /// relying on the base predict_all would otherwise replay stale clones —
-  /// note that mutating a CACHED reference after this call cannot be
-  /// tracked).
-  nn::Sequential& compromised_model() {
-    invalidate_replicas();
-    return model_;
-  }
+  /// predict_all() always read the live model, so mutations through the
+  /// returned reference take effect immediately.
+  nn::Sequential& compromised_model() { return model_; }
 
  private:
   nn::Sequential model_;

@@ -7,6 +7,7 @@
 #include <future>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -84,10 +85,26 @@ struct ServerImpl {
   void writer_loop(Connection& conn);
 
   bool handle_frame(Connection& conn, const Frame& frame);
-  void handle_load(Connection& conn, ByteReader r);
-  void handle_open(Connection& conn, ByteReader r);
-  void handle_submit(Connection& conn, ByteReader r);
-  void handle_close_session(Connection& conn, ByteReader r);
+  void handle_load(Connection& conn, const LoadRequest& req);
+  void handle_open(Connection& conn, const OpenRequest& req);
+  void handle_submit(Connection& conn, const SubmitRequest& req);
+  void handle_close_session(Connection& conn, const CloseSessionRequest& req);
+
+  /// Decodes a request payload. One that does not decode is answered with
+  /// kBadRequest tagged `ref`, and the connection keeps serving: frames
+  /// are length-prefixed, so the stream is still in sync after it.
+  template <class Request>
+  std::optional<Request> decode_request(Connection& conn, const Frame& frame,
+                                        std::uint32_t ref) {
+    try {
+      ByteReader r = frame.reader();
+      return Request::decode(r);
+    } catch (const Error& e) {
+      send_error(conn, WireError::kBadRequest, ref,
+                 std::string("malformed request: ") + e.what());
+      return std::nullopt;
+    }
+  }
 
   /// Synchronous reader-side send; throws on a dead peer (aborting the
   /// reader, which is the right response to an unreachable client).
@@ -227,7 +244,7 @@ void ServerImpl::reader_loop(Connection& conn) {
       if (!handle_frame(conn, frame)) break;  // goodbye
     }
   } catch (const std::exception&) {
-    // Malformed frame or transport failure: abort without ceremony.
+    // Transport failure or an oversize frame: abort without ceremony.
     std::lock_guard<std::mutex> lock(conn.mutex);
     conn.socket_dead = true;
   }
@@ -244,16 +261,34 @@ void ServerImpl::reader_loop(Connection& conn) {
 bool ServerImpl::handle_frame(Connection& conn, const Frame& frame) {
   switch (frame.type) {
     case MsgType::kLoad:
-      handle_load(conn, frame.reader());
+      if (const auto req = decode_request<LoadRequest>(conn, frame, 0)) {
+        handle_load(conn, *req);
+      }
       return true;
     case MsgType::kOpen:
-      handle_open(conn, frame.reader());
+      if (const auto req = decode_request<OpenRequest>(conn, frame, 0)) {
+        handle_open(conn, *req);
+      }
       return true;
-    case MsgType::kSubmit:
-      handle_submit(conn, frame.reader());
+    case MsgType::kSubmit: {
+      // A submit's error answers its submit id (the payload's second u32)
+      // when the payload gets that far, so a pipelining client can pair it.
+      std::uint32_t ref = 0;
+      if (frame.payload.size() >= 8) {
+        ByteReader r = frame.reader();
+        r.read_u32();
+        ref = r.read_u32();
+      }
+      if (const auto req = decode_request<SubmitRequest>(conn, frame, ref)) {
+        handle_submit(conn, *req);
+      }
       return true;
+    }
     case MsgType::kCloseSession:
-      handle_close_session(conn, frame.reader());
+      if (const auto req =
+              decode_request<CloseSessionRequest>(conn, frame, 0)) {
+        handle_close_session(conn, *req);
+      }
       return true;
     case MsgType::kGoodbye:
       return false;  // reader exits; writer drains and says kBye
@@ -265,8 +300,7 @@ bool ServerImpl::handle_frame(Connection& conn, const Frame& frame) {
   }
 }
 
-void ServerImpl::handle_load(Connection& conn, ByteReader r) {
-  const LoadRequest req = LoadRequest::decode(r);
+void ServerImpl::handle_load(Connection& conn, const LoadRequest& req) {
   pipeline::DeliverableHandle handle;
   try {
     if (!file_exists(req.path)) {
@@ -299,8 +333,7 @@ void ServerImpl::handle_load(Connection& conn, ByteReader r) {
   send(conn, MsgType::kLoadOk, resp);
 }
 
-void ServerImpl::handle_open(Connection& conn, ByteReader r) {
-  const OpenRequest req = OpenRequest::decode(r);
+void ServerImpl::handle_open(Connection& conn, const OpenRequest& req) {
   pipeline::DeliverableHandle handle;
   auto it = conn.handles.find(req.deliverable_id);
   if (it != conn.handles.end()) {
@@ -338,8 +371,7 @@ void ServerImpl::handle_open(Connection& conn, ByteReader r) {
   send(conn, MsgType::kOpenOk, resp);
 }
 
-void ServerImpl::handle_submit(Connection& conn, ByteReader r) {
-  const SubmitRequest req = SubmitRequest::decode(r);
+void ServerImpl::handle_submit(Connection& conn, const SubmitRequest& req) {
   auto it = conn.sessions.find(req.session_id);
   if (it == conn.sessions.end()) {
     send_error(conn, WireError::kNotFound, req.submit_id,
@@ -398,8 +430,8 @@ void ServerImpl::handle_submit(Connection& conn, ByteReader r) {
   conn.reply_cv.notify_all();
 }
 
-void ServerImpl::handle_close_session(Connection& conn, ByteReader r) {
-  const CloseSessionRequest req = CloseSessionRequest::decode(r);
+void ServerImpl::handle_close_session(Connection& conn,
+                                      const CloseSessionRequest& req) {
   // Closing releases the scheduler lane; replies already queued stay valid
   // (futures/streams outlive their session). No acknowledgement frame.
   if (conn.sessions.erase(req.session_id) == 0) {

@@ -94,8 +94,8 @@ struct RunState {
 
 /// One scheduler lane: the unit of cross-session sharing. Clean sessions on
 /// the same (deliverable, backend) share a lane — one label cache, one
-/// device pool — while faulted or external-device sessions get a private
-/// lane with a single device and no cache.
+/// device pool — while each faulted session gets a private lane with its
+/// own device and no cache.
 ///
 /// Lanes reference their registry entry by RAW pointer (plus a shared_ptr
 /// to the bundle payload itself): holding the entry shared would pin its
@@ -123,7 +123,6 @@ struct Lane {
 
   // Private lanes: exactly one device, one batch in flight at a time.
   std::unique_ptr<ip::BlackBoxIp> owned_device;
-  ip::BlackBoxIp* external_device = nullptr;
   bool busy = false;
 
   /// index -> runs waiting for it (ordered: batches pop lowest-first).
@@ -141,7 +140,7 @@ struct BatchJob {
   std::vector<std::size_t> indices;
   std::vector<std::vector<std::shared_ptr<RunState>>> subscribers;
   ip::DevicePool* pool = nullptr;     ///< shareable lanes: acquire from here
-  ip::BlackBoxIp* device = nullptr;   ///< private lanes: resolved device
+  ip::BlackBoxIp* device = nullptr;   ///< private lanes: the lane's device
   std::shared_ptr<const Deliverable> bundle;
 };
 
@@ -172,7 +171,6 @@ struct ServiceImpl {
   // Sessions.
   std::shared_ptr<Session> open_session(std::shared_ptr<ServiceImpl> self,
                                         std::shared_ptr<RegistryEntry> entry,
-                                        ip::BlackBoxIp* external,
                                         SessionConfig config);
   void close_session(std::size_t lane_id);
   void gc_lane_locked(std::size_t lane_id);
@@ -324,7 +322,7 @@ DeliverableHandle ServiceImpl::adopt(Deliverable deliverable,
 
 std::shared_ptr<Session> ServiceImpl::open_session(
     std::shared_ptr<ServiceImpl> self, std::shared_ptr<RegistryEntry> entry,
-    ip::BlackBoxIp* external, SessionConfig session_config) {
+    SessionConfig session_config) {
   DNNV_CHECK(entry != nullptr && entry->bundle != nullptr,
              "open_session on an invalid deliverable handle");
   const Deliverable& bundle = *entry->bundle;
@@ -335,8 +333,6 @@ std::shared_ptr<Session> ServiceImpl::open_session(
   DNNV_CHECK(backend != BackendKind::kInt8 || bundle.has_quant,
              "int8 backend requested but the deliverable ships no quantized "
              "artifact");
-  DNNV_CHECK(external == nullptr || session_config.faults.empty(),
-             "faults cannot be injected into a caller-supplied device");
 
   // Faulted sessions build their private tampered device up front (outside
   // the service lock: device construction is the expensive part).
@@ -357,7 +353,7 @@ std::shared_ptr<Session> ServiceImpl::open_session(
   DNNV_CHECK(!stopping, "open_session on a stopped ValidationService");
   entry->last_used = ++lru_tick;
 
-  const bool shareable = external == nullptr && faulted == nullptr;
+  const bool shareable = faulted == nullptr;
   std::size_t lane_id = next_lane_id;
   Lane* lane = nullptr;
   if (shareable) {
@@ -393,7 +389,6 @@ std::shared_ptr<Session> ServiceImpl::open_session(
       fresh->label_known.assign(bundle.suite.size(), 0);
     } else {
       fresh->owned_device = std::move(faulted);
-      fresh->external_device = external;
     }
     lane_id = next_lane_id++;
     lane = fresh.get();
@@ -423,8 +418,8 @@ void ServiceImpl::gc_lane_locked(std::size_t lane_id) {
   }
   // Persistent lanes (shared lanes of registry-resident deliverables)
   // outlive their sessions: the label cache IS the cross-session
-  // pattern-reuse store. Private and unregistered (wrapper) lanes die with
-  // their last session.
+  // pattern-reuse store. Private lanes, and lanes whose entry has left the
+  // registry, die with their last session.
   if (lane.persistent) return;
   lanes.erase(it);
 }
@@ -650,8 +645,7 @@ std::unique_ptr<BatchJob> ServiceImpl::form_batch_locked() {
       job->pool = lane.devices.get();
     } else {
       if (lane.busy) continue;
-      job->device = lane.external_device != nullptr ? lane.external_device
-                                                    : lane.owned_device.get();
+      job->device = lane.owned_device.get();
       lane.busy = true;
     }
 
@@ -886,11 +880,6 @@ ValidationService::~ValidationService() {
   if (impl_ != nullptr) impl_->shutdown();
 }
 
-ValidationService& ValidationService::shared() {
-  static ValidationService service;
-  return service;
-}
-
 DeliverableHandle ValidationService::load_file(const std::string& path,
                                                std::uint64_t key) {
   return impl_->load_file(path, key);
@@ -903,32 +892,7 @@ DeliverableHandle ValidationService::adopt(Deliverable deliverable,
 
 std::shared_ptr<Session> ValidationService::open_session(
     const DeliverableHandle& handle, SessionConfig config) {
-  return impl_->open_session(impl_, handle.entry_, nullptr, std::move(config));
-}
-
-std::shared_ptr<Session> ValidationService::open_session(
-    std::shared_ptr<const Deliverable> bundle, SessionConfig config) {
-  auto entry = std::make_shared<detail::RegistryEntry>();
-  entry->id = "<unregistered>";
-  entry->bundle = std::move(bundle);
-  return impl_->open_session(impl_, std::move(entry), nullptr,
-                             std::move(config));
-}
-
-std::shared_ptr<Session> ValidationService::open_session(
-    const DeliverableHandle& handle, ip::BlackBoxIp& device,
-    SessionConfig config) {
-  return impl_->open_session(impl_, handle.entry_, &device, std::move(config));
-}
-
-std::shared_ptr<Session> ValidationService::open_session(
-    std::shared_ptr<const Deliverable> bundle, ip::BlackBoxIp& device,
-    SessionConfig config) {
-  auto entry = std::make_shared<detail::RegistryEntry>();
-  entry->id = "<unregistered>";
-  entry->bundle = std::move(bundle);
-  return impl_->open_session(impl_, std::move(entry), &device,
-                             std::move(config));
+  return impl_->open_session(impl_, handle.entry_, std::move(config));
 }
 
 std::size_t ValidationService::resident_deliverables() const {

@@ -1,9 +1,10 @@
 // Concurrent user-side validation service (paper §V's deployment story at
 // scale: many end users qualifying shipped DNN IPs against vendor suites).
 //
-// The one-shot UserValidator replays one deliverable for one caller,
-// rebuilding the deployed device and re-parsing the bundle every time. The
-// ValidationService turns that flow into a long-lived subsystem:
+// The one-shot UserValidator (pipeline/user.h) replays one deliverable for
+// one caller on the caller's thread, rebuilding the deployed device and
+// re-parsing the bundle every time; it never touches a service. The
+// ValidationService is the long-lived subsystem for the work only it does:
 //
 //   * Deliverable registry — load_file()/adopt() return ref-counted
 //     DeliverableHandles over shared, LRU-evictable entries, so many
@@ -11,7 +12,9 @@
 //   * Sessions — open_session(handle, SessionConfig) owns per-session
 //     replay state (backend choice, injected memory faults, test budget)
 //     and draws devices from a shared ip::DevicePool instead of building
-//     one per request.
+//     one per request. Every session replays a registered deliverable on
+//     a service-built device; a caller-built device is replayed with
+//     UserValidator::validate(device&) instead.
 //   * Micro-batched scheduler — Session::submit() returns a
 //     std::future<Verdict>; a scheduler thread coalesces pending test
 //     items ACROSS sessions targeting the same deliverable+backend into
@@ -24,8 +27,9 @@
 //     finishes the run at the first TAMPERED chunk instead of after the
 //     full suite.
 //
-// UserValidator (pipeline/user.h) remains as a thin wrapper: one service,
-// one session, blocking get — bit-identical to the historical verdicts.
+// The net::ValidationServer serves this API over TCP. There is no
+// process-global instance: each owner (a server, a CLI run, a test)
+// constructs its own.
 #ifndef DNNV_PIPELINE_SERVICE_H_
 #define DNNV_PIPELINE_SERVICE_H_
 
@@ -111,7 +115,7 @@ struct SessionConfig {
   std::size_t chunk_size = 0;
   /// Max tests per inference micro-batch on this session's lane (0 =
   /// service default). A lone full-replay caller wants one whole-suite
-  /// batch (max predict_all parallelism); fine-grained streaming and
+  /// batch (one batched forward); fine-grained streaming and
   /// cross-session interleaving want smaller batches. When sessions share
   /// a lane, the lane keeps the value it was created with.
   std::size_t micro_batch = 0;
@@ -230,9 +234,6 @@ class ValidationService {
   ValidationService(const ValidationService&) = delete;
   ValidationService& operator=(const ValidationService&) = delete;
 
-  /// Process-wide instance used by the UserValidator wrapper.
-  static ValidationService& shared();
-
   /// Loads (or returns the cached) deliverable at `path`; the path is the
   /// registry id. Throws dnnv::Error on corruption or a wrong key.
   DeliverableHandle load_file(const std::string& path, std::uint64_t key);
@@ -243,27 +244,10 @@ class ValidationService {
 
   /// Opens a session over `handle`'s deliverable. Clean sessions on the
   /// same deliverable+backend share a scheduler lane: one label cache, one
-  /// device pool, cross-session micro-batches.
+  /// device pool, cross-session micro-batches. Faulted sessions
+  /// (config.faults) replay on a private device.
   std::shared_ptr<Session> open_session(const DeliverableHandle& handle,
                                         SessionConfig config = {});
-
-  /// Opens a session over an in-memory bundle WITHOUT registering it in the
-  /// LRU cache (the UserValidator wrapper path). `bundle` must outlive the
-  /// session.
-  std::shared_ptr<Session> open_session(
-      std::shared_ptr<const Deliverable> bundle, SessionConfig config = {});
-
-  /// Opens a session that replays on a caller-supplied (possibly tampered)
-  /// device instead of a service-built one. `device` must stay alive until
-  /// every submit()/stream() issued through the session has produced its
-  /// verdict — closing the Session does not cancel in-flight work, which
-  /// keeps replaying on this device. Such sessions never share predictions.
-  std::shared_ptr<Session> open_session(const DeliverableHandle& handle,
-                                        ip::BlackBoxIp& device,
-                                        SessionConfig config = {});
-  std::shared_ptr<Session> open_session(
-      std::shared_ptr<const Deliverable> bundle, ip::BlackBoxIp& device,
-      SessionConfig config = {});
 
   /// Entries currently resident in the registry (pinned + cached).
   std::size_t resident_deliverables() const;

@@ -8,9 +8,8 @@
 namespace dnnv::pipeline {
 
 UserValidator::UserValidator(Deliverable deliverable)
-    : deliverable_(
-          std::make_shared<const Deliverable>(std::move(deliverable))) {
-  DNNV_CHECK(!deliverable_->suite.empty(), "deliverable carries no tests");
+    : deliverable_(std::move(deliverable)) {
+  DNNV_CHECK(!deliverable_.suite.empty(), "deliverable carries no tests");
 }
 
 UserValidator UserValidator::load_file(const std::string& path,
@@ -19,36 +18,17 @@ UserValidator UserValidator::load_file(const std::string& path,
 }
 
 std::unique_ptr<ip::BlackBoxIp> UserValidator::make_device() const {
-  return pipeline::make_device(*deliverable_);
+  return pipeline::make_device(deliverable_);
 }
-
-namespace {
-
-// Full replays run as ONE whole-suite batch (the historical predict_all
-// parallelism); early exit keeps the default micro-batches so a failing
-// device is flagged without replaying everything.
-SessionConfig one_shot_config(bool early_exit, std::size_t suite_size) {
-  SessionConfig config;
-  config.policy =
-      early_exit ? StreamPolicy::kEarlyExit : StreamPolicy::kFullReplay;
-  if (!early_exit) config.micro_batch = suite_size;
-  return config;
-}
-
-}  // namespace
 
 validate::Verdict UserValidator::validate(bool early_exit) const {
-  const auto session = ValidationService::shared().open_session(
-      deliverable_, one_shot_config(early_exit, deliverable_->suite.size()));
-  return session->submit().get();
+  const std::unique_ptr<ip::BlackBoxIp> device = make_device();
+  return validate::validate_ip(*device, deliverable_.suite, early_exit);
 }
 
 validate::Verdict UserValidator::validate(ip::BlackBoxIp& device,
                                           bool early_exit) const {
-  const auto session = ValidationService::shared().open_session(
-      deliverable_, device,
-      one_shot_config(early_exit, deliverable_->suite.size()));
-  return session->submit().get();
+  return validate::validate_ip(device, deliverable_.suite, early_exit);
 }
 
 }  // namespace dnnv::pipeline

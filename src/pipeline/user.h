@@ -1,14 +1,15 @@
 // User-side façade: load a Deliverable, reconstruct the deployed device,
 // replay the suite (paper Fig 1, right half, as one call).
 //
-// Since the ValidationService redesign this is a thin wrapper — one shared
-// service, one session, blocking get — kept because "validate this one
-// deliverable once" is still the common entry point. Concurrent callers,
-// streaming verdicts and cross-session batching live in
+// A receipt is a device and a replay: validate() builds the device and runs
+// validate::validate_ip on the caller's thread, with no service, scheduler
+// thread or session in between. Concurrent callers, streaming verdicts,
+// cross-session batching and faulted sessions live in
 // pipeline::ValidationService (service.h).
 #ifndef DNNV_PIPELINE_USER_H_
 #define DNNV_PIPELINE_USER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -19,7 +20,8 @@
 namespace dnnv::pipeline {
 
 /// Replays a deliverable's suite against the IP it shipped with (or any
-/// external device) and reports the SECURE / TAMPERED verdict.
+/// external device) and reports the SECURE / TAMPERED verdict. Move-only,
+/// like the Deliverable it owns.
 class UserValidator {
  public:
   /// Takes ownership of an in-memory bundle.
@@ -36,14 +38,13 @@ class UserValidator {
   std::unique_ptr<ip::BlackBoxIp> make_device() const;
 
   /// Replays the bundled suite against a freshly reconstructed device
-  /// through the shared ValidationService (one session, blocking get); the
-  /// verdict is bit-identical to the historical one-shot replay. An intact
-  /// bundle must come back SECURE (passed == true) — the qualification
-  /// verdict the vendor shipped.
+  /// (validate::validate_ip on make_device()). An intact bundle must come
+  /// back SECURE (passed == true) — the qualification verdict the vendor
+  /// shipped.
   validate::Verdict validate(bool early_exit = false) const;
 
   /// Replays the bundled suite against an external (possibly tampered)
-  /// device.
+  /// device — the path for devices the caller builds or faults itself.
   validate::Verdict validate(ip::BlackBoxIp& device,
                              bool early_exit = false) const;
 
@@ -51,7 +52,7 @@ class UserValidator {
   /// from its shipped name + config against the shipped artifact) — what
   /// the received tests actually exercise, reported per criterion.
   SuiteCoverage suite_coverage() const {
-    return pipeline::suite_coverage(*deliverable_);
+    return pipeline::suite_coverage(deliverable_);
   }
 
   /// Re-measures the shipped fault coverage: regenerates the manifest's
@@ -59,14 +60,13 @@ class UserValidator {
   /// suite (see pipeline::fault_coverage). An intact bundle reproduces the
   /// manifest's fault_universe/fault_detected exactly.
   fault::FaultQualification fault_coverage() const {
-    return pipeline::fault_coverage(*deliverable_);
+    return pipeline::fault_coverage(deliverable_);
   }
 
-  const Deliverable& deliverable() const { return *deliverable_; }
+  const Deliverable& deliverable() const { return deliverable_; }
 
  private:
-  /// Shared with the service's ephemeral sessions during validate() calls.
-  std::shared_ptr<const Deliverable> deliverable_;
+  Deliverable deliverable_;
 };
 
 }  // namespace dnnv::pipeline

@@ -1,7 +1,5 @@
 #include "validate/backend.h"
 
-#include <utility>
-
 #include "util/error.h"
 
 namespace dnnv::validate {
@@ -56,12 +54,14 @@ ExecutionBackend::Replay Int8Backend::make_replay(
   };
 }
 
-// ---- FaultInjectedInt8Backend ----
+// ---- Code faults ----
 
-namespace {
-
-void check_code_faults(const std::vector<CodeFault>& faults,
-                       std::int64_t code_count) {
+void apply_code_faults(quant::QuantModel& model,
+                       const std::vector<CodeFault>& faults) {
+  if (faults.empty()) return;
+  // Validate the whole list before touching anything, so a bad fault never
+  // leaves the model half-mutated with stale derived state.
+  const std::int64_t code_count = model.param_count();
   for (const auto& fault : faults) {
     DNNV_CHECK(fault.bit >= 0 && fault.bit < 8,
                "fault bit " << fault.bit << " out of range");
@@ -70,16 +70,6 @@ void check_code_faults(const std::vector<CodeFault>& faults,
                                 << " beyond the weight memory ("
                                 << code_count << " codes)");
   }
-}
-
-}  // namespace
-
-void apply_code_faults(quant::QuantModel& model,
-                       const std::vector<CodeFault>& faults) {
-  if (faults.empty()) return;
-  // Validate the whole list before touching anything, so a bad fault never
-  // leaves the model half-mutated with stale derived state.
-  check_code_faults(faults, model.param_count());
   auto views = model.param_views();
   for (const auto& fault : faults) {
     std::size_t address = fault.address;
@@ -94,29 +84,6 @@ void apply_code_faults(quant::QuantModel& model,
     }
   }
   model.refresh_derived();
-}
-
-FaultInjectedInt8Backend::FaultInjectedInt8Backend(
-    const quant::QuantModel& shipped, std::vector<CodeFault> faults)
-    : shipped_(shipped), faults_(std::move(faults)) {
-  // Fail fast here rather than inside a worker's first replay.
-  check_code_faults(faults_, shipped_.param_count());
-}
-
-std::vector<int> FaultInjectedInt8Backend::predict_clean(const Tensor& batch) {
-  return shipped_.predict_labels(batch);
-}
-
-ExecutionBackend::Replay FaultInjectedInt8Backend::make_replay(
-    const Tensor& suite_batch) const {
-  auto local = std::make_shared<quant::QuantModel>(shipped_);
-  return [local, &suite_batch, faults = faults_](nn::Sequential& perturbed) {
-    // Re-quantize the attacked weights onto the frozen calibration, then
-    // re-assert the device's permanent memory faults on the fresh codes.
-    local->requantize_weights_from(perturbed);
-    apply_code_faults(*local, faults);
-    return local->predict_labels(suite_batch);
-  };
 }
 
 }  // namespace dnnv::validate

@@ -34,7 +34,7 @@ class ExecutionBackend {
 
   virtual ~ExecutionBackend() = default;
 
-  /// Registry-style name ("float", "int8", "faulty-int8", ...).
+  /// Registry-style name ("float", "int8", ...).
   virtual std::string name() const = 0;
 
   /// Labels the clean (unperturbed, fault-free) artifact produces on
@@ -91,27 +91,6 @@ class Int8Backend final : public ExecutionBackend {
 struct CodeFault {
   std::size_t address = 0;  ///< flat code index (param_views order)
   int bit = 7;              ///< 0..7; 7 = sign bit
-};
-
-/// Int8 backend whose deployed device carries permanent memory faults
-/// (rowhammer-style bit flips baked into the weight store). Golden labels
-/// stay those of the fault-FREE vendor artifact, so replays expose the
-/// faults themselves as well as any attack perturbation.
-class FaultInjectedInt8Backend final : public ExecutionBackend {
- public:
-  FaultInjectedInt8Backend(const quant::QuantModel& shipped,
-                           std::vector<CodeFault> faults);
-
-  std::string name() const override { return "faulty-int8"; }
-  /// Fault-free artifact labels (what the vendor shipped).
-  std::vector<int> predict_clean(const Tensor& batch) override;
-  Replay make_replay(const Tensor& suite_batch) const override;
-
-  const std::vector<CodeFault>& faults() const { return faults_; }
-
- private:
-  quant::QuantModel shipped_;
-  std::vector<CodeFault> faults_;
 };
 
 /// XORs the configured fault bits into `model`'s weight codes (flat

@@ -21,23 +21,9 @@ Verdict validate_ip(ip::BlackBoxIp& ip, const TestSuite& suite,
     verdict.passed = true;
     return verdict;
   }
-  accumulate_chunk(verdict, replay_chunk(ip, suite, 0, suite.size()));
+  accumulate_chunk(verdict,
+                   compare_chunk(suite, 0, ip.predict_all(suite.inputs())));
   return verdict;
-}
-
-ChunkVerdict replay_chunk(ip::BlackBoxIp& ip, const TestSuite& suite,
-                          std::size_t begin, std::size_t end) {
-  DNNV_CHECK(begin < end && end <= suite.size(),
-             "chunk [" << begin << ", " << end << ") out of suite range "
-                       << suite.size());
-  if (begin == 0 && end == suite.size()) {
-    return compare_chunk(suite, 0, ip.predict_all(suite.inputs()));
-  }
-  std::vector<Tensor> inputs(suite.inputs().begin() +
-                                 static_cast<std::ptrdiff_t>(begin),
-                             suite.inputs().begin() +
-                                 static_cast<std::ptrdiff_t>(end));
-  return compare_chunk(suite, begin, ip.predict_all(inputs));
 }
 
 ChunkVerdict compare_chunk(const TestSuite& suite, std::size_t begin,

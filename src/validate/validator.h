@@ -1,10 +1,11 @@
 // User-side validation: replay the suite against a black-box IP.
 //
-// Two granularities: validate_ip() replays a whole suite in one call (the
-// historical API, bit-frozen), and the chunked entry points below replay a
-// contiguous range at a time so incremental drivers — the streaming
-// validation service, an early-exit loop, a progress bar — can fold chunk
-// verdicts into a whole-suite Verdict as they arrive.
+// validate_ip() replays a whole suite in one call on the caller's thread —
+// the definition of both verdict shapes, the full replay and the
+// item-by-item early exit (pipeline::UserValidator is this call). Callers
+// that batch inference themselves — the streaming validation service, the
+// e2e benchmark — score their labels with compare_chunk() and fold the
+// chunk verdicts into a whole-suite Verdict with accumulate_chunk().
 #ifndef DNNV_VALIDATE_VALIDATOR_H_
 #define DNNV_VALIDATE_VALIDATOR_H_
 
@@ -38,11 +39,6 @@ struct ChunkVerdict {
 /// (cheapest tamper detection); otherwise all failures are counted.
 Verdict validate_ip(ip::BlackBoxIp& ip, const TestSuite& suite,
                     bool early_exit = false);
-
-/// Replays suite tests [begin, end) through `ip` with one batched
-/// predict_all call and compares against the golden labels.
-ChunkVerdict replay_chunk(ip::BlackBoxIp& ip, const TestSuite& suite,
-                          std::size_t begin, std::size_t end);
 
 /// Scores already-predicted labels for suite tests [begin, begin +
 /// labels.size()) — the path for drivers that batch inference themselves.

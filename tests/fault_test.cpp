@@ -258,41 +258,43 @@ TEST(FaultModelTest, UniverseLoadRejectsForgedCount) {
   EXPECT_THROW(fault::FaultUniverse::load(reader), Error);
 }
 
-TEST(FaultLayoutTest, MemoryFaultAdapterRoundTrips) {
-  const auto qmodel = small_qmodel();
+TEST(FaultLayoutTest, FlatAddressLandsOnTheFaultsOwnCode) {
+  auto qmodel = small_qmodel();
   const fault::FaultLayout layout(qmodel);
   EXPECT_EQ(layout.memory_size(),
             static_cast<std::size_t>(qmodel.param_count()));
 
+  // The weight memory: every code in param_views() order.
+  const auto flat_codes = [&qmodel] {
+    std::vector<std::int8_t> codes;
+    for (const auto& view : qmodel.param_views()) {
+      codes.insert(codes.end(), view.codes, view.codes + view.size);
+    }
+    return codes;
+  };
+  const std::vector<std::int8_t> clean = flat_codes();
+
+  // Mark each code fault's own code through the structural surface: the
+  // one byte that moves must be the one at its flat address.
   const auto universe =
-      fault::FaultUniverse::enumerate(qmodel, fault::universe_config("stuck-at"));
-  // A weight and a bias fault must survive the memory-level round trip.
+      fault::FaultUniverse::enumerate(qmodel, fault::universe_config("full"));
   bool saw_weight = false, saw_bias = false;
   for (const fault::Fault& f : universe.faults()) {
-    if ((f.is_bias && saw_bias) || (!f.is_bias && saw_weight)) continue;
-    const ip::MemoryFault mf = layout.to_memory_fault(f);
-    EXPECT_EQ(mf.address, layout.flat_address(f));
-    EXPECT_EQ(mf.bit, static_cast<int>(f.bit));
-    const fault::Fault back = layout.from_memory_fault(mf);
-    EXPECT_EQ(back.kind, f.kind);
-    EXPECT_EQ(back.layer, f.layer);
-    EXPECT_EQ(back.is_bias, f.is_bias);
-    EXPECT_EQ(back.unit, f.unit);
-    EXPECT_EQ(back.bit, f.bit);
+    if (!fault::is_code_fault(f.kind)) continue;
+    const std::size_t address = layout.flat_address(f);
+    ASSERT_LT(address, clean.size()) << f.describe();
+    const auto mark = static_cast<std::int8_t>(~clean[address]);
+    const std::int8_t previous =
+        qmodel.poke_code(f.layer, f.is_bias != 0, f.unit, mark);
+    EXPECT_EQ(previous, clean[address]) << f.describe();
+    std::vector<std::int8_t> expected = clean;
+    expected[address] = mark;
+    EXPECT_EQ(flat_codes(), expected) << f.describe();
+    qmodel.poke_code(f.layer, f.is_bias != 0, f.unit, previous);
     (f.is_bias ? saw_bias : saw_weight) = true;
-    if (saw_weight && saw_bias) break;
   }
   EXPECT_TRUE(saw_weight);
   EXPECT_TRUE(saw_bias);
-
-  // The byte-write adapter keeps the replacement value.
-  ip::MemoryFault write;
-  write.kind = ip::MemoryFault::Kind::kByteWrite;
-  write.address = 0;
-  write.value = 0x3C;
-  const fault::Fault back = layout.from_memory_fault(write);
-  EXPECT_EQ(back.kind, fault::FaultKind::kByteWrite);
-  EXPECT_EQ(back.value, 0x3C);
 }
 
 // ---------- Collapsing ----------

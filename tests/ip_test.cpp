@@ -1,5 +1,5 @@
-// IP substrate tests: black-box semantics, quantisation fidelity, and the
-// memory-level fault injector.
+// IP substrate tests: black-box semantics, quantisation fidelity, and
+// memory-level faults (bit flips and byte writes) on the weight memory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,12 +7,12 @@
 #include <cstdlib>
 #include <vector>
 
-#include "ip/fault_injector.h"
 #include "ip/quantized_ip.h"
 #include "ip/reference_ip.h"
 #include "nn/builder.h"
 #include "nn/trainer.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace dnnv::ip {
 namespace {
@@ -239,93 +239,30 @@ TEST(QuantizedIpTest, ShippedArtifactMatchesPerElementDefinition) {
   }
 }
 
-// ---------- FaultInjector ----------
+// ---------- Memory faults through flip_bit ----------
 
-TEST(FaultInjectorTest, BitFlipRevertRestoresMemory) {
+TEST(QuantizedIpTest, BitFlipRevertRestoresMemory) {
   Sequential model = trained_net();
   QuantizedIp ip(model, Shape{6});
-  FaultInjector injector(ip);
   std::vector<std::uint8_t> snapshot;
   for (std::size_t a = 0; a < ip.memory_size(); ++a) {
     snapshot.push_back(ip.read_byte(a));
   }
   Rng rng(13);
   for (int i = 0; i < 20; ++i) {
-    const MemoryFault fault = injector.inject_random_bit_flip(rng);
-    EXPECT_NE(ip.read_byte(fault.address), fault.previous);
-    injector.revert(fault);
+    const auto address =
+        static_cast<std::size_t>(rng.uniform_u64(ip.memory_size()));
+    const int bit = static_cast<int>(rng.uniform_u64(8));
+    ip.flip_bit(address, bit);
+    EXPECT_NE(ip.read_byte(address), snapshot[address]);
+    ip.flip_bit(address, bit);  // the same flip again is the revert
   }
   for (std::size_t a = 0; a < ip.memory_size(); ++a) {
     EXPECT_EQ(ip.read_byte(a), snapshot[a]);
   }
 }
 
-TEST(FaultInjectorTest, StuckAtSemantics) {
-  Sequential model = trained_net();
-  QuantizedIp ip(model, Shape{6});
-  FaultInjector injector(ip);
-  injector.inject_byte_write(5, 0x00);
-  const MemoryFault s1 = injector.inject_stuck_at(5, 3, true);
-  EXPECT_EQ(ip.read_byte(5), 0x08);
-  injector.revert(s1);
-  injector.inject_byte_write(5, 0xFF);
-  injector.inject_stuck_at(5, 0, false);
-  EXPECT_EQ(ip.read_byte(5), 0xFE);
-}
-
-TEST(FaultInjectorTest, CampaignRevertsOverlappingFaultsInReverse) {
-  Sequential model = trained_net();
-  QuantizedIp ip(model, Shape{6});
-  FaultInjector injector(ip);
-  std::vector<std::uint8_t> snapshot;
-  for (std::size_t a = 0; a < ip.memory_size(); ++a) {
-    snapshot.push_back(ip.read_byte(a));
-  }
-
-  // Three faults pile onto byte 5 (byte-write, then stuck-at / flip on the
-  // faulted value) plus one elsewhere. Each record's `previous` is the byte
-  // AFTER the earlier faults, so only the reverse revert restores memory.
-  const auto written = static_cast<std::uint8_t>(~snapshot[5]);
-  std::vector<MemoryFault> campaign(4);
-  campaign[0].kind = MemoryFault::Kind::kByteWrite;
-  campaign[0].address = 5;
-  campaign[0].value = written;
-  campaign[1].kind = MemoryFault::Kind::kStuckAt1;
-  campaign[1].address = 5;
-  campaign[1].bit = 1;
-  campaign[2].kind = MemoryFault::Kind::kBitFlip;
-  campaign[2].address = 5;
-  campaign[2].bit = 7;
-  campaign[3].kind = MemoryFault::Kind::kStuckAt0;
-  campaign[3].address = 0;
-  campaign[3].bit = 7;
-
-  const std::vector<MemoryFault> injected = injector.inject_all(campaign);
-  ASSERT_EQ(injected.size(), 4u);
-  EXPECT_EQ(injected[0].previous, snapshot[5]);
-  EXPECT_EQ(injected[1].previous, written);
-  EXPECT_EQ(injected[2].previous,
-            static_cast<std::uint8_t>(written | 0x02));
-  EXPECT_EQ(ip.read_byte(5),
-            static_cast<std::uint8_t>((written | 0x02) ^ 0x80));
-
-  injector.revert_all(injected);
-  for (std::size_t a = 0; a < ip.memory_size(); ++a) {
-    EXPECT_EQ(ip.read_byte(a), snapshot[a]);
-  }
-
-  // Forward-order revert leaves the intermediate state behind on byte 5 —
-  // the reason revert_all walks the records back to front.
-  const std::vector<MemoryFault> again = injector.inject_all(campaign);
-  for (const MemoryFault& fault : again) injector.revert(fault);
-  EXPECT_NE(ip.read_byte(5), snapshot[5]);
-  ip.write_byte(5, snapshot[5]);
-  for (std::size_t a = 0; a < ip.memory_size(); ++a) {
-    EXPECT_EQ(ip.read_byte(a), snapshot[a]);
-  }
-}
-
-TEST(FaultInjectorTest, SignBitFlipIsLargePerturbation) {
+TEST(QuantizedIpTest, SignBitFlipIsLargePerturbation) {
   // Flipping bit 7 of a two's complement int8 moves the weight by 128 quanta
   // — the most damaging single-bit fault, mirroring published bit-flip
   // attack findings.
@@ -333,8 +270,7 @@ TEST(FaultInjectorTest, SignBitFlipIsLargePerturbation) {
   QuantizedIp ip(model, Shape{6});
   const float scale = ip.tensor_table()[0].scale;
   const auto before = static_cast<std::int8_t>(ip.read_byte(0));
-  FaultInjector injector(ip);
-  injector.inject_bit_flip(0, 7);
+  ip.flip_bit(0, 7);
   const auto after = static_cast<std::int8_t>(ip.read_byte(0));
   EXPECT_NEAR(std::fabs(static_cast<float>(after) - before) * scale,
               128.0f * scale, 1e-6f);

@@ -5,9 +5,11 @@
 // sockets with a typed kBusy and promote parked ones when a slot frees;
 // idle eviction must drain delivered verdicts and say kBye(kIdleTimeout);
 // every protected-file corruption mode must cross the wire as its own
-// typed error code; per-connection backpressure must cap in-flight
-// submits; and the service drain()/evict_unpinned() hooks the server
-// relies on must behave standalone.
+// typed error code, and a request whose payload does not decode must get a
+// typed kBadRequest without losing the connection; per-connection
+// backpressure must cap in-flight submits; and the service
+// drain()/evict_unpinned() hooks the server relies on must behave
+// standalone.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -382,6 +384,86 @@ TEST(NetErrorTest, CorruptionModesCrossTheWireAsTypedCodes) {
   const auto opened = client.open(loaded.deliverable_id);
   EXPECT_TRUE(client.validate(opened.session_id).passed);
   EXPECT_EQ(client.goodbye(), net::ByeReason::kGoodbye);
+  std::filesystem::remove(path);
+}
+
+/// Payload bytes sent as they are, to write frames no client would.
+struct RawPayload {
+  std::vector<std::uint8_t> bytes;
+  void encode(ByteWriter& w) const { w.write_bytes(bytes.data(), bytes.size()); }
+};
+
+/// The first `keep` bytes of `message`'s encoding.
+template <class Message>
+RawPayload truncated(const Message& message, std::size_t keep) {
+  ByteWriter writer;
+  message.encode(writer);
+  std::vector<std::uint8_t> bytes = writer.take();
+  EXPECT_LT(keep, bytes.size());
+  bytes.resize(keep);
+  return RawPayload{bytes};
+}
+
+/// Reads one frame of `type` and decodes it as `Message`.
+template <class Message>
+Message read_reply(net::Socket& socket, net::MsgType type) {
+  net::Frame frame;
+  EXPECT_TRUE(net::read_frame(socket, frame));
+  EXPECT_EQ(frame.type, type);
+  ByteReader reader = frame.reader();
+  return Message::decode(reader);
+}
+
+TEST(NetErrorTest, MalformedPayloadsAreAnsweredAndTheConnectionServesOn) {
+  const auto trained = exp::mnist_tanh(tiny_options());
+  const auto path = save_bundle(trained, exp::digits_train(60).images, "float",
+                                6, "dnnv_net_malformed.bin");
+  net::ValidationServer server;
+  net::Socket socket = net::Socket::connect("127.0.0.1", server.port());
+
+  net::LoadRequest load;
+  load.path = path;
+  load.key = kKey;
+  net::OpenRequest open;
+  net::SubmitRequest submit;
+  submit.submit_id = 77;
+  net::CloseSessionRequest close;
+
+  // Each payload ends before its request does. Frames are length-prefixed,
+  // so the server answers each with kBadRequest and reads on. A submit cut
+  // short of its id (the payload's second u32) is answered under id 0; one
+  // cut after it, under its own id.
+  net::write_message(socket, net::MsgType::kLoad, truncated(load, 5));
+  net::write_message(socket, net::MsgType::kOpen, truncated(open, 6));
+  net::write_message(socket, net::MsgType::kSubmit, truncated(submit, 6));
+  net::write_message(socket, net::MsgType::kCloseSession, truncated(close, 2));
+  net::write_message(socket, net::MsgType::kSubmit, truncated(submit, 12));
+  for (const std::uint32_t ref : {0u, 0u, 0u, 0u, 77u}) {
+    const auto error = read_reply<net::ErrorMsg>(socket, net::MsgType::kError);
+    EXPECT_EQ(error.code, WireError::kBadRequest) << error.message;
+    EXPECT_EQ(error.ref, ref) << error.message;
+  }
+
+  // The same connection still loads, opens and validates SECURE.
+  net::write_message(socket, net::MsgType::kLoad, load);
+  const auto loaded =
+      read_reply<net::LoadResponse>(socket, net::MsgType::kLoadOk);
+  EXPECT_EQ(loaded.suite_size, 6u);
+  open.deliverable_id = loaded.deliverable_id;
+  net::write_message(socket, net::MsgType::kOpen, open);
+  const auto opened =
+      read_reply<net::OpenResponse>(socket, net::MsgType::kOpenOk);
+  submit.session_id = opened.session_id;
+  net::write_message(socket, net::MsgType::kSubmit, submit);
+  const auto verdict =
+      read_reply<net::VerdictMsg>(socket, net::MsgType::kVerdict);
+  EXPECT_EQ(verdict.submit_id, 77u);
+  EXPECT_TRUE(verdict.verdict.passed);
+  EXPECT_EQ(verdict.verdict.tests_run, 6);
+
+  net::write_empty_message(socket, net::MsgType::kGoodbye);
+  const auto bye = read_reply<net::ByeMsg>(socket, net::MsgType::kBye);
+  EXPECT_EQ(bye.reason, net::ByeReason::kGoodbye);
   std::filesystem::remove(path);
 }
 

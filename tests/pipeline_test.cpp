@@ -1,20 +1,17 @@
 // Pipeline/API-redesign tests: the generator registry must be bit-identical
-// to each method's own entry point, every ExecutionBackend must run the one
-// detection loop, the Deliverable must round-trip (and reject corruption,
-// including forged element counts), and the parallel BlackBoxIp::predict_all default must
-// match the serial loop.
+// to each method's own entry point, the ExecutionBackends must agree on
+// golden labels and code faults, and the Deliverable must round-trip (and
+// reject corruption, including forged element counts) and catch a tampered
+// device.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <utility>
 
-#include "attack/random_perturbation.h"
 #include "exp/model_zoo.h"
 #include "ip/quantized_ip.h"
-#include "ip/reference_ip.h"
 #include "nn/builder.h"
 #include "pipeline/user.h"
 #include "pipeline/vendor.h"
@@ -25,9 +22,7 @@
 #include "testgen/greedy_selector.h"
 #include "testgen/neuron_selector.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 #include "validate/backend.h"
-#include "validate/detection.h"
 
 namespace dnnv {
 namespace {
@@ -358,42 +353,6 @@ TEST(ExecutionBackendTest, FaultApplicationIsAnInvolution) {
       Error);
 }
 
-TEST(ExecutionBackendTest, FaultInjectedBackendRunsTheSharedLoop) {
-  Sequential model = small_relu_net(95);
-  const auto inputs = random_pool(10, 96);
-  const auto calibration = random_pool(32, 97);
-  auto qmodel = quant::QuantModel::quantize(model, calibration);
-  const Tensor batch = stack_batch(inputs);
-  const validate::TestSuite suite =
-      validate::TestSuite::from_labels(inputs, qmodel.predict_labels(batch));
-  const auto victims = random_pool(5, 98);
-
-  // Sign-bit faults across the first weights: the faulty device must stay
-  // pluggable into the one detection loop and produce sound rates.
-  std::vector<validate::CodeFault> faults;
-  for (std::size_t address = 0; address < 12; ++address) {
-    faults.push_back({address, 7});
-  }
-  validate::FaultInjectedInt8Backend backend(qmodel, faults);
-  EXPECT_EQ(backend.name(), "faulty-int8");
-
-  attack::RandomPerturbation::Options attack_options;
-  attack_options.num_params = 4;
-  attack_options.relative_sigma = 6.0f;
-  attack::RandomPerturbation attack(attack_options);
-  validate::DetectionConfig config;
-  config.trials = 30;
-  config.test_counts = {5, 10};
-  const auto outcome =
-      validate::run_detection(model, suite, backend, attack, victims, config);
-  EXPECT_EQ(outcome.successful_trials + outcome.dropped_trials, 30);
-  for (const double rate : outcome.rate_per_count) {
-    EXPECT_GE(rate, 0.0);
-    EXPECT_LE(rate, 1.0);
-  }
-  EXPECT_LE(outcome.rate_per_count[0], outcome.rate_per_count[1] + 1e-12);
-}
-
 // ---------- Backend parity on a zoo model ----------
 
 TEST(BackendParityTest, FloatAndInt8QualificationAgreeOnZooModel) {
@@ -621,81 +580,6 @@ TEST(PipelineTest, TamperedDeviceIsCaught) {
                         7);
   }
   EXPECT_FALSE(validator.validate(*quantized).passed);
-}
-
-// ---------- Parallel predict_all default ----------
-
-/// Minimal stateful IP exercising the BASE predict_all (no override): label
-/// depends only on the input, clones share nothing.
-class ToyIp : public ip::BlackBoxIp {
- public:
-  explicit ToyIp(int classes) : classes_(classes) {}
-
-  int predict(const Tensor& input) override {
-    ++calls_;
-    double sum = 0.0;
-    for (std::int64_t i = 0; i < input.numel(); ++i) {
-      sum += static_cast<double>(input[i]) * static_cast<double>(i + 1);
-    }
-    const auto bucket = static_cast<long long>(std::llround(sum * 64.0));
-    return static_cast<int>(((bucket % classes_) + classes_) % classes_);
-  }
-  std::unique_ptr<ip::BlackBoxIp> clone_ip() override {
-    return std::make_unique<ToyIp>(classes_);
-  }
-  Shape input_shape() const override { return Shape{6}; }
-  int num_classes() const override { return classes_; }
-  int calls() const { return calls_; }
-
- private:
-  int classes_;
-  int calls_ = 0;
-};
-
-/// Same, but not cloneable: must fall back to the serial loop.
-class SerialToyIp final : public ToyIp {
- public:
-  using ToyIp::ToyIp;
-  std::unique_ptr<ip::BlackBoxIp> clone_ip() override { return nullptr; }
-};
-
-TEST(PredictAllTest, ParallelDefaultMatchesSerialLoop) {
-  const auto inputs = random_pool(64, 123);
-  ToyIp parallel_ip(7);
-  const auto parallel_labels = parallel_ip.predict_all(inputs);
-
-  ToyIp serial_ip(7);
-  std::vector<int> serial_labels;
-  for (const auto& input : inputs) serial_labels.push_back(serial_ip.predict(input));
-
-  EXPECT_EQ(parallel_labels, serial_labels);
-  EXPECT_EQ(serial_ip.calls(), 64);
-  if (ThreadPool::shared().num_threads() >= 2) {
-    // The parallel path predicts through clones, not this instance.
-    EXPECT_EQ(parallel_ip.calls(), 0);
-  } else {
-    // Single-core machine: chunking is pointless, the loop stays serial.
-    EXPECT_EQ(parallel_ip.calls(), 64);
-  }
-}
-
-TEST(PredictAllTest, NonCloneableIpFallsBackToSerial) {
-  const auto inputs = random_pool(40, 124);
-  SerialToyIp ip(5);
-  ToyIp reference(5);
-  std::vector<int> expected;
-  for (const auto& input : inputs) expected.push_back(reference.predict(input));
-  EXPECT_EQ(ip.predict_all(inputs), expected);
-  EXPECT_EQ(ip.calls(), 40);
-}
-
-TEST(PredictAllTest, ReferenceIpCloneReplaysIdentically) {
-  Sequential model = small_relu_net(131);
-  ip::ReferenceIp ip(model, Shape{6});
-  auto clone = ip.clone_ip();
-  ASSERT_NE(clone, nullptr);
-  const auto inputs = random_pool(10, 132);
-  EXPECT_EQ(ip.predict_all(inputs), clone->predict_all(inputs));
 }
 
 }  // namespace
