@@ -13,8 +13,9 @@
 // static_prune_pct = (untestable + dominated) / raw is the headline static
 // metric; affine_ranges_ms is the affine range pass alone, best of --reps.
 // The surviving set is structurally collapsed and evenly thinned to
-// --fault-budget, then scored twice — run_sequential (one QuantizedIp,
-// ip::FaultInjector byte faults, full derived-state rebuild per fault) and
+// --fault-budget, then scored twice — run_sequential (one QuantizedIp, each
+// code fault's byte written by QuantizedIp::write_byte at
+// FaultLayout::flat_address, full derived-state rebuild per fault) and
 // run_batched (one clean traced forward, O(layer) point faults, resume from
 // the fault site). The two fault×test matrices are REQUIRED to be
 // bit-identical (first_detected, clean labels and every row compared; any

@@ -29,15 +29,14 @@ class DevicePool {
   using Factory = std::function<std::unique_ptr<BlackBoxIp>()>;
 
   /// `max_devices` caps the live instances (0 = unbounded). The factory is
-  /// invoked lazily, under no lock, and may return nullptr for "cannot
-  /// build" (acquire then yields an empty lease).
+  /// invoked lazily, under no lock, and throws if it cannot build a device.
   explicit DevicePool(Factory factory, std::size_t max_devices = 0);
 
   DevicePool(const DevicePool&) = delete;
   DevicePool& operator=(const DevicePool&) = delete;
 
   /// RAII handle to one pooled device; returns it on destruction. An empty
-  /// lease (factory returned nullptr) is falsy.
+  /// lease (try_acquire on an exhausted pool) is falsy.
   class Lease {
    public:
     Lease() = default;
@@ -52,11 +51,13 @@ class DevicePool {
 
    private:
     friend class DevicePool;
-    Lease(DevicePool* pool, std::unique_ptr<BlackBoxIp> device)
-        : pool_(pool), device_(std::move(device)) {}
+    Lease(DevicePool* pool, std::unique_ptr<BlackBoxIp> device,
+          std::size_t generation)
+        : pool_(pool), device_(std::move(device)), generation_(generation) {}
 
     DevicePool* pool_ = nullptr;
     std::unique_ptr<BlackBoxIp> device_;
+    std::size_t generation_ = 0;  ///< pool generation at acquire time
   };
 
   /// Idle device, or a fresh one when under the cap; BLOCKS when the cap is
@@ -67,6 +68,11 @@ class DevicePool {
   /// pool is exhausted.
   Lease try_acquire();
 
+  /// Drops the idle instances (leased ones are dropped when returned).
+  /// Call after mutating the underlying artifact so stale replicas are
+  /// never handed out again.
+  void invalidate();
+
   /// Total factory invocations so far (churn observability).
   std::size_t created() const;
 
@@ -74,7 +80,7 @@ class DevicePool {
   std::size_t idle() const;
 
  private:
-  void release(std::unique_ptr<BlackBoxIp> device);
+  void release(std::unique_ptr<BlackBoxIp> device, std::size_t generation);
   Lease build_unlocked(std::unique_lock<std::mutex>& lock);
 
   Factory factory_;
@@ -82,8 +88,9 @@ class DevicePool {
   mutable std::mutex mutex_;
   std::condition_variable available_;
   std::vector<std::unique_ptr<BlackBoxIp>> idle_;
-  std::size_t live_ = 0;     ///< idle + leased
-  std::size_t created_ = 0;  ///< lifetime factory calls
+  std::size_t live_ = 0;       ///< idle + leased
+  std::size_t created_ = 0;    ///< lifetime factory calls
+  std::size_t generation_ = 0; ///< bumped by invalidate()
 };
 
 }  // namespace dnnv::ip

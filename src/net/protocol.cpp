@@ -159,6 +159,12 @@ SubmitRequest SubmitRequest::decode(ByteReader& r) {
   return m;
 }
 
+std::uint32_t SubmitRequest::submit_id_of(ByteReader r) {
+  if (r.remaining() < 8) return 0;
+  r.read_u32();  // session_id
+  return r.read_u32();
+}
+
 void CloseSessionRequest::encode(ByteWriter& w) const {
   w.write_u32(session_id);
 }

@@ -149,6 +149,9 @@ struct SubmitRequest {
   std::uint8_t stream = 0;  ///< 1 = send kChunk frames before the verdict
   void encode(ByteWriter& w) const;
   static SubmitRequest decode(ByteReader& r);
+  /// The submit id of a payload that decode() rejects, when the payload
+  /// reaches it (else 0), so an error reply can still pair with its submit.
+  static std::uint32_t submit_id_of(ByteReader r);
 };
 
 struct CloseSessionRequest {

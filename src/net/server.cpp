@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -91,15 +92,19 @@ struct ServerImpl {
   void handle_close_session(Connection& conn, const CloseSessionRequest& req);
 
   /// Decodes a request payload. One that does not decode is answered with
-  /// kBadRequest tagged `ref`, and the connection keeps serving: frames
-  /// are length-prefixed, so the stream is still in sync after it.
+  /// kBadRequest, tagged with its submit id when a submit's payload reaches
+  /// it (else 0), and the connection keeps serving: frames are
+  /// length-prefixed, so the stream is still in sync after it.
   template <class Request>
-  std::optional<Request> decode_request(Connection& conn, const Frame& frame,
-                                        std::uint32_t ref) {
+  std::optional<Request> decode_request(Connection& conn, const Frame& frame) {
     try {
       ByteReader r = frame.reader();
       return Request::decode(r);
     } catch (const Error& e) {
+      std::uint32_t ref = 0;
+      if constexpr (std::is_same_v<Request, SubmitRequest>) {
+        ref = SubmitRequest::submit_id_of(frame.reader());
+      }
       send_error(conn, WireError::kBadRequest, ref,
                  std::string("malformed request: ") + e.what());
       return std::nullopt;
@@ -261,32 +266,22 @@ void ServerImpl::reader_loop(Connection& conn) {
 bool ServerImpl::handle_frame(Connection& conn, const Frame& frame) {
   switch (frame.type) {
     case MsgType::kLoad:
-      if (const auto req = decode_request<LoadRequest>(conn, frame, 0)) {
+      if (const auto req = decode_request<LoadRequest>(conn, frame)) {
         handle_load(conn, *req);
       }
       return true;
     case MsgType::kOpen:
-      if (const auto req = decode_request<OpenRequest>(conn, frame, 0)) {
+      if (const auto req = decode_request<OpenRequest>(conn, frame)) {
         handle_open(conn, *req);
       }
       return true;
-    case MsgType::kSubmit: {
-      // A submit's error answers its submit id (the payload's second u32)
-      // when the payload gets that far, so a pipelining client can pair it.
-      std::uint32_t ref = 0;
-      if (frame.payload.size() >= 8) {
-        ByteReader r = frame.reader();
-        r.read_u32();
-        ref = r.read_u32();
-      }
-      if (const auto req = decode_request<SubmitRequest>(conn, frame, ref)) {
+    case MsgType::kSubmit:
+      if (const auto req = decode_request<SubmitRequest>(conn, frame)) {
         handle_submit(conn, *req);
       }
       return true;
-    }
     case MsgType::kCloseSession:
-      if (const auto req =
-              decode_request<CloseSessionRequest>(conn, frame, 0)) {
+      if (const auto req = decode_request<CloseSessionRequest>(conn, frame)) {
         handle_close_session(conn, *req);
       }
       return true;

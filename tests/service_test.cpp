@@ -4,8 +4,8 @@
 // concurrent sessions must produce deterministic verdicts across runs and
 // thread counts, the early-exit stream must agree with the full replay,
 // the deliverable registry must LRU-evict and reload, the DevicePool must
-// reuse its devices, and protected-file corruption must surface distinct
-// diagnostics.
+// reuse its devices and drop them after invalidate(), and protected-file
+// corruption must surface distinct diagnostics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -404,7 +404,7 @@ TEST(ServiceRegistryTest, LruEvictionAndReloadRoundTrip) {
   std::filesystem::remove(path_b);
 }
 
-// ---------- DevicePool: acquire, release, capacity ----------
+// ---------- DevicePool: acquire, release, capacity, invalidate ----------
 
 /// Placeholder device: the pool tests never run a prediction.
 class ToyIp : public ip::BlackBoxIp {
@@ -427,6 +427,35 @@ TEST(DevicePoolTest, AcquireReleaseAndCapacity) {
   EXPECT_EQ(pool.idle(), 2u);
   // Reacquire hits the idle pool, not the factory.
   auto lease = pool.acquire();
+  EXPECT_EQ(pool.created(), 2u);
+}
+
+TEST(DevicePoolTest, InvalidateDropsIdleAndLeasedReplicas) {
+  ip::DevicePool pool([] { return std::make_unique<ToyIp>(); }, 4);
+  auto held = pool.acquire();
+  { auto idle_one = pool.acquire(); }
+  EXPECT_EQ(pool.idle(), 1u);
+  pool.invalidate();
+  EXPECT_EQ(pool.idle(), 0u);
+  // The still-leased device is stale too: returning it must drop it.
+  held = ip::DevicePool::Lease();
+  EXPECT_EQ(pool.idle(), 0u);
+  // Fresh acquires rebuild through the factory.
+  auto fresh = pool.acquire();
+  EXPECT_EQ(pool.created(), 3u);
+}
+
+TEST(DevicePoolTest, FactoryWithoutDeviceThrowsAndFreesItsSlot) {
+  int calls = 0;
+  ip::DevicePool pool(
+      [&calls]() -> std::unique_ptr<ip::BlackBoxIp> {
+        if (calls++ == 0) return nullptr;
+        return std::make_unique<ToyIp>();
+      },
+      1);
+  EXPECT_THROW(pool.acquire(), Error);
+  // The failed build gave its slot back, so the capped pool still builds.
+  EXPECT_TRUE(pool.try_acquire());
   EXPECT_EQ(pool.created(), 2u);
 }
 
