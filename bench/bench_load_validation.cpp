@@ -357,8 +357,8 @@ int main(int argc, char** argv) {
     std::cout << "server: 127.0.0.1:" << port << ", "
               << server_config.max_connections << " connection slots\n\n";
 
-    // Warmup: one pass over every cell config fills device pools and lane
-    // label caches, so the cells measure steady-state serving.
+    // Warmup: one pass over every cell config builds the lane devices and
+    // fills the lane label caches, so the cells measure steady-state serving.
     run_cell("warmup", "127.0.0.1", port, matrix, 1, static_cast<int>(matrix.size()),
              0.0);
 

@@ -6,8 +6,8 @@
 // the deployed device and replays the full suite alone, as one batched
 // forward on the calling thread (validate::validate_ip; no service,
 // scheduler thread or session). Service: N concurrent sessions over one
-// ValidationService — shared decoded bundles, pooled devices, and
-// cross-session micro-batches that apply each test pattern once per
+// ValidationService — shared decoded bundles, one reused device per lane,
+// and cross-session micro-batches that apply each test pattern once per
 // deliverable+backend.
 //
 //   bench_service_throughput [--sessions 16] [--tests 50] [--tiny]

@@ -351,18 +351,12 @@ void ServerImpl::handle_open(Connection& conn, const OpenRequest& req) {
     send_error(conn, WireError::kBadRequest, 0, e.what());
     return;
   }
-  const std::uint32_t session_id = conn.next_session_id++;
-  conn.sessions.emplace(session_id, std::move(session));
-  const pipeline::Deliverable& bundle = handle.deliverable();
-  pipeline::BackendKind resolved = req.config.backend;
-  if (resolved == pipeline::BackendKind::kAuto) {
-    resolved = bundle.has_quant ? pipeline::BackendKind::kInt8
-                                : pipeline::BackendKind::kFloat;
-  }
   OpenResponse resp;
-  resp.session_id = session_id;
-  resp.suite_size = bundle.suite.size();
-  resp.backend = static_cast<std::uint8_t>(resolved);
+  resp.session_id = conn.next_session_id++;
+  resp.suite_size = session->suite_size();
+  // open_session stores the resolved backend (never kAuto) in the config.
+  resp.backend = static_cast<std::uint8_t>(session->config().backend);
+  conn.sessions.emplace(resp.session_id, std::move(session));
   send(conn, MsgType::kOpenOk, resp);
 }
 

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "analysis/verifier.h"
-#include "ip/device_pool.h"
 #include "ip/quantized_ip.h"
 #include "ip/reference_ip.h"
 #include "util/error.h"
@@ -92,10 +91,10 @@ struct RunState {
   std::shared_ptr<StreamState> stream;  ///< null for future-only submits
 };
 
-/// One scheduler lane: the unit of cross-session sharing. Clean sessions on
-/// the same (deliverable, backend) share a lane — one label cache, one
-/// device pool — while each faulted session gets a private lane with its
-/// own device and no cache.
+/// One scheduler lane: the unit of cross-session sharing. A lane owns one
+/// device and runs at most one micro-batch at a time. Clean sessions on the
+/// same (deliverable, backend) share a lane and its label cache; each
+/// faulted session gets a private lane with no cache.
 ///
 /// Lanes reference their registry entry by RAW pointer (plus a shared_ptr
 /// to the bundle payload itself): holding the entry shared would pin its
@@ -113,34 +112,32 @@ struct Lane {
   bool persistent = false;
   std::size_t micro_batch = 16;  ///< max tests per inference batch
 
-  // Shareable lanes: replicated devices + memoized labels (the TP-ATPG-style
-  // shared-pattern store: each test is applied once per deliverable+backend,
-  // every subscribed session reads the outcome).
-  std::unique_ptr<ip::DevicePool> devices;
-  std::size_t leases_out = 0;  ///< batches holding (or acquiring) a replica
+  /// The lane's device. A faulted lane's is built and flipped at open; a
+  /// shareable lane's on its first batch. A running batch holds it.
+  std::unique_ptr<ip::BlackBoxIp> device;
+  bool busy = false;  ///< a micro-batch is running on this lane
+
+  // Shareable lanes only: memoized labels (the TP-ATPG-style shared-pattern
+  // store: each test is applied once per deliverable+backend, every
+  // subscribed session reads the outcome).
   std::vector<int> label_cache;
   std::vector<unsigned char> label_known;
 
-  // Private lanes: exactly one device, one batch in flight at a time.
-  std::unique_ptr<ip::BlackBoxIp> owned_device;
-  bool busy = false;
-
   /// index -> runs waiting for it (ordered: batches pop lowest-first).
   std::map<std::size_t, std::vector<std::shared_ptr<RunState>>> pending;
-  std::size_t inflight = 0;  ///< batches currently executing on this lane
-  std::size_t refs = 0;      ///< open sessions
+  std::size_t refs = 0;  ///< open sessions
 };
 
-/// One micro-batch handed to an executor. For shareable lanes the replica
-/// lease is acquired (and returned) inside run_batch, OUTSIDE the service
-/// mutex — device construction is the expensive part, and the lane cannot
-/// be torn down while the batch counts as in flight.
+/// One micro-batch handed to an executor, with its lane's device. A null
+/// device is built inside run_batch, OUTSIDE the service mutex: device
+/// construction is the expensive part, and the lane cannot be torn down
+/// while it is busy.
 struct BatchJob {
   std::size_t lane_id = 0;
   std::vector<std::size_t> indices;
   std::vector<std::vector<std::shared_ptr<RunState>>> subscribers;
-  ip::DevicePool* pool = nullptr;     ///< shareable lanes: acquire from here
-  ip::BlackBoxIp* device = nullptr;   ///< private lanes: the lane's device
+  std::unique_ptr<ip::BlackBoxIp> device;
+  BackendKind backend = BackendKind::kFloat;
   std::shared_ptr<const Deliverable> bundle;
 };
 
@@ -334,8 +331,10 @@ std::shared_ptr<Session> ServiceImpl::open_session(
              "int8 backend requested but the deliverable ships no quantized "
              "artifact");
 
-  // Faulted sessions build their private tampered device up front (outside
-  // the service lock: device construction is the expensive part).
+  // Faulted sessions build and flip their private device up front (outside
+  // the service lock: device construction is the expensive part), so a bad
+  // fault fails the open. A shareable lane builds its device on its first
+  // batch.
   std::unique_ptr<ip::BlackBoxIp> faulted;
   if (!session_config.faults.empty()) {
     DNNV_CHECK(backend == BackendKind::kInt8,
@@ -379,16 +378,10 @@ std::shared_ptr<Session> ServiceImpl::open_session(
     fresh->micro_batch = session_config.micro_batch > 0
                              ? session_config.micro_batch
                              : config.micro_batch;
+    fresh->device = std::move(faulted);
     if (shareable) {
-      fresh->devices = std::make_unique<ip::DevicePool>(
-          [bundle_ptr = entry->bundle, backend] {
-            return make_device(*bundle_ptr, backend);
-          },
-          std::max<std::size_t>(1, config.devices_per_lane));
       fresh->label_cache.assign(bundle.suite.size(), -1);
       fresh->label_known.assign(bundle.suite.size(), 0);
-    } else {
-      fresh->owned_device = std::move(faulted);
     }
     lane_id = next_lane_id++;
     lane = fresh.get();
@@ -412,8 +405,7 @@ void ServiceImpl::gc_lane_locked(std::size_t lane_id) {
   auto it = lanes.find(lane_id);
   if (it == lanes.end()) return;
   Lane& lane = *it->second;
-  if (lane.refs != 0 || !lane.pending.empty() || lane.inflight != 0 ||
-      lane.busy) {
+  if (lane.refs != 0 || !lane.pending.empty() || lane.busy) {
     return;  // still referenced or still working
   }
   // Persistent lanes (shared lanes of registry-resident deliverables)
@@ -450,7 +442,9 @@ std::shared_ptr<RunState> ServiceImpl::submit(const Session& session,
              "submit range [" << begin << ", " << end
                               << ") out of suite range " << suite.size());
   if (session.config_.budget > 0) {
-    end = std::min(end, begin + session.config_.budget);
+    // Clamp the range length, not the end: begin + budget wraps for a
+    // budget near SIZE_MAX (a u64 off the wire).
+    end = begin + std::min(end - begin, session.config_.budget);
   }
 
   auto run = std::make_shared<RunState>();
@@ -630,25 +624,12 @@ std::unique_ptr<BatchJob> ServiceImpl::form_batch_locked() {
     const std::size_t lane_id = it->first;
     ++it;
     if (it == lanes.end()) it = lanes.begin();
-    if (lane.pending.empty()) continue;
+    if (lane.pending.empty() || lane.busy) continue;
 
     auto job = std::make_unique<BatchJob>();
     job->lane_id = lane_id;
+    job->backend = lane.backend;
     job->bundle = lane.bundle;
-    if (lane.shareable) {
-      // Reserve a replica slot; the (possibly constructing) acquire happens
-      // in run_batch, outside this mutex.
-      if (lane.leases_out >= std::max<std::size_t>(1, config.devices_per_lane)) {
-        continue;  // every replica slot busy; try another lane
-      }
-      ++lane.leases_out;
-      job->pool = lane.devices.get();
-    } else {
-      if (lane.busy) continue;
-      job->device = lane.owned_device.get();
-      lane.busy = true;
-    }
-
     while (!lane.pending.empty() &&
            job->indices.size() < lane.micro_batch) {
       auto pending_it = lane.pending.begin();
@@ -659,15 +640,9 @@ std::unique_ptr<BatchJob> ServiceImpl::form_batch_locked() {
       lane.pending.erase(pending_it);
       --pending_total;
     }
-    if (job->indices.empty()) {
-      if (lane.shareable) {
-        --lane.leases_out;
-      } else {
-        lane.busy = false;
-      }
-      continue;
-    }
-    ++lane.inflight;
+    if (job->indices.empty()) continue;
+    job->device = std::move(lane.device);
+    lane.busy = true;
     lane_cursor = lane_id + 1;
     return job;
   }
@@ -677,52 +652,48 @@ std::unique_ptr<BatchJob> ServiceImpl::form_batch_locked() {
 void ServiceImpl::run_batch(std::unique_ptr<BatchJob> job) {
   std::vector<int> labels;
   std::exception_ptr error;
-  {
-    // Acquire, infer and release the replica with no service lock held:
-    // first-touch device construction and the forward pass are the
-    // expensive parts. The lane stays alive — its inflight count is ours.
-    ip::DevicePool::Lease lease;
-    try {
-      ip::BlackBoxIp* device = job->device;
-      if (job->pool != nullptr) {
-        lease = job->pool->acquire();
-        device = lease.get();
-      }
-      DNNV_CHECK(device != nullptr, "no device available for micro-batch");
-      std::vector<Tensor> inputs;
-      inputs.reserve(job->indices.size());
-      for (const std::size_t index : job->indices) {
-        inputs.push_back(job->bundle->suite.inputs()[index]);
-      }
-      labels = device->predict_all(inputs);
-      DNNV_CHECK(labels.size() == job->indices.size(),
-                 "backend returned " << labels.size() << " labels for "
-                                     << job->indices.size() << " tests");
-    } catch (...) {
-      error = std::current_exception();
+  // Build (on a shareable lane's first batch) and run the device with no
+  // service lock held: both are the expensive parts. The lane stays alive
+  // while it is busy. A failed build leaves the device null, so the lane's
+  // next batch builds again.
+  try {
+    if (job->device == nullptr) {
+      job->device = make_device(*job->bundle, job->backend);
     }
+    std::vector<Tensor> inputs;
+    inputs.reserve(job->indices.size());
+    for (const std::size_t index : job->indices) {
+      inputs.push_back(job->bundle->suite.inputs()[index]);
+    }
+    labels = job->device->predict_all(inputs);
+    DNNV_CHECK(labels.size() == job->indices.size(),
+               "backend returned " << labels.size() << " labels for "
+                                   << job->indices.size() << " tests");
+  } catch (...) {
+    error = std::current_exception();
   }
 
   Publish out;
   {
     std::lock_guard<std::mutex> lock(mutex);
-    auto lane_it = lanes.find(job->lane_id);
-    Lane* lane = lane_it != lanes.end() ? lane_it->second.get() : nullptr;
+    Lane& lane = *lanes.at(job->lane_id);
+    lane.device = std::move(job->device);
+    lane.busy = false;
     const auto& golden = job->bundle->suite.golden_labels();
     ++stats.batches;
     if (!error) stats.predicted += job->indices.size();
     for (std::size_t i = 0; i < job->indices.size(); ++i) {
       const std::size_t index = job->indices[i];
-      if (!error && lane != nullptr && lane->shareable) {
-        lane->label_cache[index] = labels[i];
-        lane->label_known[index] = 1;
+      if (!error && lane.shareable) {
+        lane.label_cache[index] = labels[i];
+        lane.label_known[index] = 1;
         // Serve subscribers that queued this index while the batch was in
         // flight (their submit raced the pop), so a test is never inferred
         // twice on one lane.
-        auto raced = lane->pending.find(index);
-        if (raced != lane->pending.end()) {
+        auto raced = lane.pending.find(index);
+        if (raced != lane.pending.end()) {
           auto raced_subscribers = std::move(raced->second);
-          lane->pending.erase(raced);
+          lane.pending.erase(raced);
           --pending_total;
           for (const auto& run : raced_subscribers) {
             if (run->finished) continue;
@@ -741,15 +712,7 @@ void ServiceImpl::run_batch(std::unique_ptr<BatchJob> job) {
         }
       }
     }
-    if (lane != nullptr) {
-      if (lane->shareable) {
-        --lane->leases_out;
-      } else {
-        lane->busy = false;
-      }
-      --lane->inflight;
-      if (lane->refs == 0) gc_lane_locked(job->lane_id);
-    }
+    if (lane.refs == 0) gc_lane_locked(job->lane_id);
     --inflight;
     ++publishing;
   }
@@ -783,7 +746,7 @@ void ServiceImpl::scheduler_loop() {
     lock.unlock();
     if (async) {
       // BatchJob is moved into the executor; run_batch re-locks to fold
-      // results and returns the device lease.
+      // results and puts the device back into its lane.
       auto* raw = job.release();
       executors.run([this, raw] { run_batch(std::unique_ptr<BatchJob>(raw)); });
     } else {
@@ -911,39 +874,6 @@ void ValidationService::drain() {
     return impl_->pending_total == 0 && impl_->inflight == 0 &&
            impl_->active_runs == 0 && impl_->publishing == 0;
   });
-}
-
-std::size_t ValidationService::evict_unpinned() {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::size_t evicted = 0;
-  for (auto it = impl_->registry.begin(); it != impl_->registry.end();) {
-    if (it->second.use_count() == 1) {  // registry holds the only reference
-      it->second->registered = false;
-      impl_->gc_lanes_for_entry_locked(it->second);
-      it = impl_->registry.erase(it);
-      ++impl_->stats.evictions;
-      ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  return evicted;
-}
-
-SuiteCoverage ValidationService::suite_coverage(
-    const DeliverableHandle& handle) const {
-  DNNV_CHECK(handle.valid(), "invalid deliverable handle");
-  // The handle pins the entry, so the bundle is safe to read without the
-  // service lock; measurement itself is criterion work, not scheduler work.
-  return pipeline::suite_coverage(handle.deliverable());
-}
-
-fault::FaultQualification ValidationService::fault_coverage(
-    const DeliverableHandle& handle) const {
-  DNNV_CHECK(handle.valid(), "invalid deliverable handle");
-  // Same pinning argument as suite_coverage(): the handle keeps the bundle
-  // alive, and simulation only reads it.
-  return pipeline::fault_coverage(handle.deliverable());
 }
 
 ValidationService::Stats ValidationService::stats() const {

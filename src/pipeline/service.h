@@ -11,17 +11,19 @@
 //     sessions reuse one decoded model/QuantModel/TestSuite.
 //   * Sessions — open_session(handle, SessionConfig) owns per-session
 //     replay state (backend choice, injected memory faults, test budget)
-//     and draws devices from a shared ip::DevicePool instead of building
-//     one per request. Every session replays a registered deliverable on
-//     a service-built device; a caller-built device is replayed with
-//     UserValidator::validate(device&) instead.
+//     and feeds a scheduler lane that owns one device, built once and
+//     reused by every batch instead of one per request. Every session
+//     replays a registered deliverable on a service-built device; a
+//     caller-built device is replayed with UserValidator::validate(device&)
+//     instead.
 //   * Micro-batched scheduler — Session::submit() returns a
 //     std::future<Verdict>; a scheduler thread coalesces pending test
 //     items ACROSS sessions targeting the same deliverable+backend into
 //     micro-batches driven through the batched float/int8 engines, the way
 //     hardware-test infrastructure amortizes pattern application across
-//     parts: one prediction per (deliverable, backend, test) serves every
-//     subscribed session.
+//     parts. A lane runs one micro-batch at a time, so for any
+//     max_inflight_batches one prediction per (deliverable, backend, test)
+//     serves every subscribed clean session.
 //   * Streaming verdicts — Session::stream() yields per-chunk mismatch
 //     counts as micro-batches land, with an early-exit policy that
 //     finishes the run at the first TAMPERED chunk instead of after the
@@ -66,7 +68,7 @@ enum class BackendKind {
 BackendKind backend_kind_from_string(const std::string& name);
 
 /// Builds a fresh deployed device for `deliverable` under `kind` — the
-/// factory behind UserValidator::make_device and the service device pools.
+/// factory behind UserValidator::make_device and the service lanes.
 std::unique_ptr<ip::BlackBoxIp> make_device(const Deliverable& deliverable,
                                             BackendKind kind =
                                                 BackendKind::kAuto);
@@ -206,11 +208,10 @@ class ValidationService {
     std::size_t max_cached_deliverables = 4;
     /// Default micro-batch (and streaming chunk) size in tests.
     std::size_t micro_batch = 16;
-    /// Devices kept per (deliverable, backend) lane.
-    std::size_t devices_per_lane = 4;
-    /// Micro-batches allowed in flight at once. 1 executes on the
-    /// scheduler thread (inference still parallelises internally); >1
-    /// dispatches batches onto `pool` for coarse cross-lane parallelism.
+    /// Micro-batches allowed in flight at once, across lanes (a lane runs
+    /// one at a time on its one device). 1 executes on the scheduler
+    /// thread (inference still parallelises internally); >1 dispatches
+    /// batches onto `pool` for coarse cross-lane parallelism.
     std::size_t max_inflight_batches = 1;
     /// Worker pool for >1 in-flight batches (nullptr = ThreadPool::shared).
     ThreadPool* pool = nullptr;
@@ -244,8 +245,9 @@ class ValidationService {
 
   /// Opens a session over `handle`'s deliverable. Clean sessions on the
   /// same deliverable+backend share a scheduler lane: one label cache, one
-  /// device pool, cross-session micro-batches. Faulted sessions
-  /// (config.faults) replay on a private device.
+  /// device, cross-session micro-batches. Faulted sessions (config.faults)
+  /// replay on a private lane whose device is built and flipped here, so a
+  /// fault outside the device memory throws dnnv::Error.
   std::shared_ptr<Session> open_session(const DeliverableHandle& handle,
                                         SessionConfig config = {});
 
@@ -258,24 +260,6 @@ class ValidationService {
   /// caller that stops submitting and then drains is guaranteed all ITS
   /// verdicts have been published.
   void drain();
-
-  /// Evicts every unpinned registry entry (no live handle or session)
-  /// regardless of LRU capacity, releasing their scheduler lanes. Returns
-  /// the number of entries dropped. Pinned entries are untouched.
-  std::size_t evict_unpinned();
-
-  /// Per-criterion coverage of a registered deliverable's suite, re-measured
-  /// from its manifest's criterion name + config (see
-  /// pipeline::suite_coverage). Runs on the caller's thread — the scheduler
-  /// is not involved.
-  SuiteCoverage suite_coverage(const DeliverableHandle& handle) const;
-
-  /// Re-measures a registered deliverable's shipped fault coverage from its
-  /// manifest's fault model + UniverseConfig (see pipeline::fault_coverage).
-  /// Runs on the caller's thread; the batched simulator fans out over the
-  /// shared ThreadPool, not the scheduler.
-  fault::FaultQualification fault_coverage(const DeliverableHandle& handle)
-      const;
 
   Stats stats() const;
 

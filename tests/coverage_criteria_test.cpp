@@ -704,11 +704,11 @@ TEST(PipelineCriterionTest, DeliverableManifestRoundTripsCriterion) {
             loaded.manifest.criterion_config.range_low.size() * 6);
   EXPECT_TRUE(validator.validate().passed);
 
-  // And the service exposes the same measurement per handle.
+  // And a service handle's deliverable measures the same.
   pipeline::ValidationService service;
   const auto handle =
       service.adopt(pipeline::Deliverable::load_file(path, 4242), "criteria");
-  const auto service_coverage = service.suite_coverage(handle);
+  const auto service_coverage = pipeline::suite_coverage(handle.deliverable());
   EXPECT_EQ(service_coverage.map.covered_count(),
             coverage.map.covered_count());
   std::filesystem::remove(path);

@@ -5,11 +5,11 @@
 // sockets with a typed kBusy and promote parked ones when a slot frees;
 // idle eviction must drain delivered verdicts and say kBye(kIdleTimeout);
 // every protected-file corruption mode must cross the wire as its own
-// typed error code, and a request whose payload does not decode must get a
-// typed kBadRequest without losing the connection; per-connection
-// backpressure must cap in-flight submits; and the service
-// drain()/evict_unpinned() hooks the server relies on must behave
-// standalone.
+// typed error code, and a request whose payload does not decode, or an open
+// whose fault misses the device memory, must get a typed kBadRequest
+// without losing the connection; per-connection backpressure must cap
+// in-flight submits; and the service drain() hook the server relies on
+// must behave standalone.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -144,12 +144,14 @@ void check_wire_bit_identity(const exp::TrainedModel& trained,
   EXPECT_EQ(loaded.suite_size, 12u);
   EXPECT_EQ(loaded.has_quant != 0, backend == "int8");
 
+  const pipeline::BackendKind resolved = backend == "int8"
+                                             ? pipeline::BackendKind::kInt8
+                                             : pipeline::BackendKind::kFloat;
   std::vector<pipeline::SessionConfig> configs;
   for (const auto policy :
        {pipeline::StreamPolicy::kFullReplay, pipeline::StreamPolicy::kEarlyExit}) {
     pipeline::SessionConfig config;
-    config.backend = backend == "int8" ? pipeline::BackendKind::kInt8
-                                       : pipeline::BackendKind::kFloat;
+    config.backend = resolved;
     config.policy = policy;
     config.chunk_size = 4;  // several chunks out of 12 tests
     configs.push_back(config);
@@ -159,13 +161,17 @@ void check_wire_bit_identity(const exp::TrainedModel& trained,
       configs.push_back(config);
     }
   }
+  // kAuto resolves to the bundle's int8 artifact when it ships one.
+  pipeline::SessionConfig automatic;
+  automatic.chunk_size = 4;
+  configs.push_back(automatic);
 
   for (const auto& config : configs) {
     auto session = local.open_session(handle, config);
     const auto opened = client.open(loaded.deliverable_id, config);
     EXPECT_EQ(opened.suite_size, 12u);
-    EXPECT_EQ(static_cast<pipeline::BackendKind>(opened.backend),
-              config.backend);
+    EXPECT_EQ(static_cast<pipeline::BackendKind>(opened.backend), resolved);
+    EXPECT_EQ(session->config().backend, resolved);
 
     // Whole-range blocking verdict.
     const auto expected = session->submit().get();
@@ -416,7 +422,7 @@ Message read_reply(net::Socket& socket, net::MsgType type) {
 
 TEST(NetErrorTest, MalformedPayloadsAreAnsweredAndTheConnectionServesOn) {
   const auto trained = exp::mnist_tanh(tiny_options());
-  const auto path = save_bundle(trained, exp::digits_train(60).images, "float",
+  const auto path = save_bundle(trained, exp::digits_train(60).images, "int8",
                                 6, "dnnv_net_malformed.bin");
   net::ValidationServer server;
   net::Socket socket = net::Socket::connect("127.0.0.1", server.port());
@@ -444,12 +450,25 @@ TEST(NetErrorTest, MalformedPayloadsAreAnsweredAndTheConnectionServesOn) {
     EXPECT_EQ(error.ref, ref) << error.message;
   }
 
-  // The same connection still loads, opens and validates SECURE.
+  // The same connection still loads. An open whose fault lies past the
+  // device memory, or names bit 8, decodes but fails at open_session: it too
+  // is answered with kBadRequest.
   net::write_message(socket, net::MsgType::kLoad, load);
   const auto loaded =
       read_reply<net::LoadResponse>(socket, net::MsgType::kLoadOk);
   EXPECT_EQ(loaded.suite_size, 6u);
   open.deliverable_id = loaded.deliverable_id;
+  for (const validate::CodeFault fault :
+       {validate::CodeFault{std::size_t{1} << 40, 7},
+        validate::CodeFault{0, 8}}) {
+    net::OpenRequest faulted = open;
+    faulted.config.faults = {fault};
+    net::write_message(socket, net::MsgType::kOpen, faulted);
+    const auto error = read_reply<net::ErrorMsg>(socket, net::MsgType::kError);
+    EXPECT_EQ(error.code, WireError::kBadRequest) << error.message;
+  }
+
+  // And it still opens and validates SECURE.
   net::write_message(socket, net::MsgType::kOpen, open);
   const auto opened =
       read_reply<net::OpenResponse>(socket, net::MsgType::kOpenOk);
@@ -512,39 +531,25 @@ TEST(NetBackpressureTest, InflightSubmitsStayUnderTheCap) {
   std::filesystem::remove(path);
 }
 
-// ---------- Service hooks the server depends on ----------
+// ---------- Service hook the server depends on ----------
 
-TEST(ServiceHooksTest, DrainAndEvictUnpinned) {
+TEST(ServiceHooksTest, DrainLeavesEveryVerdictReady) {
   const auto trained = exp::mnist_tanh(tiny_options());
-  const auto path_a = save_bundle(trained, exp::digits_train(60).images,
-                                  "float", 6, "dnnv_net_hooks_a.bin");
-  const auto path_b = save_bundle(trained, exp::digits_train(60).images,
-                                  "float", 8, "dnnv_net_hooks_b.bin");
+  const auto path = save_bundle(trained, exp::digits_train(60).images,
+                                "float", 6, "dnnv_net_hooks.bin");
 
   pipeline::ValidationService service;
-  {
-    const auto a = service.load_file(path_a, kKey);
-    auto session = service.open_session(a);
-    auto future = session->submit();
-    // drain() returns only once the scheduler has gone quiet, so the
-    // submitted verdict must be immediately ready afterwards.
-    service.drain();
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_TRUE(future.get().passed);
+  const auto handle = service.load_file(path, kKey);
+  auto session = service.open_session(handle);
+  auto future = session->submit();
+  // drain() returns only once the scheduler has gone quiet, so the
+  // submitted verdict must be immediately ready afterwards.
+  service.drain();
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_TRUE(future.get().passed);
 
-    // A live handle pins its entry against evict_unpinned().
-    service.load_file(path_b, kKey);
-    EXPECT_EQ(service.resident_deliverables(), 2u);
-    EXPECT_EQ(service.evict_unpinned(), 1u);  // only B was unpinned
-    EXPECT_EQ(service.resident_deliverables(), 1u);
-  }
-  // Handle dropped: nothing is pinned any more.
-  EXPECT_EQ(service.evict_unpinned(), 1u);
-  EXPECT_EQ(service.resident_deliverables(), 0u);
-
-  std::filesystem::remove(path_a);
-  std::filesystem::remove(path_b);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // ValidationService tests: a registered session's verdict must equal
 // validate_ip on a fresh device carrying the same flips, on both zoo models
-// and backends, clean and faulted, under both stream policies; 16
-// concurrent sessions must produce deterministic verdicts across runs and
-// thread counts, the early-exit stream must agree with the full replay,
-// the deliverable registry must LRU-evict and reload, the DevicePool must
-// reuse its devices and drop them after invalidate(), and protected-file
-// corruption must surface distinct diagnostics.
+// and backends, clean and faulted, under both stream policies; a fault
+// outside the device memory must fail the open; 16 concurrent sessions must
+// produce deterministic verdicts across runs and thread counts, the
+// early-exit stream must agree with the full replay, concurrent clean
+// sessions must infer each test once per shared lane at any in-flight
+// batch count, the deliverable registry must LRU-evict, keep pinned entries
+// and reload, and protected-file corruption must surface distinct
+// diagnostics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +20,6 @@
 #include <vector>
 
 #include "exp/model_zoo.h"
-#include "ip/device_pool.h"
 #include "ip/quantized_ip.h"
 #include "pipeline/service.h"
 #include "pipeline/user.h"
@@ -186,9 +187,10 @@ TEST(ServiceStressTest, SixteenSessionsDeterministicAcrossThreadCounts) {
     std::size_t micro_batch;
     std::size_t inflight;
   };
-  // The widest row oversubscribes the host on purpose: 16 lane workers with
-  // 4 in-flight micro-batches, each lane's int8 GEMM splitting tiles via the
-  // nested-capable parallel_for — verdicts must stay timing-independent.
+  // The widest row oversubscribes the host on purpose: a 16-thread pool with
+  // 4 in-flight micro-batches across the lanes, each lane's int8 GEMM
+  // splitting tiles via the nested-capable parallel_for — verdicts must stay
+  // timing-independent.
   for (const Knobs& knobs :
        std::vector<Knobs>{{1, 16, 1}, {4, 5, 3}, {16, 4, 4}}) {
     ThreadPool pool(knobs.pool_threads);
@@ -338,6 +340,42 @@ TEST(ServiceSessionTest, RangeSubmitValidatesBounds) {
   const auto verdict = session->submit(2, 6).get();
   EXPECT_EQ(verdict.tests_run, 4);
   EXPECT_TRUE(verdict.passed);
+
+  // A budget near SIZE_MAX (a u64 off the wire) clamps nothing: begin +
+  // budget must not wrap below begin.
+  pipeline::SessionConfig huge;
+  huge.budget = SIZE_MAX;
+  auto unbounded = service.open_session(handle, huge);
+  const auto whole = unbounded->submit(2, 6).get();
+  EXPECT_EQ(whole.tests_run, 4);
+  EXPECT_TRUE(whole.passed);
+}
+
+TEST(ServiceSessionTest, OpenRejectsAFaultOutsideTheDevice) {
+  const auto trained = exp::mnist_tanh(tiny_options());
+  pipeline::ValidationService service;
+  const auto handle = service.adopt(
+      make_bundle(trained, exp::digits_train(60).images, "int8", 6), "mnist");
+  const auto device =
+      pipeline::make_device(handle.deliverable(), pipeline::BackendKind::kInt8);
+  const std::size_t memory =
+      dynamic_cast<ip::QuantizedIp&>(*device).memory_size();
+
+  // A faulted lane builds and flips its device at open, so the open throws.
+  for (const validate::CodeFault fault :
+       {validate::CodeFault{memory, 0}, validate::CodeFault{memory + 100, 7},
+        validate::CodeFault{0, 8}}) {
+    pipeline::SessionConfig config;
+    config.faults = {fault};
+    EXPECT_THROW(service.open_session(handle, config), Error)
+        << "address " << fault.address << " bit " << fault.bit;
+  }
+  // The last code byte is in range, and the refused opens left the service
+  // serving.
+  pipeline::SessionConfig config;
+  config.faults = {{memory - 1, 7}};
+  EXPECT_NO_THROW(service.open_session(handle, config));
+  EXPECT_TRUE(service.open_session(handle)->submit().get().passed);
 }
 
 // ---------- Cross-session sharing + registry LRU ----------
@@ -358,6 +396,47 @@ TEST(ServiceRegistryTest, CrossSessionBatchingPredictsEachTestOnce) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.predicted, suite_size);
   EXPECT_EQ(stats.cache_served, 7 * suite_size);
+}
+
+TEST(ServiceRegistryTest, ConcurrentSessionsPredictEachTestOnce) {
+  const auto trained = exp::cifar_relu(tiny_options());
+  const auto bundle =
+      make_bundle(trained, exp::shapes_train(60).images, "int8", 12);
+  const std::size_t suite_size = bundle.suite.size();
+  ASSERT_EQ(suite_size, 12u);
+
+  // Eight clean sessions race on one shared lane while the scheduler may
+  // keep four micro-batches in flight: the lane still runs one batch at a
+  // time, so each test is inferred once, and every other subscription joins
+  // that batch or reads the label cache.
+  ThreadPool pool(4);
+  for (int round = 0; round < 12; ++round) {
+    pipeline::ValidationService::Config config;
+    config.micro_batch = 2;
+    config.max_inflight_batches = 4;
+    config.pool = &pool;
+    pipeline::ValidationService service(config);
+    const auto handle = service.adopt(
+        pipeline::Deliverable{bundle.model.clone(), bundle.has_quant,
+                              bundle.qmodel, bundle.suite, bundle.manifest},
+        "cifar");
+    constexpr int kSessions = 8;
+    std::vector<validate::Verdict> verdicts(kSessions);
+    std::vector<std::thread> threads;
+    threads.reserve(kSessions);
+    for (int i = 0; i < kSessions; ++i) {
+      threads.emplace_back([&, i] {
+        auto session = service.open_session(handle);
+        verdicts[static_cast<std::size_t>(i)] = session->submit().get();
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (const auto& verdict : verdicts) {
+      EXPECT_TRUE(verdict.passed) << "round " << round;
+    }
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.predicted, suite_size) << "round " << round;
+  }
 }
 
 TEST(ServiceRegistryTest, LruEvictionAndReloadRoundTrip) {
@@ -395,68 +474,17 @@ TEST(ServiceRegistryTest, LruEvictionAndReloadRoundTrip) {
   EXPECT_EQ(service.resident_deliverables(), 1u);
 
   // Reload after eviction: a fresh parse that still validates SECURE.
+  // `other` still pins B, so going over capacity evicts nothing: both stay
+  // resident.
   const auto reloaded = service.load_file(path_a, kKey);
   EXPECT_EQ(service.stats().hits, 1u);  // unchanged: this was a miss
+  EXPECT_EQ(service.stats().evictions, 1u);
+  EXPECT_EQ(service.resident_deliverables(), 2u);
   auto session = service.open_session(reloaded);
   EXPECT_TRUE(session->submit().get().passed);
 
   std::filesystem::remove(path_a);
   std::filesystem::remove(path_b);
-}
-
-// ---------- DevicePool: acquire, release, capacity, invalidate ----------
-
-/// Placeholder device: the pool tests never run a prediction.
-class ToyIp : public ip::BlackBoxIp {
- public:
-  int predict(const Tensor&) override { return 0; }
-  Shape input_shape() const override { return Shape{6}; }
-  int num_classes() const override { return 4; }
-};
-
-TEST(DevicePoolTest, AcquireReleaseAndCapacity) {
-  ip::DevicePool pool([] { return std::make_unique<ToyIp>(); }, 2);
-  {
-    auto first = pool.acquire();
-    auto second = pool.try_acquire();
-    ASSERT_TRUE(first);
-    ASSERT_TRUE(second);
-    EXPECT_FALSE(pool.try_acquire());  // at capacity, none idle
-    EXPECT_EQ(pool.created(), 2u);
-  }
-  EXPECT_EQ(pool.idle(), 2u);
-  // Reacquire hits the idle pool, not the factory.
-  auto lease = pool.acquire();
-  EXPECT_EQ(pool.created(), 2u);
-}
-
-TEST(DevicePoolTest, InvalidateDropsIdleAndLeasedReplicas) {
-  ip::DevicePool pool([] { return std::make_unique<ToyIp>(); }, 4);
-  auto held = pool.acquire();
-  { auto idle_one = pool.acquire(); }
-  EXPECT_EQ(pool.idle(), 1u);
-  pool.invalidate();
-  EXPECT_EQ(pool.idle(), 0u);
-  // The still-leased device is stale too: returning it must drop it.
-  held = ip::DevicePool::Lease();
-  EXPECT_EQ(pool.idle(), 0u);
-  // Fresh acquires rebuild through the factory.
-  auto fresh = pool.acquire();
-  EXPECT_EQ(pool.created(), 3u);
-}
-
-TEST(DevicePoolTest, FactoryWithoutDeviceThrowsAndFreesItsSlot) {
-  int calls = 0;
-  ip::DevicePool pool(
-      [&calls]() -> std::unique_ptr<ip::BlackBoxIp> {
-        if (calls++ == 0) return nullptr;
-        return std::make_unique<ToyIp>();
-      },
-      1);
-  EXPECT_THROW(pool.acquire(), Error);
-  // The failed build gave its slot back, so the capped pool still builds.
-  EXPECT_TRUE(pool.try_acquire());
-  EXPECT_EQ(pool.created(), 2u);
 }
 
 // ---------- Protected-file corruption diagnostics ----------
